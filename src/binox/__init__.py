@@ -6,6 +6,8 @@ from .explorer import (
     ClusterStack,
     ExplorationMap,
     PhaseLedger,
+    ExplorerInvariantError,
+    MapUpdateError,
     PortCollisionError,
     explore,
 )
@@ -52,6 +54,7 @@ from .runtime import (
     Observation,
     RunOutcome,
     RunTrace,
+    TraceFormatError,
     create_environment,
     run_agent,
 )

@@ -5,7 +5,8 @@
     binox check --graph g.json --trace run.jsonl
     binox suite --config suite.json --out results/
 
-Exit codes: ``check`` and ``suite`` exit 0 iff every requested check passed;
+Exit codes: ``check`` and ``suite`` exit 0 iff every requested check passed
+(``check`` also needs a trace that ends in a terminal event);
 ``explore`` exits 0 iff the run halted (2 otherwise); any usage or input
 error exits 1.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 from .explorer import explore
 from .families import generate, parse_spec
 from .graph import GraphFormatError, load_graph, save_graph
-from .runtime import RunTrace, create_environment
+from .runtime import RunTrace, TraceFormatError, create_environment
 from .suite import DEFAULT_CHECKS, ExperimentConfig, evaluate_trace, format_summary, run_suite, trace_status
 
 
@@ -70,7 +71,11 @@ def _cmd_check(args):
     except GraphFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    trace = RunTrace.load(args.trace)
+    try:
+        trace = RunTrace.load(args.trace)
+    except (OSError, TraceFormatError) as e:
+        print(f"error: {args.trace}: {e}", file=sys.stderr)
+        return 1
     if args.checks:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
         unknown = [c for c in names if c not in DEFAULT_CHECKS]
@@ -88,6 +93,10 @@ def _cmd_check(args):
         print(f"{name}: {'n/a' if value is None else 'pass' if value else 'FAIL'}")
     for p in problems:
         print(f"  {p}")
+    if status == "incomplete":
+        print("error: trace has no terminal event (halt, budget_exhausted or "
+              "error_detected)", file=sys.stderr)
+        return 1
     return 0 if not any(v is False for v in results.values()) else 1
 
 

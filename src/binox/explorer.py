@@ -27,7 +27,17 @@ from .graph import Ball
 from .runtime import run_agent
 
 
-class PortCollisionError(RuntimeError):
+class ExplorerInvariantError(AssertionError):
+    """An internal consistency guard of the explorer failed (a bug in the
+    algorithm, not a property of the explored graph)."""
+
+
+class MapUpdateError(RuntimeError):
+    """The phase's ledger cannot be applied to the map; the run takes the
+    error path."""
+
+
+class PortCollisionError(MapUpdateError):
     """A map insertion would give a vertex two edges on one port."""
 
 
@@ -156,6 +166,7 @@ class PhaseLedger:
         self.equiv_pairs = []    # ((n, p), (m, p')) both keys in pre_vertices
         self.horizontal = set()  # (n, p1, p2, r, s) with p1 < p2
         self.balls = {}          # map vertex -> sensed Ball (center = 0)
+        self.inserted = []       # (a, b, pa, pb) with a < b, added by apply_ledger
 
 
 class ClusterStack:
@@ -167,7 +178,8 @@ class ClusterStack:
         self._pushed = set()
 
     def push(self, cid):
-        assert cid not in self._pushed, f"cluster {cid} pushed twice"
+        if cid in self._pushed:
+            raise ExplorerInvariantError(f"cluster {cid} pushed twice")
         self._pushed.add(cid)
         self._items.append(cid)
 
@@ -242,7 +254,8 @@ def plan_cluster_tour(emap, start, cluster):
 
 def record_ball(emap, ledger, n, sensed, phase):
     """Store the ball sensed at map vertex n and mark it explored."""
-    assert n not in ledger.balls, f"map vertex {n} sensed twice in one phase"
+    if n in ledger.balls:
+        raise ExplorerInvariantError(f"map vertex {n} sensed twice in one phase")
     ledger.balls[n] = sensed
     emap.explored_in[n] = phase
 
@@ -278,11 +291,13 @@ def harvest_ledger(emap, ledger, n):
 
 def apply_ledger(emap, ledger):
     """Create one frontier vertex per equivalence class of pre-vertices and
-    insert the vertical and horizontal edges. Returns the new map ids.
+    insert the vertical and horizontal edges. Returns the new map ids; the
+    edges actually inserted are appended to ``ledger.inserted``.
 
     Duplicate insertions (same edge, same labels, e.g. one horizontal edge
-    witnessed from both endpoints' triangles) are skipped; any label clash
-    raises PortCollisionError, which the caller turns into the error path.
+    witnessed from both endpoints' triangles) are skipped; a label clash or
+    an equivalence naming an unknown pre-vertex raises MapUpdateError, which
+    the caller turns into the error path.
     """
     parent = {k: k for k in ledger.pre_vertices}
 
@@ -295,8 +310,9 @@ def apply_ledger(emap, ledger):
         return root
 
     for a, b in ledger.equiv_pairs:
-        assert a in parent, f"equivalence pair references unknown pre-vertex {a}"
-        assert b in parent, f"equivalence pair references unknown pre-vertex {b}"
+        for k in (a, b):
+            if k not in parent:
+                raise MapUpdateError(f"equivalence pair references unknown pre-vertex {k}")
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
@@ -311,11 +327,15 @@ def apply_ledger(emap, ledger):
         for k in members:
             new_of[k] = nid
     for (n, p) in sorted(ledger.pre_vertices):
-        q = ledger.pre_vertices[(n, p)]
-        emap.add_edge(n, p, new_of[(n, p)], q)
+        _insert(emap, ledger, n, p, new_of[(n, p)], ledger.pre_vertices[(n, p)])
     for (n, p1, p2, r, s) in sorted(ledger.horizontal):
-        emap.add_edge(new_of[(n, p1)], r, new_of[(n, p2)], s)
+        _insert(emap, ledger, new_of[(n, p1)], r, new_of[(n, p2)], s)
     return new_ids
+
+
+def _insert(emap, ledger, a, pa, b, pb):
+    if emap.add_edge(a, pa, b, pb):
+        ledger.inserted.append((a, b, pa, pb) if a < b else (b, a, pb, pa))
 
 
 def check_local_iso(emap, ledger, cluster):
@@ -365,6 +385,8 @@ class ClusterExplorer:
         n0 = emap.add_vertex()
         emap.cluster_of[n0] = 0
         emap.explored_in[n0] = 0
+        members = {0: [n0]}  # cluster id -> its vertices, until explored
+        new_cir = {n0: 0}  # cluster ids assigned since the last phase_end
         stack = ClusterStack()
         stack.push(0)
         next_cid = 1
@@ -374,15 +396,16 @@ class ClusterExplorer:
             phase += 1
             env.trace.log_phase_start(phase)
             cid = stack.pop()
-            cluster = sorted(n for n in emap.vertex_ids() if emap.cluster_of.get(n) == cid)
-            assert cluster, f"empty cluster {cid}"
+            cluster = members.pop(cid, None)
+            if not cluster:
+                raise ExplorerInvariantError(f"cluster {cid} has no members")
             ledger = PhaseLedger()
             pos = self._explore_cluster(env, emap, ledger, pos, cluster, phase)
             for n in cluster:
                 harvest_ledger(emap, ledger, n)
             try:
                 new_ids = apply_ledger(emap, ledger)
-            except PortCollisionError as e:
+            except MapUpdateError as e:
                 env.declare_error(f"map update impossible: {e}")
             bad = check_local_iso(emap, ledger, cluster)
             if bad is not None:
@@ -392,9 +415,20 @@ class ClusterExplorer:
             for comp in discover_new_clusters(emap, new_ids):
                 for v in comp:
                     emap.cluster_of[v] = next_cid
+                    new_cir[v] = next_cid
+                members[next_cid] = comp
                 stack.push(next_cid)
                 next_cid += 1
-            env.trace.log_phase_end(phase, emap.snapshot())
+            vis = {n: phase for n in cluster}
+            vis.update((v, None) for v in new_ids)
+            delta = {
+                "n": emap.vertex_count(),
+                "edges": sorted(ledger.inserted),
+                "cir": new_cir,
+                "vis": vis,
+            }
+            new_cir = {}
+            env.trace.log_phase_end(phase, delta)
         return emap
 
     def _explore_cluster(self, env, emap, ledger, pos, cluster, phase):
@@ -405,7 +439,11 @@ class ClusterExplorer:
         for (p, target) in plan_cluster_tour(emap, pos, cluster):
             in_port = env.move(p)
             expected = emap.step(pos, p)
-            assert expected is not None and expected[0] == target
+            if expected is None or expected[0] != target:
+                raise ExplorerInvariantError(
+                    f"tour step from map vertex {pos} on port {p} leads to "
+                    f"{expected}, planned {target}"
+                )
             if expected[1] != in_port:
                 env.declare_error(
                     f"arrived through port {in_port}, map expected {expected[1]}"
@@ -414,7 +452,8 @@ class ClusterExplorer:
             if pos in waiting:
                 record_ball(emap, ledger, pos, env.sense().ball, phase)
                 waiting.discard(pos)
-        assert not waiting, f"tour missed cluster vertices {sorted(waiting)}"
+        if waiting:
+            raise ExplorerInvariantError(f"tour missed cluster vertices {sorted(waiting)}")
         return pos
 
 

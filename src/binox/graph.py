@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 
@@ -335,25 +336,25 @@ class ClusterDecomposition:
     def root_cluster(self):
         return self.cluster_of[self.root]
 
-    def predecessors(self, cid):
-        c = self.clusters[cid]
-        out = set()
+    @cached_property
+    def _adjacent(self):
+        """(predecessors, successors) of every cluster, indexed once."""
+        preds = [set() for _ in self.clusters]
+        succs = [set() for _ in self.clusters]
         for (a, b) in self.edges:
-            if a == cid and self.clusters[b].sphere == c.sphere - 1:
-                out.add(b)
-            elif b == cid and self.clusters[a].sphere == c.sphere - 1:
-                out.add(a)
-        return sorted(out)
+            for x, y in ((a, b), (b, a)):
+                step = self.clusters[y].sphere - self.clusters[x].sphere
+                if step == -1:
+                    preds[x].add(y)
+                elif step == 1:
+                    succs[x].add(y)
+        return [sorted(s) for s in preds], [sorted(s) for s in succs]
+
+    def predecessors(self, cid):
+        return list(self._adjacent[0][cid])
 
     def successors(self, cid):
-        c = self.clusters[cid]
-        out = set()
-        for (a, b) in self.edges:
-            if a == cid and self.clusters[b].sphere == c.sphere + 1:
-                out.add(b)
-            elif b == cid and self.clusters[a].sphere == c.sphere + 1:
-                out.add(a)
-        return sorted(out)
+        return list(self._adjacent[1][cid])
 
     def is_tree(self):
         return all(

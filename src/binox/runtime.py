@@ -16,7 +16,12 @@ from pathlib import Path
 
 from .graph import Ball, ball
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
+
+
+class TraceFormatError(ValueError):
+    """A trace file cannot be read: no header, another format version, or a
+    line that is not a JSON object."""
 
 
 class NoSuchPortError(RuntimeError):
@@ -45,7 +50,15 @@ class Observation:
 
 
 class RunTrace:
-    """Ordered event log of one run; replayable against the ground truth."""
+    """Ordered event log of one run; replayable against the ground truth.
+
+    Each ``phase_end`` event carries the phase's delta: ``n`` (vertex count
+    after the phase), ``edges`` (the edges inserted in the phase, sorted
+    tuples),
+    ``cir`` and ``vis`` (the cluster ids and explored-in values set in the
+    phase). The first delta holds the whole phase-1 map; ``final_map`` folds
+    them all.
+    """
 
     def __init__(self):
         self.events = []
@@ -58,14 +71,34 @@ class RunTrace:
     def log_phase_start(self, phase):
         self.log("phase_start", phase=phase)
 
-    def log_phase_end(self, phase, map_snapshot):
-        self.log("phase_end", phase=phase, map=map_snapshot)
+    def log_phase_end(self, phase, delta):
+        self.log("phase_end", phase=phase, delta=delta)
 
     def moves(self):
         return [e for e in self.events if e["kind"] == "move"]
 
     def snapshots(self):
-        return [(e["phase"], e["map"]) for e in self.events if e["kind"] == "phase_end"]
+        """(phase, delta) of every phase_end, in order."""
+        return [(e["phase"], e["delta"]) for e in self.events if e["kind"] == "phase_end"]
+
+    def final_map(self):
+        """The map after the last phase_end, in ExplorationMap.snapshot()
+        form, or None when no phase ended."""
+        deltas = [d for _phase, d in self.snapshots()]
+        if not deltas:
+            return None
+        edges, cir, vis = [], {}, {}
+        for d in deltas:
+            edges.extend(d["edges"])
+            cir.update(d["cir"])
+            vis.update(d["vis"])
+        return {
+            "n": deltas[-1]["n"],
+            "edges": [list(e) for e in sorted(edges)],
+            "cir": cir,
+            "vis": vis,
+            "homebase": 0,
+        }
 
     def header(self):
         return self.events[0]
@@ -84,26 +117,55 @@ class RunTrace:
 
     @classmethod
     def from_jsonl(cls, text):
+        """Parse a trace; raises TraceFormatError unless the first event is
+        a header of this TRACE_VERSION and every line is a JSON object."""
         trace = cls()
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
-            ev = json.loads(line)
-            if ev.get("kind") == "sense" and isinstance(ev.get("ball"), dict):
-                ev["ball"] = Ball.from_json_dict(ev["ball"])
-            if ev.get("kind") == "phase_end" and isinstance(ev.get("map"), dict):
-                ev["map"] = _snapshot_keys_to_int(ev["map"])
+            try:
+                ev = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise TraceFormatError(f"line {lineno}: not JSON: {e}") from e
+            if not isinstance(ev, dict):
+                raise TraceFormatError(f"line {lineno}: expected a JSON object")
+            if not trace.events:
+                _check_header(ev)
+            try:
+                if ev.get("kind") == "sense" and isinstance(ev.get("ball"), dict):
+                    ev["ball"] = Ball.from_json_dict(ev["ball"])
+                if ev.get("kind") == "phase_end" and isinstance(ev.get("delta"), dict):
+                    ev["delta"] = _delta_keys_to_int(ev["delta"])
+            except (KeyError, TypeError, ValueError) as e:
+                raise TraceFormatError(f"line {lineno}: malformed {ev['kind']} event: {e}") from e
             trace.events.append(ev)
+        if not trace.events:
+            raise TraceFormatError("empty trace: missing header")
         return trace
 
     @classmethod
     def load(cls, path):
-        return cls.from_jsonl(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as e:
+            raise TraceFormatError(f"{path}: not a text file: {e}") from e
+        return cls.from_jsonl(text)
 
 
-def _snapshot_keys_to_int(snap):
-    out = dict(snap)
+def _check_header(ev):
+    if ev.get("kind") != "header":
+        raise TraceFormatError(f"missing header: first event is {ev.get('kind')!r}")
+    version = ev.get("version")
+    if version != TRACE_VERSION:
+        raise TraceFormatError(
+            f"trace format version {version!r}, expected {TRACE_VERSION}: "
+            f"v{version} trace, re-run explore"
+        )
+
+
+def _delta_keys_to_int(delta):
+    out = dict(delta)
     for table in ("cir", "vis"):
         if table in out and isinstance(out[table], dict):
             out[table] = {int(k): v for k, v in out[table].items()}

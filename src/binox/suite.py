@@ -141,8 +141,7 @@ def evaluate_trace(trace, g, checks):
         if checks.get(name):
             results[name] = None if not halted else True
     if halted:
-        snaps = trace.snapshots()
-        final_map = snaps[-1][1] if snaps else None
+        final_map = trace.final_map()
         if checks.get("final_isomorphism"):
             r = verify_rooted_isomorphism(final_map, g, root)
             results["final_isomorphism"] = r.ok

@@ -120,12 +120,12 @@ def verify_coverage(trace, g):
 
 def _sense_log(trace, g):
     """Per-sense (phase, map vertex, ground vertex) triples, replaying map
-    positions against the snapshots (phase i moves only use edges already in
-    the previous snapshot)."""
+    positions against the map folded from the phase deltas so far (phase i
+    moves only use edges already in the map at the end of phase i-1)."""
     header = trace.header()
     ground = header["root"]
     map_pos = 0
-    adj = {0: {}}
+    adj = {}  # map vertex -> port -> (neighbour, far port, edge)
     phase = 0
     senses = []
     problems = []
@@ -150,12 +150,20 @@ def _sense_log(trace, g):
         elif kind == "sense":
             senses.append((phase, map_pos, ground))
         elif kind == "phase_end":
-            snap = ev["map"]
-            adj = {n: {} for n in range(snap["n"])}
-            for (a, b, pa, pb) in snap["edges"]:
-                adj[a][pa] = (b, pb)
-                adj[b][pb] = (a, pa)
+            for e in ev["delta"]["edges"]:
+                a, b, pa, pb = e
+                _write_port(adj, a, pa, (b, pb, e))
+                _write_port(adj, b, pb, (a, pa, e))
     return senses, problems
+
+
+def _write_port(adj, v, p, entry):
+    # A port written by two edges (only in a corrupt trace) keeps the edge
+    # that sorts last, as writing the whole map in sorted edge order would.
+    ports = adj.setdefault(v, {})
+    old = ports.get(p)
+    if old is None or old[2] <= entry[2]:
+        ports[p] = entry
 
 
 def first_sensed_map(trace, g):
@@ -212,24 +220,143 @@ def _phi_for_snapshot(snap, first, g, problems):
     return phi
 
 
-def _check_snapshot(snap, phi, g, explored_only_ball_root=None):
-    """Structural checks of one snapshot under phi. Returns problems."""
-    problems = []
-    vis = snap["vis"]
-    n_count = snap["n"]
-    nbrs = {n: {} for n in range(n_count)}
-    for (a, b, pa, pb) in snap["edges"]:
-        nbrs[a][b] = (pa, pb)
-        nbrs[b][a] = (pb, pa)
-        got = g.step(phi[a], pa)
+class _PhaseChecker:
+    """The phase invariants of a map that grows by deltas, re-checked only
+    where a delta can change them.
+
+    Deltas only add vertices and edges and set vis values, so the inputs of
+    a check change only around the dirty set D: new vertices, endpoints of
+    new edges, vertices whose vis or phi changed. Frontier phi is recomputed
+    next to the first three; edge checks are redone at the edges touching D
+    and vertex checks (injectivity, surjectivity, triangles) at D and its
+    neighbours. Every phase reports all problems recorded so far, in the
+    order a check of the whole map gives: edges in sorted order, then
+    vertices ascending.
+    """
+
+    def __init__(self, g, first):
+        self.g = g
+        self.first = first
+        self.n = 0
+        self.nbrs = []  # vertex -> {neighbour: smallest edge joining them}
+        self.edges_at = []  # vertex -> incident edges
+        self.edge_count = {}  # edge -> occurrences in the map
+        self.vis = {}
+        self.phi = {}  # vertex -> ground vertex, where defined
+        self.unsensed = set()  # explored vertices that were never sensed
+        self.phi_fail = {}  # frontier vertex -> why its phi is undefined
+        self.edge_bad = {}  # edge -> problem
+        self.vertex_bad = {}  # vertex -> problems
+        self.stale = set()  # dirty vertices left unchecked while phi was partial
+
+    def apply(self, delta):
+        """Fold one phase delta in; returns every problem of the map so far."""
+        dirty = set(range(self.n, delta["n"]))
+        for _ in range(self.n, delta["n"]):
+            self.nbrs.append({})
+            self.edges_at.append([])
+        self.n = delta["n"]
+        for e in delta["edges"]:
+            a, b, pa, pb = e
+            self.edge_count[e] = self.edge_count.get(e, 0) + 1
+            for x, y in ((a, b), (b, a)):
+                self.nbrs[x][y] = min(self.nbrs[x].get(y, e), e)
+            self.edges_at[a].append(e)
+            if b != a:
+                self.edges_at[b].append(e)
+            dirty.update((a, b))
+        for v, phase in delta["vis"].items():
+            self.vis[v] = phase
+            if v < self.n:
+                dirty.add(v)
+        for v in self._with_neighbours(dirty):
+            if self._update_phi(v):
+                dirty.add(v)
+        partial = self.phi_problem()
+        if partial is not None:
+            self.stale |= dirty
+            return [partial]
+        dirty |= self.stale
+        self.stale = set()
+        for e in {e for v in dirty for e in self.edges_at[v]}:
+            self._check_edge(e)
+        for v in self._with_neighbours(dirty):
+            found = self._vertex_problems(v)
+            if found:
+                self.vertex_bad[v] = found
+            else:
+                self.vertex_bad.pop(v, None)
+        problems = []
+        for e in sorted(self.edge_bad):
+            problems += [self.edge_bad[e]] * self.edge_count[e]
+        for v in sorted(self.vertex_bad):
+            problems += self.vertex_bad[v]
+        return problems
+
+    def edges(self):
+        return [e for e in sorted(self.edge_count) for _ in range(self.edge_count[e])]
+
+    def _with_neighbours(self, vertices):
+        out = set(vertices)
+        for v in vertices:
+            out.update(self.nbrs[v])
+        return out
+
+    def _update_phi(self, v):
+        """Recompute phi at v the way _phi_for_snapshot does; True if the
+        value changed."""
+        old = self.phi.pop(v, None)
+        self.unsensed.discard(v)
+        self.phi_fail.pop(v, None)
+        if self.vis.get(v) is not None:
+            if v in self.first:
+                self.phi[v] = self.first[v][1]
+            else:
+                self.unsensed.add(v)
+            return self.phi.get(v) != old
+        incident = []
+        for (a, b, pa, pb) in self.edges_at[v]:
+            if b == v and a != v and self.vis.get(a) is not None:
+                incident.append((a, pa))
+            elif a == v and b != v and self.vis.get(b) is not None:
+                incident.append((b, pb))
+        if not incident:
+            self.phi_fail[v] = f"frontier vertex {v} has no explored neighbour"
+            return old is not None
+        m, p = min(incident)
+        u = self.first[m][1] if m in self.first else None
+        step = None if u is None else self.g.step(u, p)
+        if step is None:
+            self.phi_fail[v] = f"frontier vertex {v}: ground has no port {p} at {u}"
+            return old is not None
+        self.phi[v] = step[0]
+        return step[0] != old
+
+    def phi_problem(self):
+        """The problem that leaves phi partial, or None when phi is total."""
+        if self.unsensed:
+            return f"vertex {min(self.unsensed)} marked explored but never sensed"
+        if self.phi_fail:
+            return self.phi_fail[min(self.phi_fail)]
+        return None
+
+    def _check_edge(self, e):
+        a, b, pa, pb = e
+        phi = self.phi
+        got = self.g.step(phi[a], pa)
         if got != (phi[b], pb):
-            problems.append(
+            self.edge_bad[e] = (
                 f"edge {a}-{b} ({pa},{pb}) maps to {phi[a]}->{got}, "
                 f"expected ({phi[b]},{pb})"
             )
-    for n in range(n_count):
+        else:
+            self.edge_bad.pop(e, None)
+
+    def _vertex_problems(self, n):
+        g, phi, nbrs = self.g, self.phi, self.nbrs
+        problems = []
         images = {}
-        for m in nbrs[n]:
+        for m in sorted(nbrs[n], key=nbrs[n].__getitem__):
             fm = phi[m]
             if fm in images:
                 problems.append(
@@ -237,8 +364,8 @@ def _check_snapshot(snap, phi, g, explored_only_ball_root=None):
                     f"both map to ground {fm}"
                 )
             images[fm] = m
-        if vis.get(n) is None:
-            continue
+        if self.vis.get(n) is None:
+            return problems
         fn = phi[n]
         ground_nbrs = set(g._nbrs[fn])
         if set(images) != ground_nbrs:
@@ -247,7 +374,7 @@ def _check_snapshot(snap, phi, g, explored_only_ball_root=None):
                 f"local surjectivity at explored {n}: ground neighbours "
                 f"{missing} of {fn} not represented"
             )
-            continue
+            return problems
         mlist = sorted(nbrs[n])
         for i, a in enumerate(mlist):
             for b in mlist[i + 1:]:
@@ -259,37 +386,36 @@ def _check_snapshot(snap, phi, g, explored_only_ball_root=None):
                         f"{'mapped' if in_map else 'unmapped'} but ground "
                         f"{'has' if in_g else 'lacks'} edge {phi[a]}-{phi[b]}"
                     )
-    return problems
+        return problems
 
 
 def verify_phase_invariants(trace, g):
-    """Per-phase map correctness: for each phase-end snapshot, reconstruct
-    the correspondence and check homomorphism + port preservation, local
+    """Per-phase map correctness: after each phase_end, reconstruct the
+    correspondence and check homomorphism + port preservation, local
     injectivity everywhere, local surjectivity and triangle preservation at
-    explored vertices; phase 1 additionally must equal the homebase ball."""
+    explored vertices; phase 1 additionally must equal the homebase ball.
+    One pass over the deltas (see _PhaseChecker)."""
     first, base_problems = first_sensed_map(trace, g)
     results = []
     root = trace.header()["root"]
-    for (phase, snap) in trace.snapshots():
+    checker = _PhaseChecker(g, first)
+    for (phase, delta) in trace.snapshots():
         problems = list(base_problems) if phase == 1 else []
-        phi = _phi_for_snapshot(snap, first, g, problems)
-        if phi is not None:
-            problems.extend(_check_snapshot(snap, phi, g))
-            if phase == 1:
-                pg = PortNumberedGraph(snap["n"], snap["edges"])
-                if ball(pg, 0).signature() != ball(g, root).signature():
-                    problems.append("phase 1 map is not the ball around the homebase")
+        problems.extend(checker.apply(delta))
+        if phase == 1 and checker.phi_problem() is None:
+            pg = PortNumberedGraph(checker.n, checker.edges())
+            if ball(pg, 0).signature() != ball(g, root).signature():
+                problems.append("phase 1 map is not the ball around the homebase")
         results.append((phase, CheckResult(not problems, problems)))
     return results
 
 
 def reconstruct_final_phi(trace, g):
-    """phi for the last snapshot (total on a halted run), as a list."""
+    """phi for the final map (total on a halted run), as a list."""
     first, problems = first_sensed_map(trace, g)
-    snaps = trace.snapshots()
-    if not snaps:
+    snap = trace.final_map()
+    if snap is None:
         return None, ["trace has no phase snapshots"]
-    _, snap = snaps[-1]
     phi = _phi_for_snapshot(snap, first, g, problems)
     if phi is None or problems:
         return None, problems

@@ -257,3 +257,16 @@ def test_criterion_8_determinism():
         not problems,
         "3 configurations re-run" if not problems else "; ".join(problems),
     )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ["tree:n=10000,seed=1", "chordal:n=10000,rate=0.4,seed=1"])
+def test_scaled_runs_halt_with_linear_moves(spec):
+    """The paper's guarantees beyond desk scale: halting, an isomorphic map
+    and moves/n <= 2 at n = 10^4 (run with ``-m slow``)."""
+    g = generate(parse_spec(spec, port_scheme="random:7"))
+    report, _ = run_one(g, spec, "random:7", 0, BUDGET_FACTOR,
+                        {"final_isomorphism": True, "phase_invariants": True})
+    assert report.status == "halted"
+    assert report.checks == {"final_isomorphism": True, "phase_invariants": True}
+    assert report.moves_per_vertex <= 2

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from binox.cli import main
 
 
@@ -78,6 +80,47 @@ class TestExploreAndCheck:
         bad.write_text(json.dumps({"n": 3, "edges": [[0, 1, 0, 0], [0, 2, 0, 0]]}))
         assert invoke("explore", "--graph", str(bad)) == 1
         assert "port injectivity" in capsys.readouterr().err
+
+
+class TestCheckInputs:
+    def explored(self, tmp_path, spec="path:5"):
+        g = tmp_path / "g.json"
+        trace = tmp_path / "t.jsonl"
+        invoke("gen", "--spec", spec, "--out", str(g))
+        invoke("explore", "--graph", str(g), "--trace", str(trace))
+        return g, trace
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda lines: lines[1:], "missing header"),
+        (lambda lines: [lines[0].replace('"version": 2', '"version": 1')] + lines[1:],
+         "v1 trace, re-run explore"),
+        (lambda lines: lines[:2] + ["not json"] + lines[2:], "not JSON"),
+    ])
+    def test_malformed_trace_is_an_error_not_a_traceback(self, tmp_path, capsys, damage, message):
+        g, trace = self.explored(tmp_path)
+        trace.write_text("\n".join(damage(trace.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(g), "--trace", str(trace)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_missing_trace_file_is_an_error(self, tmp_path, capsys):
+        g, _trace = self.explored(tmp_path)
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(g), "--trace", str(tmp_path / "none.jsonl")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_incomplete_trace_fails_check(self, tmp_path, capsys):
+        g, trace = self.explored(tmp_path, "chordal:n=20,rate=0.4,seed=3")
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines[:6]) + "\n")
+        capsys.readouterr()
+        rc = invoke("check", "--graph", str(g), "--trace", str(trace))
+        captured = capsys.readouterr()
+        assert "status=incomplete" in captured.out
+        assert rc == 1
+        assert "no terminal event" in captured.err
 
 
 class TestSuite:

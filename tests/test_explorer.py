@@ -1,10 +1,15 @@
 """The exploration algorithm: reference traces, ledger operations, cluster
 tours, and the non-halting path on bad inputs."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import binox
 from binox.explorer import (
     ClusterStack,
     ExplorationMap,
@@ -284,6 +289,14 @@ class TestClusterStack:
         assert st.pop() == 1
         with pytest.raises(AssertionError):
             st.push(0)
+
+    def test_guard_holds_under_python_O(self):
+        code = "from binox.explorer import ClusterStack\nst = ClusterStack()\nst.push(3)\nst.push(3)\n"
+        env = {**os.environ, "PYTHONPATH": str(Path(binox.__file__).resolve().parents[1])}
+        r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                           text=True, env=env, timeout=60)
+        assert r.returncode == 1
+        assert "ExplorerInvariantError: cluster 3 pushed twice" in r.stderr
 
 
 def interval_violation_gadget():

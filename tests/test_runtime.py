@@ -8,8 +8,10 @@ import pytest
 from binox.explorer import explore
 from binox.graph import ball
 from binox.runtime import (
+    TRACE_VERSION,
     NoSuchPortError,
     RunTrace,
+    TraceFormatError,
     create_environment,
     run_agent,
 )
@@ -155,3 +157,34 @@ class TestTrace:
         assert loaded.to_jsonl() == out.trace.to_jsonl()
         assert loaded.header()["root"] == 1
         assert [p for p, _s in loaded.snapshots()] == [p for p, _s in out.trace.snapshots()]
+
+
+class TestTraceFormat:
+    def trace_text(self):
+        g = gen("path:4")
+        return explore(create_environment(g, 0, 200)).trace.to_jsonl()
+
+    def test_header_carries_the_current_version(self):
+        header = json.loads(self.trace_text().splitlines()[0])
+        assert header["kind"] == "header" and header["version"] == TRACE_VERSION == 2
+
+    def test_missing_header_is_rejected(self):
+        body = "\n".join(self.trace_text().splitlines()[1:])
+        with pytest.raises(TraceFormatError, match="missing header"):
+            RunTrace.from_jsonl(body)
+        with pytest.raises(TraceFormatError, match="missing header"):
+            RunTrace.from_jsonl("")
+
+    def test_other_version_is_rejected(self):
+        lines = self.trace_text().splitlines()
+        header = json.loads(lines[0])
+        header["version"] = 1
+        text = "\n".join([json.dumps(header)] + lines[1:])
+        with pytest.raises(TraceFormatError, match="v1 trace, re-run explore"):
+            RunTrace.from_jsonl(text)
+
+    def test_line_that_is_not_json_is_rejected(self):
+        lines = self.trace_text().splitlines()
+        lines.insert(2, '{"kind": "move", "out": 0')
+        with pytest.raises(TraceFormatError, match="line 3: not JSON"):
+            RunTrace.from_jsonl("\n".join(lines))

@@ -34,7 +34,7 @@ class TestRootedIsomorphism:
 
     def test_accepts_snapshot_dicts_too(self):
         g, out = run("johnson:4,2")
-        snap = out.trace.snapshots()[-1][1]
+        snap = out.trace.final_map()
         assert verify_rooted_isomorphism(snap, g, 0).ok
 
     def test_path_map_against_cycle_ground(self):
@@ -117,13 +117,29 @@ class TestPhaseInvariants:
         assert all(r.ok for _ph, r in results)
 
     def test_corrupted_snapshot_breaks_surjectivity(self):
-        g, out = run("complete:3")
+        # A halted run's last phase adds no vertices and so no edges. The
+        # final map loses a horizontal edge the agent never walks, taken out
+        # of the delta that inserted it, so the walk replays unchanged.
+        g, out = run("complete:4")
         trace = RunTrace()
         trace.events = copy.deepcopy(out.trace.events)
-        final_phase, snap = trace.snapshots()[-1]
-        horizontal = [e for e in snap["edges"] if 0 not in e[:2]]
+        final = trace.final_map()
+        adj = {}
+        for (a, b, pa, pb) in final["edges"]:
+            adj.setdefault(a, {})[pa] = b
+            adj.setdefault(b, {})[pb] = a
+        pos, walked = 0, set()
+        for ev in trace.moves():
+            nxt = adj[pos][ev["out"]]
+            walked.add(frozenset((pos, nxt)))
+            pos = nxt
+        final_phase = trace.snapshots()[-1][0]
+        horizontal = [(d, e) for _ph, d in trace.snapshots() for e in d["edges"]
+                      if 0 not in e[:2] and frozenset(e[:2]) not in walked]
         assert horizontal
-        snap["edges"].remove(horizontal[0])
+        delta, edge = horizontal[0]
+        delta["edges"].remove(edge)
+        assert first_sensed_map(trace, g)[1] == []
         results = dict(verify_phase_invariants(trace, g))
         assert not results[final_phase].ok
         assert any("surjectivity" in p for p in results[final_phase].problems)
@@ -144,7 +160,7 @@ class TestPhaseInvariants:
         g, out = run("chordal:n=25,rate=0.5,seed=2")
         phi, problems = reconstruct_final_phi(out.trace, g)
         assert problems == [] and phi is not None
-        snap = out.trace.snapshots()[-1][1]
+        snap = out.trace.final_map()
         adj = {n: [] for n in range(snap["n"])}
         for (a, b, pa, pb) in snap["edges"]:
             adj[a].append((pa, b))
