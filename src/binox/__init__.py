@@ -30,6 +30,7 @@ from .graph import (
     PortNumberedGraph,
     ancestor_cluster,
     ball,
+    ball_signature,
     cluster_decomposition,
     dest,
     layering,

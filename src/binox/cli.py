@@ -76,6 +76,11 @@ def _cmd_check(args):
     except (OSError, TraceFormatError) as e:
         print(f"error: {args.trace}: {e}", file=sys.stderr)
         return 1
+    root = trace.header()["root"]
+    if not (0 <= root < g.n):
+        print(f"error: {args.trace}: root {root} out of range for n={g.n} "
+              f"(trace recorded on another graph?)", file=sys.stderr)
+        return 1
     if args.checks:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
         unknown = [c for c in names if c not in DEFAULT_CHECKS]

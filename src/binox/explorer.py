@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graph import Ball
+from .graph import ball, ball_signature
 from .runtime import run_agent
 
 
@@ -125,22 +125,7 @@ class ExplorationMap:
     def local_ball(self, n):
         """The map's radius-1 ball at n in the same local form a sensed
         ball has: center 0, neighbours by ascending port."""
-        local = {n: 0}
-        order = [n]
-        edges = []
-        for p in sorted(self._ports[n]):
-            m, q = self._ports[n][p]
-            local[m] = len(order)
-            order.append(m)
-            edges.append((0, local[m], p, q))
-        nbrs = order[1:]
-        for i, a in enumerate(nbrs):
-            na = self._nbrs[a]
-            for b in nbrs[i + 1:]:
-                pq = na.get(b)
-                if pq is not None:
-                    edges.append((local[a], local[b], pq[0], pq[1]))
-        return Ball(len(order), edges, order)
+        return ball(self, n)
 
     def snapshot(self):
         """JSON-able copy: the shared graph format plus cir/vis tables."""
@@ -266,25 +251,24 @@ def harvest_ledger(emap, ledger, n):
     against the map as it stood at the start of the phase (the map is only
     updated afterwards, in apply_ledger)."""
     b = ledger.balls[n]
-    center_port = {}
+    center = {}  # local id -> (out port at n, map neighbour or None if unmapped)
     for (p, q, j) in b.center_edges():
-        center_port[j] = (p, q)
-        if not emap.has_label(n, p, q):
+        got = emap.step(n, p)
+        if got is not None and got[1] == q:
+            center[j] = (p, got[0])
+        else:
+            center[j] = (p, None)
             ledger.pre_vertices[(n, p)] = q
     for (i, j, r, s) in b.horizontal_edges():
-        pi, qi = center_port[i]
-        pj, qj = center_port[j]
-        mapped_i = emap.has_label(n, pi, qi)
-        mapped_j = emap.has_label(n, pj, qj)
-        if mapped_i and not mapped_j:
-            m = emap.step(n, pi)[0]
-            if not emap.has_label(m, r, s):
-                ledger.equiv_pairs.append(((n, pj), (m, r)))
-        elif mapped_j and not mapped_i:
-            m = emap.step(n, pj)[0]
-            if not emap.has_label(m, s, r):
-                ledger.equiv_pairs.append(((n, pi), (m, s)))
-        elif not mapped_i and not mapped_j:
+        pi, mi = center[i]
+        pj, mj = center[j]
+        if mi is not None:
+            if mj is None and not emap.has_label(mi, r, s):
+                ledger.equiv_pairs.append(((n, pj), (mi, r)))
+        elif mj is not None:
+            if not emap.has_label(mj, s, r):
+                ledger.equiv_pairs.append(((n, pi), (mj, s)))
+        else:
             rec = (n, pi, pj, r, s) if pi < pj else (n, pj, pi, s, r)
             ledger.horizontal.add(rec)
 
@@ -342,7 +326,7 @@ def check_local_iso(emap, ledger, cluster):
     """Compare each recorded ball with the updated map's ball (rooted,
     port-preserving). Returns the first failing map vertex or None."""
     for n in cluster:
-        if ledger.balls[n].signature() != emap.local_ball(n).signature():
+        if ledger.balls[n].signature() != ball_signature(emap, n):
             return n
     return None
 

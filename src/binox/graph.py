@@ -41,11 +41,22 @@ class Ball:
 
     def __init__(self, size, edges, source_ids=None):
         self.size = size
-        self.edges = tuple(
+        self.edges = tuple([
             (u, v, pu, pv) if u < v else (v, u, pv, pu) for (u, v, pu, pv) in edges
-        )
+        ])
         self.source_ids = tuple(source_ids) if source_ids is not None else None
         self._sig = None
+
+    @classmethod
+    def _trusted(cls, size, edges, source_ids=None):
+        """A ball from an edge tuple already in normal form (u < v); for
+        builders inside this module, whose output needs no second pass."""
+        b = cls.__new__(cls)
+        b.size = size
+        b.edges = edges
+        b.source_ids = source_ids
+        b._sig = None
+        return b
 
     def __eq__(self, other):
         if not isinstance(other, Ball):
@@ -60,15 +71,11 @@ class Ball:
 
     def center_edges(self):
         """Edges at the center as (out_port, far_port, local_neighbour) triples."""
-        out = []
-        for (u, v, pu, pv) in self.edges:
-            if u == 0:
-                out.append((pu, pv, v))
-        return out
+        return [(pu, pv, v) for (u, v, pu, pv) in self.edges if u == 0]
 
     def horizontal_edges(self):
         """Edges between neighbours as (i, j, port_at_i, port_at_j) tuples."""
-        return [(u, v, pu, pv) for (u, v, pu, pv) in self.edges if u != 0]
+        return [e for e in self.edges if e[0] != 0]
 
     def center_degree(self):
         return sum(1 for e in self.edges if e[0] == 0)
@@ -104,17 +111,19 @@ class Ball:
         """
         if new_id[0] != 0:
             raise ValueError("center must keep local id 0")
-        return Ball(
-            self.size,
-            [(new_id[u], new_id[v], pu, pv) for (u, v, pu, pv) in self.edges],
-        )
+        return Ball._trusted(self.size, tuple([
+            (a, b, pu, pv) if (a := new_id[u]) < (b := new_id[v]) else (b, a, pv, pu)
+            for (u, v, pu, pv) in self.edges
+        ]))
 
     def to_json_dict(self):
-        return {"size": self.size, "edges": [list(e) for e in self.edges]}
+        """JSON-able form; the edges stay tuples, which ``json`` writes as
+        lists."""
+        return {"size": self.size, "edges": self.edges}
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(d["size"], [tuple(e) for e in d["edges"]])
+        return cls(d["size"], d["edges"])
 
 
 class PortNumberedGraph:
@@ -256,24 +265,47 @@ def ball(g, v):
     Local ids: 0 is the center, neighbours get 1.. in ascending order of the
     center's out-ports. Includes every edge among the closed neighbourhood,
     so edges between neighbours ("horizontal" edges) carry both ports.
+    ``g`` is anything with the ``_ports``/``_nbrs`` adjacency of
+    PortNumberedGraph (the explorer's map has it too).
     """
-    if not (0 <= v < g.n):
+    if not (0 <= v < len(g._ports)):
         raise ValueError(f"invalid vertex id {v}")
-    local = {v: 0}
+    ports = g._ports[v]
     source = [v]
     edges = []
-    for p in sorted(g._ports[v]):
-        w, q = g._ports[v][p]
-        local[w] = len(source)
+    for i, p in enumerate(sorted(ports), 1):
+        w, q = ports[p]
         source.append(w)
-        edges.append((0, local[w], p, q))
-    nbrs = source[1:]
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            pq = g._nbrs[a].get(b)
+        edges.append((0, i, p, q))
+    nbrs = g._nbrs
+    for i in range(1, len(source)):
+        na = nbrs[source[i]]
+        for j in range(i + 1, len(source)):
+            pq = na.get(source[j])
             if pq is not None:
-                edges.append((local[a], local[b], pq[0], pq[1]))
-    return Ball(len(source), edges, source)
+                edges.append((i, j, pq[0], pq[1]))
+    return Ball._trusted(len(source), tuple(edges), tuple(source))
+
+
+def ball_signature(g, v):
+    """``ball(g, v).signature()`` read straight off the adjacency, without
+    building the ball: neighbours in ascending center port and pairs i < j
+    give both tuples already sorted."""
+    if not (0 <= v < len(g._ports)):
+        raise ValueError(f"invalid vertex id {v}")
+    ports = g._ports[v]
+    cps = sorted(ports)
+    vertical = tuple((p, ports[p][1]) for p in cps)
+    nbrs = [ports[p][0] for p in cps]
+    horizontal = []
+    for i, a in enumerate(nbrs):
+        na = g._nbrs[a]
+        pa = cps[i]
+        for j in range(i + 1, len(nbrs)):
+            pq = na.get(nbrs[j])
+            if pq is not None:
+                horizontal.append((pa, cps[j], pq[0], pq[1]))
+    return vertical, tuple(horizontal)
 
 
 @dataclass(frozen=True)

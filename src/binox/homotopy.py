@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .graph import PortNumberedGraph, ball
+from .graph import PortNumberedGraph, ball_signature
 
 
 class InstanceTooLargeError(ValueError):
@@ -374,6 +374,6 @@ def verify_simplicial_covering(h, g, phi, exclude=()):
                 f"degree at {u}: {h.degree(u)} vs {g.degree(phi[u])} at phi({u})={phi[u]}"
             )
             continue
-        if ball(h, u).signature() != ball(g, phi[u]).signature():
+        if ball_signature(h, u) != ball_signature(g, phi[u]):
             problems.append(f"ball at {u} not isomorphic to ball at phi({u})={phi[u]}")
     return problems

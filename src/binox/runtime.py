@@ -20,8 +20,9 @@ TRACE_VERSION = 2
 
 
 class TraceFormatError(ValueError):
-    """A trace file cannot be read: no header, another format version, or a
-    line that is not a JSON object."""
+    """A trace file cannot be read: no header, another format version, a
+    line that is not a JSON object, or an event that lacks a field of its
+    kind or holds it with the wrong type."""
 
 
 class NoSuchPortError(RuntimeError):
@@ -106,10 +107,10 @@ class RunTrace:
     def to_jsonl(self):
         lines = []
         for ev in self.events:
-            out = dict(ev)
-            if "ball" in out and isinstance(out["ball"], Ball):
-                out["ball"] = out["ball"].to_json_dict()
-            lines.append(json.dumps(out, sort_keys=True))
+            b = ev.get("ball")
+            if isinstance(b, Ball):
+                ev = dict(ev, ball=b.to_json_dict())
+            lines.append(json.dumps(ev, sort_keys=True))
         return "\n".join(lines) + "\n"
 
     def save(self, path):
@@ -118,8 +119,10 @@ class RunTrace:
     @classmethod
     def from_jsonl(cls, text):
         """Parse a trace; raises TraceFormatError unless the first event is
-        a header of this TRACE_VERSION and every line is a JSON object."""
+        a header of this TRACE_VERSION and every line is a JSON object with
+        the fields of its kind (EVENT_FIELDS, NESTED_FIELDS)."""
         trace = cls()
+        map_n = 0
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
@@ -132,13 +135,22 @@ class RunTrace:
                 raise TraceFormatError(f"line {lineno}: expected a JSON object")
             if not trace.events:
                 _check_header(ev)
+            kind = ev.get("kind")
+            fields = EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
+            if fields is None:
+                raise TraceFormatError(f"line {lineno}: field 'kind': unknown event kind {kind!r}")
+            _check_fields(lineno, kind, ev, fields)
+            if kind in NESTED_FIELDS:
+                name, nested = NESTED_FIELDS[kind]
+                _check_fields(lineno, kind, ev[name], nested, name + ".")
             try:
-                if ev.get("kind") == "sense" and isinstance(ev.get("ball"), dict):
+                if kind == "sense":
                     ev["ball"] = Ball.from_json_dict(ev["ball"])
-                if ev.get("kind") == "phase_end" and isinstance(ev.get("delta"), dict):
-                    ev["delta"] = _delta_keys_to_int(ev["delta"])
-            except (KeyError, TypeError, ValueError) as e:
-                raise TraceFormatError(f"line {lineno}: malformed {ev['kind']} event: {e}") from e
+                elif kind == "phase_end":
+                    ev["delta"] = _parse_delta(ev["delta"], map_n)
+                    map_n = ev["delta"]["n"]
+            except (TypeError, ValueError) as e:
+                raise TraceFormatError(f"line {lineno}: malformed {kind} event: {e}") from e
             trace.events.append(ev)
         if not trace.events:
             raise TraceFormatError("empty trace: missing header")
@@ -164,13 +176,61 @@ def _check_header(ev):
         )
 
 
-def _delta_keys_to_int(delta):
+_INT = (int,)
+
+# The fields every event kind must carry and the types each may hold, as
+# ``type(value)`` (so a JSON true is not an int).
+EVENT_FIELDS = {
+    "header": (("version", _INT), ("root", _INT), ("budget", _INT)),
+    "phase_start": (("phase", _INT),),
+    "phase_end": (("phase", _INT), ("delta", (dict,))),
+    "sense": (("arrival", (int, type(None))), ("ball", (dict,))),
+    "move": (("out", _INT), ("in", _INT)),
+    "budget_exhausted": (),
+    "error_detected": (("reason", (str,)),),
+    "halt": (),
+}
+# The fields of the object a sense or phase_end event carries.
+NESTED_FIELDS = {
+    "sense": ("ball", (("size", _INT), ("edges", (list,)))),
+    "phase_end": ("delta", (("n", _INT), ("edges", (list,)), ("cir", (dict,)), ("vis", (dict,)))),
+}
+
+
+_MISSING = object()  # its type is in no field's types
+
+
+def _check_fields(lineno, kind, obj, fields, prefix=""):
+    for name, types in fields:
+        value = obj.get(name, _MISSING)
+        if type(value) not in types:
+            if value is _MISSING:
+                raise TraceFormatError(f"line {lineno}: {kind} event lacks field {prefix + name!r}")
+            raise TraceFormatError(
+                f"line {lineno}: {kind} event field {prefix + name!r} is "
+                f"{type(value).__name__}, expected {' or '.join(t.__name__ for t in types)}"
+            )
+
+
+def _parse_delta(delta, map_n):
+    """The delta with int vertex keys and tuple edges; ValueError unless
+    ``n`` is at least ``map_n`` (the vertex count after the previous
+    delta), every edge is four integers with both ends among the ``n``
+    vertices, every cir value an int and every vis value an int or None."""
+    n = delta["n"]
+    if n < map_n:
+        raise ValueError(f"n={n} is below the {map_n} vertices of the map so far")
     out = dict(delta)
-    for table in ("cir", "vis"):
-        if table in out and isinstance(out[table], dict):
-            out[table] = {int(k): v for k, v in out[table].items()}
-    if "edges" in out:
-        out["edges"] = [tuple(e) for e in out["edges"]]
+    out["cir"] = {int(k): v for k, v in delta["cir"].items()}
+    out["vis"] = {int(k): v for k, v in delta["vis"].items()}
+    if not all(type(c) is int for c in out["cir"].values()):
+        raise ValueError("a cir value is not an integer")
+    if not all(v is None or type(v) is int for v in out["vis"].values()):
+        raise ValueError("a vis value is neither an integer nor null")
+    out["edges"] = [(a, b, pa, pb) for (a, b, pa, pb) in delta["edges"]]
+    for e in out["edges"]:
+        if not (all(type(x) is int for x in e) and 0 <= e[0] < n and 0 <= e[1] < n):
+            raise ValueError(f"edge {list(e)} is not [a, b, portAtA, portAtB] in a map of {n} vertices")
     return out
 
 
@@ -204,8 +264,7 @@ class Environment:
         which keeps observations invariant under ground-truth renamings.
         """
         raw = ball(self._graph, self._position)
-        ids = [0] + [1 + i for i in range(raw.size - 1)]
-        tail = ids[1:]
+        tail = list(range(1, raw.size))
         self._rng.shuffle(tail)
         fresh = raw.relabel([0] + tail)
         self.trace.log("sense", arrival=self._arrival, ball=fresh)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .explorer import explore
@@ -34,7 +34,6 @@ DEFAULT_CHECKS = {
     "covering": False,
 }
 
-
 @dataclass
 class ExperimentConfig:
     generators: list
@@ -51,12 +50,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d):
+        """Build a config from parsed JSON; raises ValueError on an unknown
+        key or check name, so a misspelling cannot switch a check off."""
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
+        keys = {f.name for f in fields(cls)}
+        unknown = sorted(set(d) - keys)
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}; allowed: {sorted(keys)}")
+        checks = d.get("checks", {})
+        if not isinstance(checks, dict):
+            raise ValueError('"checks" must be an object of check name -> bool')
+        unknown = sorted(set(checks) - set(DEFAULT_CHECKS))
+        if unknown:
+            raise ValueError(f"unknown checks {unknown}; allowed: {sorted(DEFAULT_CHECKS)}")
         return cls(
             generators=list(d["generators"]),
             roots=d.get("roots", "all"),
             port_schemes=list(d.get("port_schemes", ["canonical"])),
             budget_factor=float(d.get("budget_factor", 50.0)),
-            checks=dict(d.get("checks", {})),
+            checks=dict(checks),
             out=d.get("out"),
         )
 

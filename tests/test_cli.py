@@ -1,10 +1,17 @@
 """Command line surface: gen / explore / check / suite."""
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from functools import cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binox.cli import main
 
@@ -122,6 +129,114 @@ class TestCheckInputs:
         assert rc == 1
         assert "no terminal event" in captured.err
 
+    def test_trace_from_another_graph_is_an_error(self, tmp_path, capsys):
+        _g8, trace = self.explored(tmp_path, "path:8")
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["root"] = 6
+        trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        small = tmp_path / "small.json"
+        invoke("gen", "--spec", "path:3", "--out", str(small))
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(small), "--trace", str(trace)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "root 6 out of range for n=3" in err
+
+    def test_event_without_its_fields_is_an_error(self, tmp_path, capsys):
+        g, trace = self.explored(tmp_path)
+        header = trace.read_text().splitlines()[0]
+        trace.write_text(header + '\n{"kind": "move"}\n')
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(g), "--trace", str(trace)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 2" in err and "'out'" in err
+
+
+# Each event kind's required fields and the JSON types they may hold; a
+# dotted name is a field of the event's ball or delta object.
+SCHEMA = {
+    "header": {"version": (int,), "root": (int,), "budget": (int,)},
+    "phase_start": {"phase": (int,)},
+    "phase_end": {"phase": (int,), "delta": (dict,), "delta.n": (int,),
+                  "delta.edges": (list,), "delta.cir": (dict,), "delta.vis": (dict,)},
+    "sense": {"arrival": (int, type(None)), "ball": (dict,), "ball.size": (int,),
+              "ball.edges": (list,)},
+    "move": {"out": (int,), "in": (int,)},
+    "budget_exhausted": {},
+    "error_detected": {"reason": (str,)},
+    "halt": {},
+}
+WRONG_VALUES = ["x", 1.5, True, None, 3, [], [1, 2], {}, {"a": 1}]
+
+
+@cache
+def valid_run(spec):
+    """(graph JSON, trace lines) of one run; "+error" turns a halted run's
+    last event into an error_detected one."""
+    base = spec.removesuffix("+error")
+    with tempfile.TemporaryDirectory() as d:
+        g, trace = Path(d) / "g.json", Path(d) / "t.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["gen", "--spec", base, "--ports", "random:2", "--out", str(g)])
+            main(["explore", "--graph", str(g), "--trace", str(trace)])
+        lines = trace.read_text().splitlines()
+        if spec.endswith("+error"):
+            lines[-1] = json.dumps({"kind": "error_detected", "reason": "map mismatch"})
+        return g.read_text(), tuple(lines)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["path:5", "chordal:n=12,rate=0.5,seed=1", "cycle:4", "johnson:4,2+error"]),
+    st.data(),
+)
+def test_damaged_event_fails_check_without_a_traceback(spec, data):
+    graph_text, lines = valid_run(spec)
+    index = data.draw(st.integers(min_value=0, max_value=len(lines) - 1), label="line index")
+    ev = json.loads(lines[index])
+    field = data.draw(st.sampled_from(["kind", *SCHEMA[ev["kind"]]]), label="field")
+    allowed = (str,) if field == "kind" else SCHEMA[ev["kind"]][field]
+    *outer, name = field.split(".")
+    owner = ev[outer[0]] if outer else ev
+    if data.draw(st.booleans(), label="delete"):
+        del owner[name]
+    else:
+        owner[name] = data.draw(
+            st.sampled_from([v for v in WRONG_VALUES if type(v) not in allowed]), label="value"
+        )
+        if field == "kind":
+            owner[name] = data.draw(st.sampled_from([owner[name], "jump", "Halt"]), label="kind")
+    damaged = list(lines)
+    damaged[index] = json.dumps(ev)
+    with tempfile.TemporaryDirectory() as d:
+        g, trace = Path(d) / "g.json", Path(d) / "t.jsonl"
+        g.write_text(graph_text)
+        trace.write_text("\n".join(damaged) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["check", "--graph", str(g), "--trace", str(trace)])
+    assert rc == 1
+    assert err.getvalue().startswith("error: ")
+
+
+# sha256 of `binox explore --root 0 --trace` (default budget) on graphs made
+# with `binox gen --ports random:1`. Traces of a fixed run must stay byte for
+# byte the same; a trace format change updates these on purpose.
+GOLDEN_TRACES = {
+    "complete:20": "78875882543f0348ff74abb327403fa63b7a50d6b26555e1fa0413640ed12ab4",
+    "johnson:6,2": "1468422ee56eebdb3b806ac0dad7e55ca15f6e633f3d7afbd791e21a8824c29e",
+    "chordal:n=60,rate=0.4,seed=2": "70517ee9442d0f828290c6bc7278eeda174a0be3431ffb14e6b93eb648d349fb",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_TRACES))
+def test_explore_trace_is_byte_identical_to_the_pinned_one(tmp_path, capsys, spec):
+    g = tmp_path / "g.json"
+    trace = tmp_path / "t.jsonl"
+    invoke("gen", "--spec", spec, "--ports", "random:1", "--out", str(g))
+    assert invoke("explore", "--graph", str(g), "--root", "0", "--trace", str(trace)) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACES[spec]
+
 
 class TestSuite:
     def config(self, tmp_path, generators, **overrides):
@@ -177,6 +292,19 @@ class TestSuite:
         path.write_text(json.dumps(cfg_dict))
         assert invoke("suite", "--config", str(path)) == 0
         assert (tmp_path / "via_config" / "report.json").exists()
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"checks": {"isomorphsm": True}}, "unknown checks ['isomorphsm']"),
+        ({"check": {"coverage": True}}, "unknown keys ['check']"),
+        ({"checks": ["coverage"]}, '"checks" must be an object'),
+    ])
+    def test_config_with_unknown_names_is_rejected(self, tmp_path, capsys, bad, message):
+        cfg = self.config(tmp_path, ["path:4"], **bad)
+        assert invoke("suite", "--config", str(cfg), "--out", str(tmp_path / "res")) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad config: ") and message in captured.err
+        assert "runs" not in captured.out
+        assert not (tmp_path / "res").exists()
 
     def test_cycles_suite_reports_non_halting(self, tmp_path, capsys):
         cfg = self.config(

@@ -11,6 +11,7 @@ import pytest
 
 import binox
 from binox.explorer import (
+    ClusterExplorer,
     ClusterStack,
     ExplorationMap,
     PhaseLedger,
@@ -23,9 +24,9 @@ from binox.explorer import (
     plan_cluster_tour,
     record_ball,
 )
-from binox.graph import PortNumberedGraph, ball
+from binox.graph import PortNumberedGraph, ball, ball_signature
 from binox.homotopy import unfold_tree_cover
-from binox.runtime import create_environment
+from binox.runtime import create_environment, run_agent
 from binox.verify import rooted_embedding, verify_rooted_isomorphism
 
 from conftest import gen
@@ -359,3 +360,33 @@ class TestMapExport:
         g, out = run("johnson:4,2")
         pg = out.final_map.to_port_graph()
         assert validate(pg) == []
+
+
+class TestMapBalls:
+    """The map's balls come from the same builder as the ground graph's, and
+    ball_signature reads them off the map's adjacency."""
+
+    @pytest.mark.parametrize("spec,ports", [
+        ("complete:8", "random:2"),
+        ("johnson:5,2", "random:7"),
+        ("chordal:n=40,rate=0.5,seed=6", "canonical"),
+        ("tree:n=30,seed=4", "random:1"),
+    ])
+    def test_signature_on_a_halted_map(self, spec, ports):
+        g = gen(spec, ports)
+        _, out = run(g, root=1)
+        assert out.status == "halted"
+        emap = out.final_map
+        for n in emap.vertex_ids():
+            assert ball_signature(emap, n) == emap.local_ball(n).signature()
+
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_signature_on_a_budget_exhausted_partial_map(self, k):
+        g = gen(f"cycle:{k}", "random:3")
+        explorer = ClusterExplorer()
+        out = run_agent(explorer, create_environment(g, 0, 10 * g.n))
+        assert out.status == "budget_exhausted"
+        emap = explorer.partial_result()
+        assert emap.frontier()  # the cut-off map still has unexplored vertices
+        for n in emap.vertex_ids():
+            assert ball_signature(emap, n) == emap.local_ball(n).signature()

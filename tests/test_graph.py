@@ -1,17 +1,20 @@
 """Graph model: validation, balls, port navigation, layering, clusters."""
 
 import json
+import random
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
 from binox.graph import (
+    Ball,
     GraphFormatError,
     NotATreeError,
     PortNumberedGraph,
     ancestor_cluster,
     ball,
+    ball_signature,
     cluster_decomposition,
     dest,
     from_json_dict,
@@ -120,6 +123,33 @@ class TestBall:
         assert b.relabel(perm).signature() == b.signature()
         with pytest.raises(ValueError):
             b.relabel([1, 0] + list(range(2, b.size)))
+
+    @pytest.mark.parametrize("ports", ["canonical", "random:3", "random:29"])
+    @pytest.mark.parametrize("spec", [
+        "complete:9", "johnson:5,2", "johnson:6,3", "chordal:n=40,rate=0.5,seed=3",
+        "tree:n=30,seed=2", "cycle:7", "path:1",
+    ])
+    def test_ball_signature_equals_the_built_balls(self, spec, ports):
+        g = gen(spec, ports)
+        for v in range(g.n):
+            assert ball_signature(g, v) == ball(g, v).signature()
+
+    def test_ball_signature_rejects_an_invalid_vertex(self):
+        with pytest.raises(ValueError):
+            ball_signature(gen("path:3"), 3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relabel_normalizes_like_the_public_constructor(self, seed):
+        g = gen("chordal:n=25,rate=0.6,seed=1", f"random:{seed}")
+        rng = random.Random(seed)
+        for v in range(g.n):
+            b = ball(g, v)
+            tail = list(range(1, b.size))
+            rng.shuffle(tail)
+            perm = [0] + tail
+            relabelled = [(perm[u], perm[w], pu, pw) for (u, w, pu, pw) in b.edges]
+            assert b.relabel(perm).edges == Ball(b.size, relabelled).edges
+            assert all(u < w for (u, w, _pu, _pw) in b.relabel(perm).edges)
 
 
 class TestDest:

@@ -188,3 +188,51 @@ class TestTraceFormat:
         lines.insert(2, '{"kind": "move", "out": 0')
         with pytest.raises(TraceFormatError, match="line 3: not JSON"):
             RunTrace.from_jsonl("\n".join(lines))
+
+    @pytest.mark.parametrize("event,message", [
+        ({"kind": "move"}, "line 3: move event lacks field 'out'"),
+        ({"kind": "move", "out": 0, "in": "1"}, "line 3: move event field 'in' is str, expected int"),
+        ({"kind": "teleport"}, "line 3: field 'kind': unknown event kind 'teleport'"),
+        ({"out": 0, "in": 1}, "line 3: field 'kind': unknown event kind None"),
+        ({"kind": "phase_end", "phase": 1, "delta": {"n": 1, "edges": [], "cir": {}}},
+         "line 3: phase_end event lacks field 'delta.vis'"),
+        ({"kind": "sense", "arrival": 0, "ball": {"size": "2", "edges": []}},
+         "line 3: sense event field 'ball.size' is str, expected int"),
+        ({"kind": "sense", "arrival": None, "ball": {"size": 2, "edges": [[0, 1, 0]]}},
+         "line 3: malformed sense event"),
+        ({"kind": "sense", "arrival": True, "ball": {"size": 1, "edges": []}},
+         "line 3: sense event field 'arrival' is bool, expected int or NoneType"),
+        ({"kind": "phase_end", "phase": 1,
+          "delta": {"n": 2, "edges": [[0, "1", 0, 0]], "cir": {}, "vis": {}}},
+         "line 3: malformed phase_end event: edge [0, '1', 0, 0] is not"),
+        ({"kind": "phase_end", "phase": 1,
+          "delta": {"n": 2, "edges": [[0, 5, 0, 0]], "cir": {}, "vis": {}}},
+         "edge [0, 5, 0, 0] is not [a, b, portAtA, portAtB] in a map of 2 vertices"),
+        ({"kind": "phase_end", "phase": 1,
+          "delta": {"n": 2, "edges": [], "cir": {}, "vis": {"0": "x"}}},
+         "a vis value is neither an integer nor null"),
+    ])
+    def test_event_with_missing_or_mistyped_field_is_rejected(self, event, message):
+        lines = self.trace_text().splitlines()
+        lines.insert(2, json.dumps(event))
+        with pytest.raises(TraceFormatError) as err:
+            RunTrace.from_jsonl("\n".join(lines))
+        assert str(err.value).startswith("line 3: ") and message in str(err.value)
+        assert str(err.value).count("line 3") == 1
+
+    def test_shrinking_map_is_rejected(self):
+        lines = self.trace_text().splitlines()
+        shrunk = {"kind": "phase_end", "phase": 9,
+                  "delta": {"n": 1, "edges": [], "cir": {}, "vis": {}}}
+        lines.insert(len(lines) - 1, json.dumps(shrunk))
+        with pytest.raises(TraceFormatError, match=f"line {len(lines) - 1}: .*n=1 is below the 4"):
+            RunTrace.from_jsonl("\n".join(lines))
+
+    def test_ball_round_trip_keeps_edges_normalized(self):
+        lines = self.trace_text().splitlines()
+        sense = json.loads(next(line for line in lines if '"sense"' in line))
+        sense["ball"]["edges"] = [[v, u, pv, pu] for (u, v, pu, pv) in sense["ball"]["edges"]]
+        loaded = RunTrace.from_jsonl("\n".join([lines[0], json.dumps(sense)]))
+        b = loaded.events[1]["ball"]
+        assert all(u < v for (u, v, _pu, _pv) in b.edges)
+        assert all(type(e) is tuple for e in b.edges)
