@@ -33,6 +33,7 @@ from .graph import (
     ball_signature,
     cluster_decomposition,
     dest,
+    horizontal_count,
     layering,
     load_graph,
     save_graph,

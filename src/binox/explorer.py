@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graph import ball, ball_signature
+from .graph import ball, horizontal_count
 from .runtime import run_agent
 
 
@@ -324,9 +324,34 @@ def _insert(emap, ledger, a, pa, b, pb):
 
 def check_local_iso(emap, ledger, cluster):
     """Compare each recorded ball with the updated map's ball (rooted,
-    port-preserving). Returns the first failing map vertex or None."""
+    port-preserving). Returns the first failing map vertex or None.
+
+    Each center edge must be the map edge on its port (same far port), the
+    degrees must agree, and each horizontal edge must be the map edge
+    between the two mapped neighbours. The map is simple and a sensed ball
+    has no duplicate edges, so the sensed horizontal edges then sit inside
+    the map ball's, and equal counts make the two balls equal.
+    """
+    ports, nbrs = emap._ports, emap._nbrs
     for n in cluster:
-        if ledger.balls[n].signature() != ball_signature(emap, n):
+        b = ledger.balls[n]
+        at = ports[n]
+        mapped = [n] * b.size  # local id -> map vertex
+        degree = 0
+        for (u, v, pu, pv) in b.edges:
+            if u == 0:
+                got = at.get(pu)
+                if got is None or got[1] != pv:
+                    return n
+                mapped[v] = got[0]
+                degree += 1
+        if degree != len(at):
+            return n
+        adj = [nbrs[m] for m in mapped]
+        for (u, v, pu, pv) in b.edges:
+            if u and adj[u].get(mapped[v]) != (pu, pv):
+                return n
+        if len(b.edges) - degree != horizontal_count(nbrs, n):
             return n
     return None
 

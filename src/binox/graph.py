@@ -14,6 +14,8 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import eq, lt
 from pathlib import Path
 
 
@@ -117,13 +119,36 @@ class Ball:
         ]))
 
     def to_json_dict(self):
-        """JSON-able form; the edges stay tuples, which ``json`` writes as
-        lists."""
-        return {"size": self.size, "edges": self.edges}
+        """JSON-able form: ``edges`` is one flat list, four ints per edge
+        (u, v, port at u, port at v)."""
+        return {"size": self.size, "edges": list(chain.from_iterable(self.edges))}
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(d["size"], d["edges"])
+        """Inverse of ``to_json_dict``; reversed edges are normalized.
+
+        ValueError unless ``edges`` holds ints only, four per edge, with
+        both ends distinct local ids below ``size`` and both ports >= 0.
+        """
+        size, flat = d["size"], d["edges"]
+        if len(flat) % 4:
+            raise ValueError(f"ball edges: {len(flat)} values, not four per edge")
+        if not set(map(type, flat)) <= {int}:
+            raise ValueError("ball edges: a value is not an integer")
+        us, vs = flat[0::4], flat[1::4]
+        normal = all(map(lt, us, vs))
+        if flat and (
+            min(flat) < 0
+            or max(vs if normal else us + vs) >= size
+            or not normal and any(map(eq, us, vs))
+        ):
+            raise ValueError(
+                f"ball edges: an edge is not [u, v, portAtU, portAtV] with "
+                f"distinct ends below size {size} and ports >= 0"
+            )
+        it = iter(flat)
+        edges = zip(it, it, it, it)
+        return cls._trusted(size, tuple(edges)) if normal else cls(size, edges)
 
 
 class PortNumberedGraph:
@@ -285,6 +310,14 @@ def ball(g, v):
             if pq is not None:
                 edges.append((i, j, pq[0], pq[1]))
     return Ball._trusted(len(source), tuple(edges), tuple(source))
+
+
+def horizontal_count(nbrs, v):
+    """The number of edges among v's neighbours in the adjacency ``nbrs``
+    (a ``_nbrs``-shaped list: vertex -> {neighbour: ...}); each edge is
+    seen from both ends by C-level key intersections."""
+    around = nbrs[v].keys()
+    return sum(len(nbrs[w].keys() & around) for w in around) // 2
 
 
 def ball_signature(g, v):

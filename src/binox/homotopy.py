@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .graph import PortNumberedGraph, ball_signature
+from .graph import PortNumberedGraph, ball_signature, horizontal_count
 
 
 class InstanceTooLargeError(ValueError):
@@ -358,14 +358,17 @@ def verify_simplicial_covering(h, g, phi, exclude=()):
             problems.append(
                 f"edge {u}-{v} ports ({pu},{pv}) maps to {phi[u]}->{got}, expected ({phi[v]},{pv})"
             )
+    homomorphic = not problems
     for u in range(h.n):
         images = {}
+        injective = True
         for w in h._nbrs[u]:
             fw = phi[w]
             if fw in images:
                 problems.append(
                     f"local injectivity at {u}: neighbours {images[fw]} and {w} both map to {fw}"
                 )
+                injective = False
             images[fw] = w
         if u in excluded:
             continue
@@ -374,6 +377,13 @@ def verify_simplicial_covering(h, g, phi, exclude=()):
                 f"degree at {u}: {h.degree(u)} vs {g.degree(phi[u])} at phi({u})={phi[u]}"
             )
             continue
-        if ball_signature(h, u) != ball_signature(g, phi[u]):
+        # A port-preserving homomorphism, injective at u with equal degree,
+        # maps u's ball into phi(u)'s: the balls are equal iff they have as
+        # many horizontal edges.
+        if homomorphic and injective:
+            same = horizontal_count(h._nbrs, u) == horizontal_count(g._nbrs, phi[u])
+        else:
+            same = ball_signature(h, u) == ball_signature(g, phi[u])
+        if not same:
             problems.append(f"ball at {u} not isomorphic to ball at phi({u})={phi[u]}")
     return problems

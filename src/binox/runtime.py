@@ -16,13 +16,18 @@ from pathlib import Path
 
 from .graph import Ball, ball
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
+
+# Writes every trace line: keys sorted, no spaces, no cycle check (events
+# are trees of plain values).
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 class TraceFormatError(ValueError):
     """A trace file cannot be read: no header, another format version, a
-    line that is not a JSON object, or an event that lacks a field of its
-    kind or holds it with the wrong type."""
+    line that is not a JSON object, an event that lacks a field of its
+    kind or holds it with the wrong type or a value out of range, or an
+    event out of order (see ``_EventOrder``)."""
 
 
 class NoSuchPortError(RuntimeError):
@@ -55,10 +60,10 @@ class RunTrace:
 
     Each ``phase_end`` event carries the phase's delta: ``n`` (vertex count
     after the phase), ``edges`` (the edges inserted in the phase, sorted
-    tuples),
-    ``cir`` and ``vis`` (the cluster ids and explored-in values set in the
-    phase). The first delta holds the whole phase-1 map; ``final_map`` folds
-    them all.
+    tuples), ``cir`` and ``vis`` (the cluster ids and explored-in values set
+    in the phase). The first delta holds the whole phase-1 map; ``final_map``
+    folds them all. A ``sense`` event's ball is written as a flat edge list
+    (``Ball.to_json_dict``).
     """
 
     def __init__(self):
@@ -110,7 +115,7 @@ class RunTrace:
             b = ev.get("ball")
             if isinstance(b, Ball):
                 ev = dict(ev, ball=b.to_json_dict())
-            lines.append(json.dumps(ev, sort_keys=True))
+            lines.append(_ENCODE(ev))
         return "\n".join(lines) + "\n"
 
     def save(self, path):
@@ -119,10 +124,12 @@ class RunTrace:
     @classmethod
     def from_jsonl(cls, text):
         """Parse a trace; raises TraceFormatError unless the first event is
-        a header of this TRACE_VERSION and every line is a JSON object with
-        the fields of its kind (EVENT_FIELDS, NESTED_FIELDS)."""
+        a header of this TRACE_VERSION, every line is a JSON object with
+        the fields of its kind (EVENT_FIELDS, NESTED_FIELDS) and valid
+        values, and the events come in order (_EventOrder)."""
         trace = cls()
         map_n = 0
+        order = _EventOrder()
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
@@ -151,6 +158,9 @@ class RunTrace:
                     map_n = ev["delta"]["n"]
             except (TypeError, ValueError) as e:
                 raise TraceFormatError(f"line {lineno}: malformed {kind} event: {e}") from e
+            misplaced = order.advance(kind, ev)
+            if misplaced:
+                raise TraceFormatError(f"line {lineno}: {misplaced}")
             trace.events.append(ev)
         if not trace.events:
             raise TraceFormatError("empty trace: missing header")
@@ -174,6 +184,51 @@ def _check_header(ev):
             f"trace format version {version!r}, expected {TRACE_VERSION}: "
             f"v{version} trace, re-run explore"
         )
+
+
+class _EventOrder:
+    """The order of a trace's events: the header, then phases 1, 2, ...,
+    each a phase_start and a phase_end with the sense and move events in
+    between, and at most one terminal event, which is the last event:
+    budget_exhausted or error_detected may end the open phase, halt comes
+    only after a phase_end. O(1) per event."""
+
+    TERMINAL = frozenset({"budget_exhausted", "error_detected", "halt"})
+
+    def __init__(self):
+        self.seen_header = False
+        self.open = None  # the phase started and not yet ended
+        self.last = 0  # the last phase ended
+        self.ended = None  # the terminal event's kind, once seen
+
+    def advance(self, kind, ev):
+        """Why ``ev`` cannot come next, or None after taking it in."""
+        if self.ended is not None:
+            if kind in self.TERMINAL:
+                return f"second terminal event: {kind} after {self.ended}"
+            return f"{kind} event after the terminal {self.ended} event"
+        if kind == "header":
+            if self.seen_header:
+                return "second header"
+            self.seen_header = True
+        elif kind == "phase_start":
+            if self.open is not None:
+                return f"phase_start {ev['phase']} while phase {self.open} is open"
+            if ev["phase"] != self.last + 1:
+                return f"phase_start {ev['phase']} does not follow phase {self.last}"
+            self.open = ev["phase"]
+        elif kind == "phase_end":
+            if ev["phase"] != self.open:
+                opened = "no phase is open" if self.open is None else f"phase {self.open} is open"
+                return f"phase_end {ev['phase']} does not close the open phase ({opened})"
+            self.last, self.open = self.open, None
+        elif kind in self.TERMINAL:
+            if kind == "halt" and self.open is not None:
+                return f"halt while phase {self.open} is open"
+            self.ended = kind
+        elif self.open is None:
+            return f"{kind} event outside a phase"
+        return None
 
 
 _INT = (int,)
@@ -216,13 +271,18 @@ def _parse_delta(delta, map_n):
     """The delta with int vertex keys and tuple edges; ValueError unless
     ``n`` is at least ``map_n`` (the vertex count after the previous
     delta), every edge is four integers with both ends among the ``n``
-    vertices, every cir value an int and every vis value an int or None."""
+    vertices, every cir and vis key one of those vertices, every cir value
+    an int and every vis value an int or None."""
     n = delta["n"]
     if n < map_n:
         raise ValueError(f"n={n} is below the {map_n} vertices of the map so far")
     out = dict(delta)
     out["cir"] = {int(k): v for k, v in delta["cir"].items()}
     out["vis"] = {int(k): v for k, v in delta["vis"].items()}
+    for name in ("cir", "vis"):
+        keys = out[name]
+        if keys and (min(keys) < 0 or max(keys) >= n):
+            raise ValueError(f"a {name} key is not a vertex of a map of {n} vertices")
     if not all(type(c) is int for c in out["cir"].values()):
         raise ValueError("a cir value is not an integer")
     if not all(v is None or type(v) is int for v in out["vis"].values()):

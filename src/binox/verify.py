@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import PortNumberedGraph, ball
+from .graph import PortNumberedGraph, ball, horizontal_count
 
 
 @dataclass
@@ -374,6 +374,13 @@ class _PhaseChecker:
                 f"local surjectivity at explored {n}: ground neighbours "
                 f"{missing} of {fn} not represented"
             )
+            return problems
+        # With every edge mapped and phi a bijection from n's neighbours
+        # onto fn's, each map pair (a, b) maps to a ground edge: the pairs
+        # agree iff both sides have as many edges among the neighbours.
+        if not self.edge_bad and not problems and (
+            horizontal_count(nbrs, n) == horizontal_count(g._nbrs, fn)
+        ):
             return problems
         mlist = sorted(nbrs[n])
         for i, a in enumerate(mlist):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binox.cli import main
+from binox.runtime import RunTrace
 
 
 def invoke(*args):
@@ -89,6 +90,12 @@ class TestExploreAndCheck:
         assert "port injectivity" in capsys.readouterr().err
 
 
+def add_vis_key(line, key, value):
+    ev = json.loads(line)
+    ev["delta"]["vis"][key] = value
+    return json.dumps(ev)
+
+
 class TestCheckInputs:
     def explored(self, tmp_path, spec="path:5"):
         g = tmp_path / "g.json"
@@ -99,9 +106,17 @@ class TestCheckInputs:
 
     @pytest.mark.parametrize("damage,message", [
         (lambda lines: lines[1:], "missing header"),
-        (lambda lines: [lines[0].replace('"version": 2', '"version": 1')] + lines[1:],
+        (lambda lines: [lines[0].replace('"version":3', '"version":1')] + lines[1:],
          "v1 trace, re-run explore"),
         (lambda lines: lines[:2] + ["not json"] + lines[2:], "not JSON"),
+        # path:5: line 2 starts phase 1, line 5 phase 2, line 21 is the halt
+        (lambda lines: lines[:1] + lines[2:], "line 2: sense event outside a phase"),
+        (lambda lines: lines[:4] + lines[5:], "line 5: move event outside a phase"),
+        (lambda lines: lines[:-1] + ['{"kind":"budget_exhausted"}'] + lines[-1:],
+         "line 22: second terminal event: halt after budget_exhausted"),
+        (lambda lines: lines[:-2] + lines[-1:], "line 20: halt while phase 5 is open"),
+        (lambda lines: lines[:7] + [add_vis_key(lines[7], "40", 3)] + lines[8:],
+         "line 8: malformed phase_end event: a vis key is not a vertex of a map of 3 vertices"),
     ])
     def test_malformed_trace_is_an_error_not_a_traceback(self, tmp_path, capsys, damage, message):
         g, trace = self.explored(tmp_path)
@@ -220,13 +235,37 @@ def test_damaged_event_fails_check_without_a_traceback(spec, data):
 
 
 # sha256 of `binox explore --root 0 --trace` (default budget) on graphs made
-# with `binox gen --ports random:1`. Traces of a fixed run must stay byte for
-# byte the same; a trace format change updates these on purpose.
+# with `binox gen --ports random:1`, as (v3 trace, the same trace rendered in
+# the v2 form). Traces of a fixed run must stay byte for byte the same; a
+# trace format change updates the first digest on purpose, and the second
+# (pinned when v2 was current) shows the run itself did not change.
 GOLDEN_TRACES = {
-    "complete:20": "78875882543f0348ff74abb327403fa63b7a50d6b26555e1fa0413640ed12ab4",
-    "johnson:6,2": "1468422ee56eebdb3b806ac0dad7e55ca15f6e633f3d7afbd791e21a8824c29e",
-    "chordal:n=60,rate=0.4,seed=2": "70517ee9442d0f828290c6bc7278eeda174a0be3431ffb14e6b93eb648d349fb",
+    "complete:20": (
+        "e3b30e6150c9652e879f9d766c790636857c6435e62dd401c257445a46e3eb76",
+        "78875882543f0348ff74abb327403fa63b7a50d6b26555e1fa0413640ed12ab4",
+    ),
+    "johnson:6,2": (
+        "b17df6c32ee6a773d9d2db18b6b353506b31a478acee4b9ac6ecf3332c8bf8e4",
+        "1468422ee56eebdb3b806ac0dad7e55ca15f6e633f3d7afbd791e21a8824c29e",
+    ),
+    "chordal:n=60,rate=0.4,seed=2": (
+        "07893f338165c6182852134f47e19d1983f61dfef2039e2706c0ee9b4344179c",
+        "70517ee9442d0f828290c6bc7278eeda174a0be3431ffb14e6b93eb648d349fb",
+    ),
 }
+
+
+def as_v2(text):
+    """A v3 trace written the v2 way: ball edges nested four to a list,
+    default separators, version 2."""
+    lines = []
+    for ev in RunTrace.from_jsonl(text).events:
+        if ev["kind"] == "header":
+            ev = dict(ev, version=2)
+        elif ev["kind"] == "sense":
+            ev = dict(ev, ball={"size": ev["ball"].size, "edges": ev["ball"].edges})
+        lines.append(json.dumps(ev, sort_keys=True))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("spec", sorted(GOLDEN_TRACES))
@@ -235,7 +274,9 @@ def test_explore_trace_is_byte_identical_to_the_pinned_one(tmp_path, capsys, spe
     trace = tmp_path / "t.jsonl"
     invoke("gen", "--spec", spec, "--ports", "random:1", "--out", str(g))
     assert invoke("explore", "--graph", str(g), "--root", "0", "--trace", str(trace)) == 0
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACES[spec]
+    v3, v2 = GOLDEN_TRACES[spec]
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == v3
+    assert hashlib.sha256(as_v2(trace.read_text()).encode()).hexdigest() == v2
 
 
 class TestSuite:

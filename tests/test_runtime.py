@@ -166,7 +166,7 @@ class TestTraceFormat:
 
     def test_header_carries_the_current_version(self):
         header = json.loads(self.trace_text().splitlines()[0])
-        assert header["kind"] == "header" and header["version"] == TRACE_VERSION == 2
+        assert header["kind"] == "header" and header["version"] == TRACE_VERSION == 3
 
     def test_missing_header_is_rejected(self):
         body = "\n".join(self.trace_text().splitlines()[1:])
@@ -230,9 +230,137 @@ class TestTraceFormat:
 
     def test_ball_round_trip_keeps_edges_normalized(self):
         lines = self.trace_text().splitlines()
-        sense = json.loads(next(line for line in lines if '"sense"' in line))
-        sense["ball"]["edges"] = [[v, u, pv, pu] for (u, v, pu, pv) in sense["ball"]["edges"]]
-        loaded = RunTrace.from_jsonl("\n".join([lines[0], json.dumps(sense)]))
-        b = loaded.events[1]["ball"]
+        sense = json.loads(lines[2])
+        flat = sense["ball"]["edges"]
+        sense["ball"]["edges"] = [x for i in range(0, len(flat), 4)
+                                  for x in (flat[i + 1], flat[i], flat[i + 3], flat[i + 2])]
+        loaded = RunTrace.from_jsonl("\n".join([lines[0], lines[1], json.dumps(sense)]))
+        b = loaded.events[2]["ball"]
         assert all(u < v for (u, v, _pu, _pv) in b.edges)
         assert all(type(e) is tuple for e in b.edges)
+        assert b.to_json_dict()["edges"] == flat
+
+    def test_ball_edges_are_written_flat_and_compact(self):
+        lines = self.trace_text().splitlines()
+        assert all(", " not in line and ": " not in line for line in lines)
+        sense = json.loads(lines[2])
+        assert sense["kind"] == "sense"
+        assert all(type(x) is int for x in sense["ball"]["edges"])
+
+    @pytest.mark.parametrize("edges,message", [
+        ([0, 1, 0], "3 values, not four per edge"),
+        ([0, 1, 0, 0, 1], "5 values, not four per edge"),
+        ([0, 1, 0, "0"], "a value is not an integer"),
+        ([0, 1, 0, 1.0], "a value is not an integer"),
+        ([0, True, 0, 0], "a value is not an integer"),
+        ([0, 1, 0, None], "a value is not an integer"),
+        ([1, 1, 0, 0], "distinct ends below size 2"),
+        ([0, 2, 0, 0], "distinct ends below size 2"),
+        ([2, 0, 0, 0], "distinct ends below size 2"),
+        ([-1, 1, 0, 0], "distinct ends below size 2"),
+        ([0, 1, -1, 0], "ports >= 0"),
+        ([1, 0, 0, -3], "ports >= 0"),
+    ])
+    def test_ball_with_bad_edge_values_is_rejected(self, edges, message):
+        lines = self.trace_text().splitlines()
+        sense = {"kind": "sense", "arrival": None, "ball": {"size": 2, "edges": edges}}
+        lines.insert(2, json.dumps(sense))
+        with pytest.raises(TraceFormatError) as err:
+            RunTrace.from_jsonl("\n".join(lines))
+        assert str(err.value).startswith("line 3: malformed sense event: ball edges: ")
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("table,key", [("vis", "4"), ("vis", "40"), ("vis", "-1"),
+                                           ("cir", "4"), ("cir", "-2")])
+    def test_delta_key_outside_the_map_is_rejected(self, table, key):
+        lines = self.trace_text().splitlines()
+        index = max(i for i, line in enumerate(lines) if '"phase_end"' in line)
+        ev = json.loads(lines[index])
+        ev["delta"][table][key] = 1
+        lines[index] = json.dumps(ev)
+        with pytest.raises(TraceFormatError, match=(
+            f"line {index + 1}: malformed phase_end event: a {table} key is not a vertex "
+            f"of a map of 4 vertices"
+        )):
+            RunTrace.from_jsonl("\n".join(lines))
+
+
+class TestEventOrder:
+    """path:4 from vertex 0: phases 1-4, each phase_start / [move] / sense /
+    phase_end, then halt (line 17)."""
+
+    def lines(self):
+        g = gen("path:4")
+        return explore(create_environment(g, 0, 200)).trace.to_jsonl().splitlines()
+
+    def rejected(self, lines):
+        with pytest.raises(TraceFormatError) as err:
+            RunTrace.from_jsonl("\n".join(lines))
+        return str(err.value)
+
+    def test_the_explorer_writes_a_trace_in_order(self):
+        lines = self.lines()
+        kinds = [json.loads(line)["kind"] for line in lines]
+        assert kinds[:4] == ["header", "phase_start", "sense", "phase_end"]
+        assert kinds[-1] == "halt" and len(kinds) == 17
+        RunTrace.from_jsonl("\n".join(lines))
+
+    def test_deleted_phase_start(self):
+        lines = self.lines()
+        assert self.rejected(lines[:1] + lines[2:]) == "line 2: sense event outside a phase"
+        assert self.rejected(lines[:4] + lines[5:]) == "line 5: move event outside a phase"
+
+    def test_phase_start_out_of_sequence(self):
+        lines = self.lines()
+        lines[4] = json.dumps({"kind": "phase_start", "phase": 3})
+        assert self.rejected(lines) == "line 5: phase_start 3 does not follow phase 1"
+
+    def test_phase_start_inside_an_open_phase(self):
+        lines = self.lines()
+        lines.insert(2, json.dumps({"kind": "phase_start", "phase": 2}))
+        assert self.rejected(lines) == "line 3: phase_start 2 while phase 1 is open"
+
+    def test_phase_end_that_does_not_close_the_open_phase(self):
+        lines = self.lines()
+        ev = json.loads(lines[3])
+        ev["phase"] = 2
+        lines[3] = json.dumps(ev)
+        assert self.rejected(lines) == (
+            "line 4: phase_end 2 does not close the open phase (phase 1 is open)"
+        )
+        lines = self.lines()
+        lines.insert(4, lines[3])
+        assert self.rejected(lines) == (
+            "line 5: phase_end 1 does not close the open phase (no phase is open)"
+        )
+
+    def test_sense_or_move_between_phases(self):
+        lines = self.lines()
+        lines.insert(4, json.dumps({"kind": "move", "out": 0, "in": 0}))
+        assert self.rejected(lines) == "line 5: move event outside a phase"
+
+    def test_second_terminal_event(self):
+        lines = self.lines()
+        lines.insert(16, json.dumps({"kind": "budget_exhausted"}))
+        assert self.rejected(lines) == "line 18: second terminal event: halt after budget_exhausted"
+        lines = self.lines() + [json.dumps({"kind": "error_detected", "reason": "x"})]
+        assert self.rejected(lines) == "line 18: second terminal event: error_detected after halt"
+
+    def test_event_after_the_terminal_event(self):
+        lines = self.lines()
+        lines.append(json.dumps({"kind": "phase_start", "phase": 5}))
+        assert self.rejected(lines) == "line 18: phase_start event after the terminal halt event"
+
+    def test_second_header(self):
+        lines = self.lines()
+        lines.insert(1, lines[0])
+        assert self.rejected(lines) == "line 2: second header"
+
+    def test_halt_inside_a_phase(self):
+        lines = self.lines()
+        assert self.rejected(lines[:-2] + lines[-1:]) == "line 16: halt while phase 4 is open"
+
+    def test_terminal_event_inside_a_phase_is_accepted(self):
+        lines = self.lines()
+        cut = lines[:10] + [json.dumps({"kind": "budget_exhausted"})]
+        assert RunTrace.from_jsonl("\n".join(cut)).events[-1]["kind"] == "budget_exhausted"
