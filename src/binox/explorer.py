@@ -122,6 +122,10 @@ class ExplorationMap:
                     out.append((a, b, pa, pb))
         return sorted(out)
 
+    def horizontal_count(self, n):
+        """``horizontal_count`` at n, counted afresh: the map grows."""
+        return horizontal_count(self._nbrs, n)
+
     def local_ball(self, n):
         """The map's radius-1 ball at n in the same local form a sensed
         ball has: center 0, neighbours by ascending port."""
@@ -249,17 +253,31 @@ def harvest_ledger(emap, ledger, n):
     """Mine the ball recorded at n for pre-vertices, equivalences between
     pre-vertices, and horizontal edge records. Conditions are evaluated
     against the map as it stood at the start of the phase (the map is only
-    updated afterwards, in apply_ledger)."""
+    updated afterwards, in apply_ledger).
+
+    Every record needs an unmapped center edge, so a ball whose center
+    edges are all in the map yields nothing more after the first pass.
+    """
     b = ledger.balls[n]
+    at = emap._ports[n]
     center = {}  # local id -> (out port at n, map neighbour or None if unmapped)
-    for (p, q, j) in b.center_edges():
-        got = emap.step(n, p)
-        if got is not None and got[1] == q:
-            center[j] = (p, got[0])
-        else:
-            center[j] = (p, None)
-            ledger.pre_vertices[(n, p)] = q
-    for (i, j, r, s) in b.horizontal_edges():
+    unmapped = False
+    it = iter(b.flat)
+    for (u, j, p, q) in zip(it, it, it, it):
+        if u == 0:
+            got = at.get(p)
+            if got is not None and got[1] == q:
+                center[j] = (p, got[0])
+            else:
+                center[j] = (p, None)
+                ledger.pre_vertices[(n, p)] = q
+                unmapped = True
+    if not unmapped:
+        return
+    it = iter(b.flat)
+    for (i, j, r, s) in zip(it, it, it, it):
+        if i == 0:
+            continue
         pi, mi = center[i]
         pj, mj = center[j]
         if mi is not None:
@@ -324,34 +342,10 @@ def _insert(emap, ledger, a, pa, b, pb):
 
 def check_local_iso(emap, ledger, cluster):
     """Compare each recorded ball with the updated map's ball (rooted,
-    port-preserving). Returns the first failing map vertex or None.
-
-    Each center edge must be the map edge on its port (same far port), the
-    degrees must agree, and each horizontal edge must be the map edge
-    between the two mapped neighbours. The map is simple and a sensed ball
-    has no duplicate edges, so the sensed horizontal edges then sit inside
-    the map ball's, and equal counts make the two balls equal.
-    """
-    ports, nbrs = emap._ports, emap._nbrs
+    port-preserving; see ``Ball.matches``). Returns the first failing map
+    vertex or None."""
     for n in cluster:
-        b = ledger.balls[n]
-        at = ports[n]
-        mapped = [n] * b.size  # local id -> map vertex
-        degree = 0
-        for (u, v, pu, pv) in b.edges:
-            if u == 0:
-                got = at.get(pu)
-                if got is None or got[1] != pv:
-                    return n
-                mapped[v] = got[0]
-                degree += 1
-        if degree != len(at):
-            return n
-        adj = [nbrs[m] for m in mapped]
-        for (u, v, pu, pv) in b.edges:
-            if u and adj[u].get(mapped[v]) != (pu, pv):
-                return n
-        if len(b.edges) - degree != horizontal_count(nbrs, n):
+        if not ledger.balls[n].matches(emap, n):
             return n
     return None
 

@@ -14,7 +14,6 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import eq, lt
 from pathlib import Path
 
@@ -30,46 +29,48 @@ class NotATreeError(ValueError):
 class Ball:
     """Radius-1 view: the subgraph induced by a vertex and its neighbours.
 
-    Local ids are 0..size-1 with the center fixed at 0; neighbours are
-    numbered in ascending order of the center's out-ports. Edges carry the
-    real port numbers of the source graph at both endpoints. ``source_ids``
+    Local ids are 0..size-1 with the center fixed at 0. Edges carry the real
+    port numbers of the source graph at both endpoints and are stored in
+    ``flat``, one list of four ints per edge (u, v, port at u, port at v)
+    with u < v: the form a trace writes, so a ball is built, sent and loaded
+    without another copy. The agent and the trace share that list, so
+    nothing may modify it. ``edges`` views them as tuples. ``source_ids``
     maps local ids back to ground-truth ids; it is harness-side bookkeeping
     and never serialized, so observations built from balls stay anonymous.
     """
 
-    __slots__ = ("size", "edges", "source_ids", "_sig")
+    __slots__ = ("size", "flat", "source_ids", "_sig")
 
     center = 0
 
     def __init__(self, size, edges, source_ids=None):
+        """A ball from (u, v, port at u, port at v) edges in either
+        orientation; reversed ones are normalized."""
+        flat = []
+        for (u, v, pu, pv) in edges:
+            flat += (u, v, pu, pv) if u < v else (v, u, pv, pu)
         self.size = size
-        self.edges = tuple([
-            (u, v, pu, pv) if u < v else (v, u, pv, pu) for (u, v, pu, pv) in edges
-        ])
+        self.flat = flat
         self.source_ids = tuple(source_ids) if source_ids is not None else None
         self._sig = None
 
     @classmethod
-    def _trusted(cls, size, edges, source_ids=None):
-        """A ball from an edge tuple already in normal form (u < v); for
-        builders inside this module, whose output needs no second pass."""
+    def _trusted(cls, size, flat, source_ids=None):
+        """A ball that takes ``flat`` as it is (already four ints per edge
+        with u < v); for builders whose output needs no second pass."""
         b = cls.__new__(cls)
         b.size = size
-        b.edges = edges
+        b.flat = flat
         b.source_ids = source_ids
         b._sig = None
         return b
 
-    def __eq__(self, other):
-        if not isinstance(other, Ball):
-            return NotImplemented
-        return self.size == other.size and set(self.edges) == set(other.edges)
-
-    def __hash__(self):
-        return hash((self.size, frozenset(self.edges)))
+    @property
+    def edges(self):
+        return BallEdges(self.flat)
 
     def __repr__(self):
-        return f"Ball(size={self.size}, edges={len(self.edges)})"
+        return f"Ball(size={self.size}, edges={len(self.flat) >> 2})"
 
     def center_edges(self):
         """Edges at the center as (out_port, far_port, local_neighbour) triples."""
@@ -80,7 +81,7 @@ class Ball:
         return [e for e in self.edges if e[0] != 0]
 
     def center_degree(self):
-        return sum(1 for e in self.edges if e[0] == 0)
+        return self.flat[0::4].count(0)
 
     def signature(self):
         """Canonical form deciding rooted port-preserving isomorphism.
@@ -113,19 +114,61 @@ class Ball:
         """
         if new_id[0] != 0:
             raise ValueError("center must keep local id 0")
-        return Ball._trusted(self.size, tuple([
-            (a, b, pu, pv) if (a := new_id[u]) < (b := new_id[v]) else (b, a, pv, pu)
-            for (u, v, pu, pv) in self.edges
-        ]))
+        flat = []
+        for (u, v, pu, pv) in self.edges:
+            a, b = new_id[u], new_id[v]
+            flat += (a, b, pu, pv) if a < b else (b, a, pv, pu)
+        return Ball._trusted(self.size, flat)
+
+    def matches(self, g, v):
+        """Is this the ball at ``v`` of ``g`` up to a relabelling of the
+        non-center ids? ``g`` is a PortNumberedGraph or an ExplorationMap:
+        ``ball``'s adjacency plus ``horizontal_count(v)``.
+
+        The size must be v's degree + 1 and every center edge the edge of g
+        on its port, with the same far port; distinct images then make the
+        center edges a bijection onto v's. Each horizontal edge must be g's
+        edge between the images of its ends, with the same ports. g is
+        simple, so when the ball repeats no edge those sit inside g's ball,
+        and equal horizontal counts (compared first) make the two balls
+        equal.
+        """
+        at = g._ports[v]
+        size = self.size
+        if size != len(at) + 1:
+            return False
+        flat = self.flat
+        image = [v] * size  # local id -> vertex of g
+        center = 0
+        it = iter(flat)
+        for (u, w, pu, pw) in zip(it, it, it, it):
+            if u == 0:
+                got = at.get(pu)
+                if got is None or got[1] != pw:
+                    return False
+                image[w] = got[0]
+                center += 1
+        if center != len(at) or len(set(image)) != size:
+            return False
+        horizontal = len(flat) // 4 - center
+        if horizontal != g.horizontal_count(v):
+            return False
+        if horizontal:
+            adj = [g._nbrs[x] for x in image]
+            it = iter(flat)
+            for (u, w, pu, pw) in zip(it, it, it, it):
+                if u and adj[u].get(image[w]) != (pu, pw):
+                    return False
+        return True
 
     def to_json_dict(self):
-        """JSON-able form: ``edges`` is one flat list, four ints per edge
-        (u, v, port at u, port at v)."""
-        return {"size": self.size, "edges": list(chain.from_iterable(self.edges))}
+        """JSON-able form: ``edges`` is the stored flat list itself."""
+        return {"size": self.size, "edges": self.flat}
 
     @classmethod
     def from_json_dict(cls, d):
-        """Inverse of ``to_json_dict``; reversed edges are normalized.
+        """Inverse of ``to_json_dict``; keeps the loaded list unless an edge
+        is reversed, which is normalized.
 
         ValueError unless ``edges`` holds ints only, four per edge, with
         both ends distinct local ids below ``size`` and both ports >= 0.
@@ -146,9 +189,32 @@ class Ball:
                 f"ball edges: an edge is not [u, v, portAtU, portAtV] with "
                 f"distinct ends below size {size} and ports >= 0"
             )
+        if normal:
+            return cls._trusted(size, flat)
         it = iter(flat)
-        edges = zip(it, it, it, it)
-        return cls._trusted(size, tuple(edges)) if normal else cls(size, edges)
+        return cls(size, zip(it, it, it, it))
+
+
+class BallEdges:
+    """A ball's flat edge list seen as (u, v, port at u, port at v) tuples;
+    ``len`` is the edge count."""
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat):
+        self._flat = flat
+
+    def __len__(self):
+        return len(self._flat) >> 2
+
+    def __iter__(self):
+        it = iter(self._flat)
+        return zip(it, it, it, it)
+
+    def __eq__(self, other):
+        if not isinstance(other, BallEdges):
+            return NotImplemented
+        return self._flat == other._flat
 
 
 class PortNumberedGraph:
@@ -207,6 +273,16 @@ class PortNumberedGraph:
     def port_pair(self, u, v):
         """(port at u, port at v) for edge uv, or None."""
         return self._nbrs[u].get(v)
+
+    def horizontal_count(self, v):
+        """``horizontal_count`` at v, read from a table of every vertex's
+        count that the first call builds: the graph never changes, and
+        the checks ask again for the same vertices."""
+        return self._horizontal_counts[v]
+
+    @cached_property
+    def _horizontal_counts(self):
+        return [horizontal_count(self._nbrs, v) for v in range(self.n)]
 
     def renamed(self, perm):
         """Copy with vertex ids mapped through ``perm``; ports unchanged."""
@@ -284,7 +360,7 @@ def validate(g):
     return problems
 
 
-def ball(g, v):
+def ball(g, v, ids=None):
     """The induced radius-1 ball around v with ports, center marked.
 
     Local ids: 0 is the center, neighbours get 1.. in ascending order of the
@@ -292,24 +368,36 @@ def ball(g, v):
     so edges between neighbours ("horizontal" edges) carry both ports.
     ``g`` is anything with the ``_ports``/``_nbrs`` adjacency of
     PortNumberedGraph (the explorer's map has it too).
+
+    ``ids``, a permutation of 1..degree, gives the neighbours their local
+    ids instead, in the same ascending port order: the result equals
+    ``ball(g, v).relabel([0] + ids)``, edges in the same order, and has no
+    ``source_ids``.
     """
     if not (0 <= v < len(g._ports)):
         raise ValueError(f"invalid vertex id {v}")
     ports = g._ports[v]
-    source = [v]
-    edges = []
-    for i, p in enumerate(sorted(ports), 1):
+    cps = sorted(ports)
+    fresh = ids is not None
+    if not fresh:
+        ids = range(1, len(cps) + 1)
+    near = []
+    flat = []
+    for i, p in zip(ids, cps):
         w, q = ports[p]
-        source.append(w)
-        edges.append((0, i, p, q))
+        near.append(w)
+        flat += (0, i, p, q)
     nbrs = g._nbrs
-    for i in range(1, len(source)):
-        na = nbrs[source[i]]
-        for j in range(i + 1, len(source)):
-            pq = na.get(source[j])
+    d = len(near)
+    for k in range(d):
+        na = nbrs[near[k]]
+        i = ids[k]
+        for m in range(k + 1, d):
+            pq = na.get(near[m])
             if pq is not None:
-                edges.append((i, j, pq[0], pq[1]))
-    return Ball._trusted(len(source), tuple(edges), tuple(source))
+                j = ids[m]
+                flat += (i, j, pq[0], pq[1]) if i < j else (j, i, pq[1], pq[0])
+    return Ball._trusted(d + 1, flat, None if fresh else (v, *near))
 
 
 def horizontal_count(nbrs, v):

@@ -381,7 +381,7 @@ def verify_simplicial_covering(h, g, phi, exclude=()):
         # maps u's ball into phi(u)'s: the balls are equal iff they have as
         # many horizontal edges.
         if homomorphic and injective:
-            same = horizontal_count(h._nbrs, u) == horizontal_count(g._nbrs, phi[u])
+            same = horizontal_count(h._nbrs, u) == g.horizontal_count(phi[u])
         else:
             same = ball_signature(h, u) == ball_signature(g, phi[u])
         if not same:

@@ -318,15 +318,14 @@ class Environment:
     def sense(self):
         """Fresh observation of the current location.
 
-        The returned ball is rebuilt with a fresh permutation of the
+        The returned ball is built with a fresh permutation of the
         non-center local ids on every call, so nothing the agent stores can
         act as a stable vertex identity. Ball content depends only on ports,
         which keeps observations invariant under ground-truth renamings.
         """
-        raw = ball(self._graph, self._position)
-        tail = list(range(1, raw.size))
-        self._rng.shuffle(tail)
-        fresh = raw.relabel([0] + tail)
+        ids = list(range(1, self._graph.degree(self._position) + 1))
+        self._rng.shuffle(ids)
+        fresh = ball(self._graph, self._position, ids)
         self.trace.log("sense", arrival=self._arrival, ball=fresh)
         return Observation(fresh, self._arrival)
 

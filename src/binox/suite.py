@@ -21,6 +21,7 @@ from .homotopy import verify_simplicial_covering
 from .runtime import create_environment
 from .verify import (
     reconstruct_final_phi,
+    replay_senses,
     verify_coverage,
     verify_phase_invariants,
     verify_rooted_isomorphism,
@@ -139,8 +140,10 @@ def evaluate_trace(trace, g, checks):
     root = trace.header()["root"]
     results = {}
     problems = []
+    sensed = None  # one sense replay, shared with the covering check
     if checks.get("phase_invariants"):
-        per_phase = verify_phase_invariants(trace, g)
+        sensed = replay_senses(trace, g)
+        per_phase = verify_phase_invariants(trace, g, sensed)
         bad = [(ph, r) for (ph, r) in per_phase if not r.ok]
         results["phase_invariants"] = not bad
         for ph, r in bad[:3]:
@@ -164,7 +167,7 @@ def evaluate_trace(trace, g, checks):
             results["coverage"] = r.ok
             problems.extend(f"coverage: {p}" for p in r.problems[:3])
         if checks.get("covering"):
-            phi, phi_problems = reconstruct_final_phi(trace, g)
+            phi, phi_problems = reconstruct_final_phi(trace, g, sensed)
             if phi is None:
                 results["covering"] = False
                 problems.extend(f"covering: {p}" for p in phi_problems[:3])

@@ -118,13 +118,16 @@ def verify_coverage(trace, g):
     return CheckResult(not problems, problems)
 
 
-def _sense_log(trace, g):
+def _sense_log(trace, g, sense_problems=None):
     """Per-sense (phase, map vertex, ground vertex) triples, replaying map
     positions against the map folded from the phase deltas so far (phase i
-    moves only use edges already in the map at the end of phase i-1)."""
+    moves only use edges already in the map at the end of phase i-1).
+    Given a dict ``sense_problems``, each sense event is also compared with
+    the ground truth (see first_sensed_map)."""
     header = trace.header()
     ground = header["root"]
     map_pos = 0
+    arrival = None  # the in-port of the last move
     adj = {}  # map vertex -> port -> (neighbour, far port, edge)
     phase = 0
     senses = []
@@ -147,8 +150,21 @@ def _sense_log(trace, g):
                 problems.append(f"phase {phase}: ground walk broke at {ground}")
                 return senses, problems
             ground = step[0]
+            arrival = ev["in"]
         elif kind == "sense":
             senses.append((phase, map_pos, ground))
+            if sense_problems is not None:
+                found = []
+                if ev["arrival"] != arrival:
+                    found.append(
+                        f"arrival port {ev['arrival']}, but the last move came in on {arrival}"
+                    )
+                if not ev["ball"].matches(g, ground):
+                    found.append("the ball is not the ground ball")
+                if found:
+                    sense_problems.setdefault(phase, []).extend(
+                        f"sense at map vertex {map_pos} (ground {ground}): {p}" for p in found
+                    )
         elif kind == "phase_end":
             for e in ev["delta"]["edges"]:
                 a, b, pa, pb = e
@@ -166,10 +182,17 @@ def _write_port(adj, v, p, entry):
         ports[p] = entry
 
 
-def first_sensed_map(trace, g):
+def first_sensed_map(trace, g, sense_problems=None):
     """map vertex -> (phase, ground vertex) of its first sense; also asserts
-    single-phase sensing (a vertex re-sensed in a later phase is reported)."""
-    senses, problems = _sense_log(trace, g)
+    single-phase sensing (a vertex re-sensed in a later phase is reported).
+
+    Given a dict ``sense_problems``, the same replay compares every sense
+    event with the ground truth and files what it gets wrong under the
+    event's phase: an arrival port other than the last move's in-port, or
+    a ball that is not the ground ball at the replayed vertex up to a
+    relabelling of its non-center ids (``Ball.matches``).
+    """
+    senses, problems = _sense_log(trace, g, sense_problems)
     first = {}
     for (phase, n, u) in senses:
         if n in first:
@@ -181,6 +204,15 @@ def first_sensed_map(trace, g):
         else:
             first[n] = (phase, u)
     return first, problems
+
+
+def replay_senses(trace, g):
+    """One replay of the sense events for every check that needs it:
+    (first, problems, sense_problems) as first_sensed_map gives them with
+    every sense event compared with the ground truth."""
+    sense_problems = {}
+    first, problems = first_sensed_map(trace, g, sense_problems)
+    return first, problems, sense_problems
 
 
 def _phi_for_snapshot(snap, first, g, problems):
@@ -379,7 +411,7 @@ class _PhaseChecker:
         # onto fn's, each map pair (a, b) maps to a ground edge: the pairs
         # agree iff both sides have as many edges among the neighbours.
         if not self.edge_bad and not problems and (
-            horizontal_count(nbrs, n) == horizontal_count(g._nbrs, fn)
+            horizontal_count(nbrs, n) == g.horizontal_count(fn)
         ):
             return problems
         mlist = sorted(nbrs[n])
@@ -396,30 +428,39 @@ class _PhaseChecker:
         return problems
 
 
-def verify_phase_invariants(trace, g):
-    """Per-phase map correctness: after each phase_end, reconstruct the
-    correspondence and check homomorphism + port preservation, local
+def verify_phase_invariants(trace, g, sensed=None):
+    """Per-phase map correctness: every sense event of the phase must match
+    the ground truth (first_sensed_map); after each phase_end, reconstruct
+    the correspondence and check homomorphism + port preservation, local
     injectivity everywhere, local surjectivity and triangle preservation at
     explored vertices; phase 1 additionally must equal the homebase ball.
-    One pass over the deltas (see _PhaseChecker)."""
-    first, base_problems = first_sensed_map(trace, g)
+    A phase that never ended is reported last, if a sense event in it
+    failed. One pass over the deltas (see _PhaseChecker); ``sensed`` is
+    replay_senses(trace, g) when the caller has it already."""
+    first, base_problems, sense_problems = sensed or replay_senses(trace, g)
     results = []
     root = trace.header()["root"]
     checker = _PhaseChecker(g, first)
     for (phase, delta) in trace.snapshots():
         problems = list(base_problems) if phase == 1 else []
+        problems.extend(sense_problems.get(phase, ()))
         problems.extend(checker.apply(delta))
         if phase == 1 and checker.phi_problem() is None:
             pg = PortNumberedGraph(checker.n, checker.edges())
             if ball(pg, 0).signature() != ball(g, root).signature():
                 problems.append("phase 1 map is not the ball around the homebase")
         results.append((phase, CheckResult(not problems, problems)))
+    ended = {phase for phase, _r in results}
+    for phase in sorted(sense_problems.keys() - ended):
+        results.append((phase, CheckResult(False, list(sense_problems[phase]))))
     return results
 
 
-def reconstruct_final_phi(trace, g):
-    """phi for the final map (total on a halted run), as a list."""
-    first, problems = first_sensed_map(trace, g)
+def reconstruct_final_phi(trace, g, sensed=None):
+    """phi for the final map (total on a halted run), as a list; ``sensed``
+    is replay_senses(trace, g) when the caller has it already."""
+    first, problems = sensed[:2] if sensed else first_sensed_map(trace, g)
+    problems = list(problems)
     snap = trace.final_map()
     if snap is None:
         return None, ["trace has no phase snapshots"]

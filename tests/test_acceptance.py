@@ -270,3 +270,23 @@ def test_scaled_runs_halt_with_linear_moves(spec):
     assert report.status == "halted"
     assert report.checks == {"final_isomorphism": True, "phase_invariants": True}
     assert report.moves_per_vertex <= 2
+
+
+@pytest.mark.slow
+def test_dense_run_halts_and_passes_every_check_through_the_cli(tmp_path, capsys):
+    """complete:200 (7.9M sensed ball edges) through ``binox explore`` and
+    ``binox check`` files: halted, moves/n <= 1, all five checks pass (run
+    with ``-m slow``)."""
+    from binox.cli import main
+
+    g, trace = str(tmp_path / "g.json"), str(tmp_path / "t.jsonl")
+    assert main(["gen", "--spec", "complete:200", "--ports", "random:1", "--out", g]) == 0
+    assert main(["explore", "--graph", g, "--root", "0", "--trace", trace]) == 0
+    out = capsys.readouterr().out
+    assert "status=halted" in out
+    assert float(out.rsplit("moves_per_vertex=", 1)[1].split()[0]) <= 1
+    assert main(["check", "--graph", g, "--trace", trace]) == 0
+    out = capsys.readouterr().out
+    assert "status=halted" in out
+    for name in ALL_CHECKS:
+        assert f"{name}: pass" in out

@@ -1,6 +1,7 @@
-"""The ball checks that compare edge counts (``check_local_iso``,
-``verify_simplicial_covering``) against signature references, on honest
-maps and balls and on ones with one corrupted edge or port."""
+"""The ball checks that compare edge counts (``check_local_iso``, the
+sense check of the phase invariants, ``verify_simplicial_covering``)
+against signature references, on honest maps and balls and on ones with
+one corrupted edge or port."""
 
 import copy
 import random
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from binox.explorer import PhaseLedger, check_local_iso, explore
 from binox.graph import Ball, ball, ball_signature, horizontal_count
 from binox.homotopy import verify_simplicial_covering
-from binox.runtime import create_environment
-from binox.verify import reconstruct_final_phi
+from binox.runtime import RunTrace, create_environment
+from binox.verify import reconstruct_final_phi, verify_phase_invariants
 
 from conftest import gen
 
@@ -180,6 +181,33 @@ def test_check_local_iso_agrees_with_signatures(case, map_damage, ball_damage, d
         ledger.balls[n] = Ball(b.size, edges)
     cluster = data.draw(st.permutations(list(emap.vertex_ids())), label="cluster order")
     assert check_local_iso(emap, ledger, cluster) == first_signature_mismatch(emap, ledger, cluster)
+
+
+@cache
+def traced(spec, ports):
+    g = gen(spec, ports)
+    return g, explore(create_environment(g, 0, 50 * g.n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases, st.sampled_from(BALL_DAMAGE), st.data())
+def test_sense_check_agrees_with_signatures(case, ball_damage, data):
+    """One sense event's ball corrupted: the phase invariants fail in the
+    event's phase iff its signature differs from the sensed one."""
+    g, out = traced(*case)
+    trace = RunTrace()
+    trace.events = list(out.trace.events)
+    senses = [i for i, ev in enumerate(trace.events) if ev["kind"] == "sense"]
+    i = data.draw(st.sampled_from(senses), label="damaged sense")
+    sensed = trace.events[i]["ball"]
+    edges = list(sensed.edges)
+    if ball_damage:
+        ball_damage(edges, sensed.size, data)
+    damaged = Ball(sensed.size, edges)
+    trace.events[i] = dict(trace.events[i], ball=damaged)
+    phase = max(ev["phase"] for ev in trace.events[:i] if ev["kind"] == "phase_start")
+    bad = [ph for ph, r in verify_phase_invariants(trace, g) if not r.ok]
+    assert bad == ([phase] if damaged.signature() != sensed.signature() else [])
 
 
 @settings(max_examples=120, deadline=None)

@@ -144,6 +144,28 @@ class TestCheckInputs:
         assert rc == 1
         assert "no terminal event" in captured.err
 
+    def test_sense_events_are_compared_with_the_ground_graph(self, tmp_path, capsys):
+        # complete:4: phase 1 senses the root, phase 2 its three neighbours
+        g, trace = self.explored(tmp_path, "complete:4")
+        lines = trace.read_text().splitlines()
+        senses = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "sense"]
+        assert len(senses) == 4
+        last = json.loads(lines[senses[-1]])
+        last["ball"]["edges"] = [0, 3, 0, 7]
+        lines[senses[-1]] = json.dumps(last)
+        second = json.loads(lines[senses[1]])
+        second["arrival"] = 5
+        lines[senses[1]] = json.dumps(second)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(g), "--trace", str(trace)) == 1
+        out = capsys.readouterr().out
+        assert "status=halted" in out and "phase_invariants: FAIL" in out
+        for name in ("final_isomorphism", "coverage", "cluster_tree", "covering"):
+            assert f"{name}: pass" in out
+        assert "phase 2: sense at map vertex 1 (ground 1): arrival port 5, " in out
+        assert "phase 2: sense at map vertex 3 (ground 3): the ball is not the ground ball" in out
+
     def test_trace_from_another_graph_is_an_error(self, tmp_path, capsys):
         _g8, trace = self.explored(tmp_path, "path:8")
         lines = trace.read_text().splitlines()
@@ -263,7 +285,7 @@ def as_v2(text):
         if ev["kind"] == "header":
             ev = dict(ev, version=2)
         elif ev["kind"] == "sense":
-            ev = dict(ev, ball={"size": ev["ball"].size, "edges": ev["ball"].edges})
+            ev = dict(ev, ball={"size": ev["ball"].size, "edges": list(ev["ball"].edges)})
         lines.append(json.dumps(ev, sort_keys=True))
     return "\n".join(lines) + "\n"
 

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import binox
 from binox.explorer import (
@@ -24,10 +25,11 @@ from binox.explorer import (
     plan_cluster_tour,
     record_ball,
 )
-from binox.graph import PortNumberedGraph, ball, ball_signature
+from binox.graph import PortNumberedGraph, ball, ball_signature, validate
 from binox.homotopy import unfold_tree_cover
-from binox.runtime import create_environment, run_agent
-from binox.verify import rooted_embedding, verify_rooted_isomorphism
+from binox.runtime import RunTrace, create_environment, run_agent
+from binox.suite import DEFAULT_CHECKS, evaluate_trace
+from binox.verify import reconstruct_final_phi, rooted_embedding, verify_rooted_isomorphism
 
 from conftest import gen
 
@@ -221,6 +223,104 @@ class TestLedgerOperations:
             emap.add_edge(a, 1, b, 0)
         with pytest.raises(PortCollisionError):
             emap.add_edge(a, 1, b, 1)  # parallel edge
+
+
+def full_scan_harvest(emap, ledger, n):
+    """harvest_ledger without the early return: every horizontal edge of
+    every ball is looked at."""
+    b = ledger.balls[n]
+    center = {}
+    for (p, q, j) in b.center_edges():
+        got = emap.step(n, p)
+        if got is not None and got[1] == q:
+            center[j] = (p, got[0])
+        else:
+            center[j] = (p, None)
+            ledger.pre_vertices[(n, p)] = q
+    for (i, j, r, s) in b.horizontal_edges():
+        pi, mi = center[i]
+        pj, mj = center[j]
+        if mi is not None:
+            if mj is None and not emap.has_label(mi, r, s):
+                ledger.equiv_pairs.append(((n, pj), (mi, r)))
+        elif mj is not None:
+            if not emap.has_label(mj, s, r):
+                ledger.equiv_pairs.append(((n, pi), (mj, s)))
+        else:
+            rec = (n, pi, pj, r, s) if pi < pj else (n, pj, pi, s, r)
+            ledger.horizontal.add(rec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["johnson:5,2", "complete:6", "chordal:n=25,rate=0.6,seed=2",
+                     "chordal:n=30,rate=0.3,seed=5"]),
+    st.sampled_from(["random:3", "random:17"]),
+    st.data(),
+)
+def test_harvest_skip_yields_the_full_scan_ledger(spec, ports, data):
+    """On a map holding a random part of the halted map's edges, balls
+    with some center edges mapped and some not give the same ledger."""
+    g, out = run(gen(spec, ports))
+    phi, problems = reconstruct_final_phi(out.trace, g)
+    assert not problems
+    full = out.final_map
+    keep = data.draw(st.lists(st.booleans(), min_size=len(full.edges()),
+                              max_size=len(full.edges())), label="kept edges")
+    emap = ExplorationMap()
+    for _ in full.vertex_ids():
+        emap.add_vertex()
+    for (a, b, pa, pb), kept in zip(full.edges(), keep):
+        if kept:
+            emap.add_edge(a, pa, b, pb)
+    rng = random.Random(data.draw(st.integers(0, 99), label="relabel seed"))
+    skip, scan = PhaseLedger(), PhaseLedger()
+    for n in emap.vertex_ids():
+        ids = list(range(1, g.degree(phi[n]) + 1))
+        rng.shuffle(ids)
+        skip.balls[n] = scan.balls[n] = ball(g, phi[n], ids)
+        harvest_ledger(emap, skip, n)
+        full_scan_harvest(emap, scan, n)
+    assert skip.pre_vertices == scan.pre_vertices
+    assert skip.equiv_pairs == scan.equiv_pairs
+    assert skip.horizontal == scan.horizontal
+
+
+def sparse_ports(g, rng):
+    """g with each vertex's ports mapped, order-preservingly, to distinct
+    ints below 2**40."""
+    port_of = []
+    for v in range(g.n):
+        ports = g.ports(v)
+        port_of.append(dict(zip(ports, sorted(rng.sample(range(2**40), len(ports))))))
+    return PortNumberedGraph(g.n, [
+        (u, w, port_of[u][pu], port_of[w][pw]) for (u, w, pu, pw) in g.edges
+    ])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(["johnson:5,2", "complete:6", "chordal:n=30,rate=0.5,seed=4",
+                     "tree:n=20,seed=3", "path:6"]),
+    st.sampled_from(["canonical", "random:5"]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_sparse_large_ports_explore_like_their_ranks(spec, ports, seed):
+    """The explorer only orders ports, so large sparse port numbers give the
+    moves their ranks give, a map that passes every check, and a trace that
+    reloads unchanged."""
+    g = gen(spec, ports)
+    h = sparse_ports(g, random.Random(seed))
+    assert validate(h) == []
+    ranked = explore(create_environment(g, 0, 50 * g.n))
+    sparse = explore(create_environment(h, 0, 50 * h.n))
+    assert sparse.status == ranked.status == "halted"
+    assert sparse.moves == ranked.moves
+    checks = dict.fromkeys(DEFAULT_CHECKS, True)
+    results, problems = evaluate_trace(sparse.trace, h, checks)
+    assert results == checks, problems
+    text = sparse.trace.to_jsonl()
+    assert RunTrace.from_jsonl(text).to_jsonl() == text
 
 
 class TestClusterTour:

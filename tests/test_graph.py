@@ -151,6 +151,36 @@ class TestBall:
             assert b.relabel(perm).edges == Ball(b.size, relabelled).edges
             assert all(u < w for (u, w, _pu, _pw) in b.relabel(perm).edges)
 
+    def test_edges_view_counts_the_flat_list(self):
+        b = ball(gen("johnson:5,2", "random:4"), 3)
+        assert len(b.edges) == len(list(b.edges)) == len(b.flat) // 4 == 6 + 9
+        assert list(b.edges) == [tuple(b.flat[i:i + 4]) for i in range(0, len(b.flat), 4)]
+        assert b.to_json_dict()["edges"] is b.flat
+
+    @pytest.mark.parametrize("spec", ["johnson:5,2", "chordal:n=20,rate=0.6,seed=4", "cycle:5"])
+    def test_matches_decides_rooted_isomorphism(self, spec):
+        g = gen(spec, "random:9")
+        rng = random.Random(2)
+        for v in range(g.n):
+            ids = list(range(1, g.degree(v) + 1))
+            rng.shuffle(ids)
+            b = ball(g, v, ids)
+            assert b.matches(g, v)
+            for u in range(g.n):
+                assert b.matches(g, u) == (b.signature() == ball_signature(g, u))
+
+    def test_matches_rejects_repeated_center_edges_and_a_wrong_size(self):
+        # path 1 - 0 - 2: ports 0 and 1 at the center, 0 at each end
+        g = PortNumberedGraph(3, [(0, 1, 0, 0), (0, 2, 1, 0)])
+        assert Ball(3, [(0, 1, 0, 0), (0, 2, 1, 0)]).matches(g, 0)
+        assert Ball(3, [(0, 2, 0, 0), (0, 1, 1, 0)]).matches(g, 0)
+        assert not Ball(3, [(0, 1, 0, 0), (0, 2, 0, 0)]).matches(g, 0)
+        assert not Ball(3, [(0, 1, 0, 0), (0, 1, 1, 0)]).matches(g, 0)
+        assert not Ball(4, [(0, 1, 0, 0), (0, 2, 1, 0)]).matches(g, 0)
+        assert not Ball(2, [(0, 1, 0, 0), (0, 1, 1, 0)]).matches(g, 0)
+        assert not Ball(3, [(0, 1, 0, 0), (0, 2, 1, 1)]).matches(g, 0)
+        assert not Ball(3, [(0, 1, 0, 0), (0, 2, 1, 0), (1, 2, 1, 1)]).matches(g, 0)
+
 
 class TestDest:
     def test_empty_path(self):

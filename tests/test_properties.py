@@ -1,10 +1,13 @@
 """Randomized property checks over the generator space."""
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
-from binox.families import GeneratorSpec, generate
+from binox.families import GeneratorSpec, generate, parse_spec
 from binox.graph import ball, dest, layering, validate
 from binox.homotopy import elementary_moves
+from binox.runtime import create_environment
 
 chordal_specs = st.builds(
     GeneratorSpec,
@@ -90,3 +93,29 @@ def test_observation_bytes_survive_ground_renaming(spec, rnd):
     b = explore(create_environment(h, perm[0], budget))
     assert a.status == b.status
     assert a.trace.to_jsonl().splitlines()[1:] == b.trace.to_jsonl().splitlines()[1:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([
+        "chordal:n=30,rate=0.5,seed=3", "chordal:n=15,rate=0.0,seed=8",
+        "johnson:5,2", "johnson:6,3", "complete:7", "cycle:6",
+    ]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_sensed_ball_is_the_relabelled_ground_ball(spec, port_seed, relabel_seed):
+    """Environment.sense builds each ball in one pass; it must equal the
+    ground ball relabelled by the shuffle the same RNG state gives."""
+    g = generate(parse_spec(spec, port_scheme=f"random:{port_seed}"))
+    for v in range(g.n):
+        env = create_environment(g, v, 1, relabel_seed)
+        rng = random.Random(f"observe:{relabel_seed}")
+        for _ in range(2):
+            raw = ball(g, v)
+            tail = list(range(1, raw.size))
+            rng.shuffle(tail)
+            expected = raw.relabel([0] + tail)
+            got = env.sense().ball
+            assert (got.size, got.flat) == (expected.size, expected.flat)
+            assert got.source_ids is None

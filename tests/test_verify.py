@@ -6,7 +6,7 @@ import random
 import pytest
 
 from binox.explorer import explore
-from binox.graph import PortNumberedGraph, ball
+from binox.graph import Ball, PortNumberedGraph, ball
 from binox.homotopy import verify_simplicial_covering
 from binox.runtime import RunTrace, create_environment
 from binox.verify import (
@@ -143,6 +143,25 @@ class TestPhaseInvariants:
         results = dict(verify_phase_invariants(trace, g))
         assert not results[final_phase].ok
         assert any("surjectivity" in p for p in results[final_phase].problems)
+
+    def test_failed_sense_in_a_phase_that_never_ended_is_reported(self):
+        # one move senses a neighbour in phase 2, the second ends the budget
+        g = gen("johnson:5,2")
+        out = explore(create_environment(g, 0, 1))
+        assert out.status == "budget_exhausted"
+        trace = RunTrace()
+        trace.events = list(out.trace.events)
+        ended = trace.snapshots()[-1][0]
+        i = max(k for k, ev in enumerate(trace.events) if ev["kind"] == "sense")
+        b = trace.events[i]["ball"]
+        assert max(ev["phase"] for ev in trace.events[:i] if ev["kind"] == "phase_start") == ended + 1
+        assert [ph for ph, r in verify_phase_invariants(trace, g)] == list(range(1, ended + 1))
+        trace.events[i] = dict(trace.events[i], ball=Ball(b.size, [(0, 1, 0, 0), (0, 2, 1, 9)]))
+        results = verify_phase_invariants(trace, g)
+        assert [ph for ph, r in results] == list(range(1, ended + 2))
+        assert all(r.ok for ph, r in results[:-1])
+        assert not results[-1][1].ok
+        assert results[-1][1].problems[0].endswith("the ball is not the ground ball")
 
     def test_phase1_map_is_the_homebase_ball(self):
         g, out = run("johnson:5,2")
