@@ -32,7 +32,7 @@ from .graph import (
     ball,
     ball_signature,
     cluster_decomposition,
-    dest,
+    component,
     horizontal_count,
     layering,
     load_graph,
@@ -57,7 +57,6 @@ from .runtime import (
     RunOutcome,
     RunTrace,
     TraceFormatError,
-    create_environment,
     run_agent,
 )
 from .suite import ExperimentConfig, RunReport, run_one, run_suite

@@ -21,7 +21,7 @@ from pathlib import Path
 from .explorer import explore
 from .families import generate, parse_spec
 from .graph import GraphFormatError, load_graph, save_graph
-from .runtime import RunTrace, TraceFormatError, create_environment
+from .runtime import Environment, RunTrace, TraceFormatError
 from .suite import DEFAULT_CHECKS, ExperimentConfig, evaluate_trace, format_summary, run_suite, trace_status
 
 
@@ -50,7 +50,7 @@ def _cmd_explore(args):
         print(f"error: root {args.root} out of range for n={g.n}", file=sys.stderr)
         return 1
     budget = max(1, int(args.budget_factor * g.n))
-    env = create_environment(g, args.root, budget)
+    env = Environment(g, args.root, budget)
     outcome = explore(env)
     if args.trace:
         outcome.trace.save(args.trace)

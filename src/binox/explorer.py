@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graph import ball, horizontal_count
+from .graph import PortNumberedGraph, ball, component, horizontal_count
 from .runtime import run_agent
 
 
@@ -41,33 +41,27 @@ class PortCollisionError(MapUpdateError):
     """A map insertion would give a vertex two edges on one port."""
 
 
-class ExplorationMap:
-    """The agent's growing map: port-labelled vertices plus bookkeeping.
+class ExplorationMap(PortNumberedGraph):
+    """The agent's growing map: a port-numbered graph plus bookkeeping.
 
     ``cluster_of`` tags every vertex with the cluster it was discovered in;
     ``explored_in`` holds the phase a vertex was sensed in, or None while it
     is still frontier. Vertex ids are allocation-ordered naturals, the
-    homebase is always 0.
+    homebase is always 0. ``edges`` lists the edges (a < b) in insertion
+    order.
     """
 
     def __init__(self):
-        self._ports = []  # per vertex: out port -> (neighbour, far port)
-        self._nbrs = []   # per vertex: neighbour -> (out port, far port)
+        super().__init__(0, [])
         self.cluster_of = {}
         self.explored_in = {}
 
     def add_vertex(self):
         self._ports.append({})
         self._nbrs.append({})
-        nid = len(self._ports) - 1
-        self.explored_in[nid] = None
-        return nid
-
-    def vertex_count(self):
-        return len(self._ports)
-
-    def vertex_ids(self):
-        return range(len(self._ports))
+        self.n += 1
+        self.explored_in[self.n - 1] = None
+        return self.n - 1
 
     def add_edge(self, a, pa, b, pb):
         """Insert edge a-b labelled (pa, pb); returns False if the exact
@@ -92,35 +86,11 @@ class ExplorationMap:
         self._ports[b][pb] = (a, pa)
         self._nbrs[a][b] = (pa, pb)
         self._nbrs[b][a] = (pb, pa)
+        self.edges.append((a, b, pa, pb) if a < b else (b, a, pb, pa))
         return True
 
-    def step(self, n, port):
-        return self._ports[n].get(port)
-
-    def has_label(self, n, p, q):
-        """Is there an edge at n going out on port p and arriving on q?"""
-        got = self._ports[n].get(p)
-        return got is not None and got[1] == q
-
-    def degree(self, n):
-        return len(self._ports[n])
-
-    def ports(self, n):
-        return sorted(self._ports[n])
-
-    def neighbors(self, n):
-        return [self._ports[n][p][0] for p in sorted(self._ports[n])]
-
     def frontier(self):
-        return [n for n in self.vertex_ids() if self.explored_in[n] is None]
-
-    def edges(self):
-        out = []
-        for a in self.vertex_ids():
-            for pa, (b, pb) in self._ports[a].items():
-                if a < b:
-                    out.append((a, b, pa, pb))
-        return sorted(out)
+        return [n for n in range(self.n) if self.explored_in[n] is None]
 
     def horizontal_count(self, n):
         """``horizontal_count`` at n, counted afresh: the map grows."""
@@ -134,17 +104,11 @@ class ExplorationMap:
     def snapshot(self):
         """JSON-able copy: the shared graph format plus cir/vis tables."""
         return {
-            "n": self.vertex_count(),
-            "edges": [list(e) for e in self.edges()],
+            **self.to_json_dict(),
             "cir": dict(self.cluster_of),
             "vis": dict(self.explored_in),
             "homebase": 0,
         }
-
-    def to_port_graph(self):
-        from .graph import PortNumberedGraph
-
-        return PortNumberedGraph(self.vertex_count(), self.edges())
 
 
 class PhaseLedger:
@@ -155,7 +119,6 @@ class PhaseLedger:
         self.equiv_pairs = []    # ((n, p), (m, p')) both keys in pre_vertices
         self.horizontal = set()  # (n, p1, p2, r, s) with p1 < p2
         self.balls = {}          # map vertex -> sensed Ball (center = 0)
-        self.inserted = []       # (a, b, pa, pb) with a < b, added by apply_ledger
 
 
 class ClusterStack:
@@ -204,8 +167,8 @@ def plan_cluster_tour(emap, start, cluster):
             if x in members:
                 entry = x
                 break
-            for p in sorted(emap._ports[x]):
-                y = emap._ports[x][p][0]
+            for p in emap.ports(x):
+                y = emap.step(x, p)[0]
                 if y not in prev:
                     prev[y] = (x, p)
                     queue.append(y)
@@ -219,26 +182,29 @@ def plan_cluster_tour(emap, start, cluster):
         path.reverse()
         x = start
         for p in path:
-            y = emap._ports[x][p][0]
+            y = emap.step(x, p)[0]
             moves.append((p, y))
             x = y
     visited = {entry}
-    discovery_flags = [True] * len(moves)  # approach moves never trimmed
-
-    def dfs(x):
-        for p in sorted(emap._ports[x]):
-            y, q = emap._ports[x][p]
+    last = len(moves)  # the index after the last first visit; keeps the approach
+    # DFS by an explicit stack of (vertex, its ports left, the move back to
+    # its parent): a cluster's tree can be deeper than Python's call stack.
+    stack = [(entry, iter(emap.ports(entry)), None)]
+    while stack:
+        x, ports, back = stack[-1]
+        for p in ports:
+            y, q = emap.step(x, p)
             if y in members and y not in visited:
                 visited.add(y)
                 moves.append((p, y))
-                discovery_flags.append(True)
-                dfs(y)
-                moves.append((q, x))
-                discovery_flags.append(False)
-
-    dfs(entry)
-    last = max((i for i, d in enumerate(discovery_flags) if d), default=-1)
-    return moves[: last + 1]
+                last = len(moves)
+                stack.append((y, iter(emap.ports(y)), (q, x)))
+                break
+        else:
+            stack.pop()
+            if back is not None:
+                moves.append(back)
+    return moves[:last]
 
 
 def record_ball(emap, ledger, n, sensed, phase):
@@ -259,13 +225,12 @@ def harvest_ledger(emap, ledger, n):
     edges are all in the map yields nothing more after the first pass.
     """
     b = ledger.balls[n]
-    at = emap._ports[n]
     center = {}  # local id -> (out port at n, map neighbour or None if unmapped)
     unmapped = False
     it = iter(b.flat)
     for (u, j, p, q) in zip(it, it, it, it):
         if u == 0:
-            got = at.get(p)
+            got = emap.step(n, p)
             if got is not None and got[1] == q:
                 center[j] = (p, got[0])
             else:
@@ -294,7 +259,7 @@ def harvest_ledger(emap, ledger, n):
 def apply_ledger(emap, ledger):
     """Create one frontier vertex per equivalence class of pre-vertices and
     insert the vertical and horizontal edges. Returns the new map ids; the
-    edges actually inserted are appended to ``ledger.inserted``.
+    edges actually inserted are appended to ``emap.edges``.
 
     Duplicate insertions (same edge, same labels, e.g. one horizontal edge
     witnessed from both endpoints' triangles) are skipped; a label clash or
@@ -329,15 +294,10 @@ def apply_ledger(emap, ledger):
         for k in members:
             new_of[k] = nid
     for (n, p) in sorted(ledger.pre_vertices):
-        _insert(emap, ledger, n, p, new_of[(n, p)], ledger.pre_vertices[(n, p)])
+        emap.add_edge(n, p, new_of[(n, p)], ledger.pre_vertices[(n, p)])
     for (n, p1, p2, r, s) in sorted(ledger.horizontal):
-        _insert(emap, ledger, new_of[(n, p1)], r, new_of[(n, p2)], s)
+        emap.add_edge(new_of[(n, p1)], r, new_of[(n, p2)], s)
     return new_ids
-
-
-def _insert(emap, ledger, a, pa, b, pb):
-    if emap.add_edge(a, pa, b, pb):
-        ledger.inserted.append((a, b, pa, pb) if a < b else (b, a, pb, pa))
 
 
 def check_local_iso(emap, ledger, cluster):
@@ -357,19 +317,10 @@ def discover_new_clusters(emap, new_ids):
     pending = set(new_ids)
     comps = []
     for v in sorted(new_ids):
-        if v not in pending:
-            continue
-        comp = []
-        queue = deque([v])
-        pending.discard(v)
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y in emap._nbrs[x]:
-                if y in pending:
-                    pending.discard(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
+        if v in pending:
+            comp = component(emap, v, pending)
+            pending -= comp
+            comps.append(sorted(comp))
     return comps
 
 
@@ -406,6 +357,7 @@ class ClusterExplorer:
             pos = self._explore_cluster(env, emap, ledger, pos, cluster, phase)
             for n in cluster:
                 harvest_ledger(emap, ledger, n)
+            known = emap.m  # the edges before this phase's
             try:
                 new_ids = apply_ledger(emap, ledger)
             except MapUpdateError as e:
@@ -425,8 +377,8 @@ class ClusterExplorer:
             vis = {n: phase for n in cluster}
             vis.update((v, None) for v in new_ids)
             delta = {
-                "n": emap.vertex_count(),
-                "edges": sorted(ledger.inserted),
+                "n": emap.n,
+                "edges": sorted(emap.edges[known:]),
                 "cir": new_cir,
                 "vis": vis,
             }

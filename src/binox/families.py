@@ -9,11 +9,10 @@ non-halting path of the explorer.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import PortNumberedGraph, layering
+from .graph import PortNumberedGraph, component, layering
 
 
 @dataclass(frozen=True)
@@ -178,8 +177,8 @@ def generate(spec):
     elif fam == "tree":
         pairs = _tree_pairs(n, random.Random(f"tree:{n}:{spec.seed}"))
     elif fam == "chordal":
-        if not (0.0 <= spec.rate):
-            raise ValueError(f"chordal: rate must be non-negative, got {spec.rate}")
+        if not (0.0 <= spec.rate <= 1.0):
+            raise ValueError(f"chordal: rate must be in [0, 1], got {spec.rate}")
         pairs = _chordal_pairs(n, spec.rate, random.Random(f"chordal:{n}:{spec.rate}:{spec.seed}"))
     else:
         raise ValueError(f"unknown family {fam!r}")
@@ -231,16 +230,7 @@ def check_interval_condition(g, v0):
         if v == v0 or len(preds[v]) <= 1:
             continue
         pv = preds[v]
-        start = next(iter(pv))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in g._nbrs[x]:
-                if y in pv and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != len(pv):
+        if len(component(g, next(iter(pv)), pv)) != len(pv):
             return ConditionReport(
                 False, {"condition": "interval", "root": v0, "vertex": v}
             )
@@ -282,7 +272,7 @@ def is_chordal(g):
                 best = v
         visited[best] = True
         mcs.append(best)
-        for w in g._nbrs[best]:
+        for w in g.neighbors(best):
             if not visited[w]:
                 weight[w] += 1
     order = list(reversed(mcs))
@@ -290,7 +280,7 @@ def is_chordal(g):
     for i, v in enumerate(order):
         pos[v] = i
     for v in order:
-        later = [w for w in g._nbrs[v] if pos[w] > pos[v]]
+        later = [w for w in g.neighbors(v) if pos[w] > pos[v]]
         if not later:
             continue
         p = min(later, key=lambda w: pos[w])

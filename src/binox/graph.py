@@ -1,4 +1,4 @@
-"""Immutable port-numbered graph model.
+"""Port-numbered graph model.
 
 A port-numbered graph is a simple connected undirected graph where every
 vertex assigns a locally unique natural number (a port) to each incident
@@ -121,9 +121,8 @@ class Ball:
         return Ball._trusted(self.size, flat)
 
     def matches(self, g, v):
-        """Is this the ball at ``v`` of ``g`` up to a relabelling of the
-        non-center ids? ``g`` is a PortNumberedGraph or an ExplorationMap:
-        ``ball``'s adjacency plus ``horizontal_count(v)``.
+        """Is this the ball at ``v`` of the PortNumberedGraph ``g`` (the
+        explorer's map is one) up to a relabelling of the non-center ids?
 
         The size must be v's degree + 1 and every center edge the edge of g
         on its port, with the same far port; distinct images then make the
@@ -222,7 +221,8 @@ class PortNumberedGraph:
 
     Construction is lenient so that ``validate`` can report problems instead
     of the constructor throwing; navigation methods assume a valid graph.
-    Instances are immutable after construction and safe to share.
+    Instances are immutable after construction and safe to share, except
+    the explorer's ``ExplorationMap``, the subclass that grows.
     """
 
     def __init__(self, n, edges, labels=None):
@@ -270,6 +270,11 @@ class PortNumberedGraph:
     def has_edge(self, u, v):
         return v in self._nbrs[u]
 
+    def has_label(self, v, p, q):
+        """Is there an edge at v going out on port p and arriving on q?"""
+        got = self._ports[v].get(p)
+        return got is not None and got[1] == q
+
     def port_pair(self, u, v):
         """(port at u, port at v) for edge uv, or None."""
         return self._nbrs[u].get(v)
@@ -304,10 +309,6 @@ class PortNumberedGraph:
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-def dest(g, v, port_seq):
-    return g.dest(v, port_seq)
 
 
 def validate(g):
@@ -345,19 +346,26 @@ def validate(g):
             if g._ports[w].get(q) != (v, p):
                 problems.append(f"asymmetric edge record at vertex {v} port {p}")
     if g.n > 0:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in g._nbrs[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
+        seen = component(g, 0)
         if len(seen) != g.n:
             problems.append(
                 f"disconnected: {g.n - len(seen)} vertices unreachable from vertex 0"
             )
     return problems
+
+
+def component(g, start, within=None):
+    """The set of vertices that ``start`` reaches in ``g`` through vertices
+    of ``within`` (any container; every vertex when None). ``start`` is
+    always in the set, even when it is not in ``within``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in g._nbrs[stack.pop()]:
+            if y not in seen and (within is None or y in within):
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def ball(g, v, ids=None):
@@ -366,8 +374,7 @@ def ball(g, v, ids=None):
     Local ids: 0 is the center, neighbours get 1.. in ascending order of the
     center's out-ports. Includes every edge among the closed neighbourhood,
     so edges between neighbours ("horizontal" edges) carry both ports.
-    ``g`` is anything with the ``_ports``/``_nbrs`` adjacency of
-    PortNumberedGraph (the explorer's map has it too).
+    ``g`` is a PortNumberedGraph (the explorer's map is one).
 
     ``ids``, a permutation of 1..degree, gives the neighbours their local
     ids instead, in the same ascending port order: the result equals
@@ -526,18 +533,10 @@ def cluster_decomposition(g, v0):
         for start in sphere:
             if cluster_of[start] >= 0:
                 continue
-            cid = len(clusters)
-            comp = []
-            queue = deque([start])
-            cluster_of[start] = cid
-            while queue:
-                x = queue.popleft()
-                comp.append(x)
-                for y in g._nbrs[x]:
-                    if y in members and cluster_of[y] < 0:
-                        cluster_of[y] = cid
-                        queue.append(y)
-            clusters.append(Cluster(cid, i, tuple(sorted(comp))))
+            comp = component(g, start, members)
+            for x in comp:
+                cluster_of[x] = len(clusters)
+            clusters.append(Cluster(len(clusters), i, tuple(sorted(comp))))
     cedges = set()
     for (u, v, _pu, _pv) in g.edges:
         cu, cv = cluster_of[u], cluster_of[v]
@@ -587,6 +586,8 @@ def from_json_dict(d):
         edges.append(tuple(e))
     if problems:
         raise GraphFormatError("\n".join(problems))
+    if "labels" in d and not isinstance(d["labels"], dict):
+        raise GraphFormatError('"labels" must be a JSON object of vertex id -> label')
     g = PortNumberedGraph(n, edges, d.get("labels"))
     violations = validate(g)
     if violations:

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .graph import PortNumberedGraph, ball_signature, horizontal_count
+from .graph import PortNumberedGraph, ball_signature
 
 
 class InstanceTooLargeError(ValueError):
@@ -52,10 +52,8 @@ def elementary_moves(g, seq):
             out.add(seq[:i] + seq[i + 1:])
     for i in range(k):
         a, b = seq[i], seq[i + 1]
-        ca = {a}
-        ca.update(g._nbrs[a])
-        cb = {b}
-        cb.update(g._nbrs[b])
+        ca = {a, *g.neighbors(a)}
+        cb = {b, *g.neighbors(b)}
         for w in ca & cb:
             out.add(seq[: i + 1] + (w,) + seq[i + 1:])
     return out
@@ -83,12 +81,12 @@ def _cyclic_moves(g, cyc, max_len):
         for i in range(L):
             a, b = cyc[i], cyc[(i + 1) % L]
             cands = {a, b}
-            na = g._nbrs[a]
-            nb = g._nbrs[b]
             if a == b:
-                cands.update(na)
+                cands.update(g.neighbors(a))
             else:
-                cands.update(w for w in (na if len(na) < len(nb) else nb) if w in na and w in nb)
+                if g.degree(a) > g.degree(b):
+                    a, b = b, a
+                cands.update(w for w in g.neighbors(a) if g.has_edge(w, b))
             for w in cands:
                 grown = cyc[: i + 1] + (w,) + cyc[i + 1:]
                 out.add(min(grown[j:] + grown[:j] for j in range(len(grown))))
@@ -185,12 +183,7 @@ def is_contractible(g, loop, max_loop_length=None, max_steps=1_000_000):
 
 
 def is_triangle_free(g):
-    for (u, v, _pu, _pv) in g.edges:
-        nu, nv = g._nbrs[u], g._nbrs[v]
-        small, other = (nu, nv) if len(nu) < len(nv) else (nv, nu)
-        if any(w in other for w in small):
-            return False
-    return True
+    return not any(map(g.horizontal_count, range(g.n)))
 
 
 def fundamental_cycles(g, root=0):
@@ -319,10 +312,10 @@ def unfold_tree_cover(g, v0, radius):
         nxt = []
         for nid in frontier:
             u, q = nodes[nid]
-            for p in sorted(g._ports[u]):
+            for p in g.ports(u):
                 if p == q:
                     continue
-                w, r = g._ports[u][p]
+                w, r = g.step(u, p)
                 wid = len(nodes)
                 nodes.append((w, r))
                 edges.append((nid, wid, p, r))
@@ -362,7 +355,7 @@ def verify_simplicial_covering(h, g, phi, exclude=()):
     for u in range(h.n):
         images = {}
         injective = True
-        for w in h._nbrs[u]:
+        for w in h.neighbors(u):
             fw = phi[w]
             if fw in images:
                 problems.append(
@@ -381,7 +374,7 @@ def verify_simplicial_covering(h, g, phi, exclude=()):
         # maps u's ball into phi(u)'s: the balls are equal iff they have as
         # many horizontal edges.
         if homomorphic and injective:
-            same = horizontal_count(h._nbrs, u) == g.horizontal_count(phi[u])
+            same = h.horizontal_count(u) == g.horizontal_count(phi[u])
         else:
             same = ball_signature(h, u) == ball_signature(g, phi[u])
         if not same:

@@ -366,10 +366,6 @@ class RunOutcome:
     trace: RunTrace
 
 
-def create_environment(g, v0, budget, relabel_seed=0):
-    return Environment(g, v0, budget, relabel_seed)
-
-
 def run_agent(algorithm, env):
     """Drive ``algorithm`` (an object with run(env) and partial_result())
     until it halts, declares an error, or runs out of moves."""

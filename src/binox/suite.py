@@ -18,7 +18,7 @@ from .explorer import explore
 from .families import generate, parse_spec
 from .graph import PortNumberedGraph, cluster_decomposition
 from .homotopy import verify_simplicial_covering
-from .runtime import create_environment
+from .runtime import Environment
 from .verify import (
     reconstruct_final_phi,
     replay_senses,
@@ -157,7 +157,8 @@ def evaluate_trace(trace, g, checks):
         if checks.get(name):
             results[name] = None if not halted else True
     if halted:
-        final_map = trace.final_map()
+        snap = trace.final_map()
+        final_map = PortNumberedGraph(snap["n"], snap["edges"])
         if checks.get("final_isomorphism"):
             r = verify_rooted_isomorphism(final_map, g, root)
             results["final_isomorphism"] = r.ok
@@ -172,8 +173,7 @@ def evaluate_trace(trace, g, checks):
                 results["covering"] = False
                 problems.extend(f"covering: {p}" for p in phi_problems[:3])
             else:
-                pg = PortNumberedGraph(final_map["n"], [tuple(e) for e in final_map["edges"]])
-                viol = verify_simplicial_covering(pg, g, phi)
+                viol = verify_simplicial_covering(final_map, g, phi)
                 results["covering"] = not viol
                 problems.extend(f"covering: {p}" for p in viol[:3])
     return results, problems
@@ -182,7 +182,7 @@ def evaluate_trace(trace, g, checks):
 def run_one(g, spec_echo, port_scheme, root, budget_factor, checks):
     """One exploration plus its checks; returns (RunReport, RunOutcome)."""
     budget = max(1, int(budget_factor * g.n))
-    env = create_environment(g, root, budget)
+    env = Environment(g, root, budget)
     outcome = explore(env)
     results, problems = evaluate_trace(outcome.trace, g, checks)
     report = RunReport(

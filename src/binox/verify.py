@@ -26,59 +26,58 @@ class CheckResult:
 
 
 def _as_port_graph(map_like):
-    """Accept an ExplorationMap, a snapshot dict, or a PortNumberedGraph."""
-    if isinstance(map_like, PortNumberedGraph):
-        return map_like, None, None
+    """Accept a PortNumberedGraph (an ExplorationMap is one) or a snapshot dict."""
     if isinstance(map_like, dict):
-        pg = PortNumberedGraph(map_like["n"], [tuple(e) for e in map_like["edges"]])
-        return pg, map_like.get("vis"), map_like.get("cir")
-    pg = map_like.to_port_graph()
-    return pg, dict(map_like.explored_in), dict(map_like.cluster_of)
+        return PortNumberedGraph(map_like["n"], map_like["edges"])
+    return map_like
+
+
+def _forced_image(sub, big, sub_root, big_root, problems):
+    """Walk ``sub`` from ``sub_root`` and ``big`` from ``big_root`` in step.
+
+    Port-numbered rooted graphs are rigid: each edge of sub forces the
+    image of its far end, so the walk either builds an injective map that
+    keeps every port and far port, or reports a concrete mismatch to
+    ``problems``. Returns the image (sub vertex -> big vertex) reached.
+    """
+    image = {sub_root: big_root}
+    stack = [sub_root]
+    while stack:
+        n = stack.pop()
+        u = image[n]
+        for p in sub.ports(n):
+            m, q = sub.step(n, p)
+            got = big.step(u, p)
+            if got is None or got[1] != q:
+                problems.append(f"edge at {n} port {p} (far {q}) has no counterpart at {u}")
+                continue
+            w = got[0]
+            if m not in image:
+                image[m] = w
+                stack.append(m)
+            elif image[m] != w:
+                problems.append(f"vertex {m} reached as both {image[m]} and {w}")
+    if len(image) != sub.n:
+        problems.append(f"not connected from its root: reached {len(image)}/{sub.n}")
+    if len(set(image.values())) != len(image):
+        problems.append("two vertices share an image (a proper cover, not an embedding)")
+    return image
 
 
 def verify_rooted_isomorphism(map_like, g, v0):
-    """Synchronized traversal from (map homebase, v0) matching ports.
-
-    Port-numbered rooted graphs are rigid: the correspondence is forced edge
-    by edge, so either it completes into a bijection or a concrete mismatch
-    is found and reported.
-    """
-    pg, _vis, _cir = _as_port_graph(map_like)
+    """The forced traversal from (map homebase, v0) must be a bijection
+    that keeps every port set: either it is, or a concrete mismatch is
+    reported."""
+    pg = _as_port_graph(map_like)
     problems = []
     if pg.n != g.n:
         problems.append(f"vertex count: map has {pg.n}, graph has {g.n}")
-    image = {0: v0}
-    queue = [0]
-    while queue:
-        n = queue.pop()
-        u = image[n]
-        mp, gp = pg.ports(n), g.ports(u)
-        if mp != gp:
-            problems.append(f"port set at map vertex {n}: {mp} vs {gp} at {u}")
-        for p in mp:
-            if p not in g._ports[u]:
-                continue
-            m, q_map = pg._ports[n][p]
-            w, q_g = g._ports[u][p]
-            if q_map != q_g:
-                problems.append(
-                    f"edge label at map vertex {n} port {p}: far port {q_map} vs {q_g}"
-                )
-            if m in image:
-                if image[m] != w:
-                    problems.append(
-                        f"map vertex {m} reached as both ground {image[m]} and {w}"
-                    )
-            else:
-                image[m] = w
-                queue.append(m)
-    if len(image) != pg.n:
-        problems.append(f"map not connected from homebase: reached {len(image)}/{pg.n}")
-    covered = set(image.values())
-    if len(covered) != len(image):
-        problems.append("two map vertices share a ground image (map is a proper cover)")
-    if not problems and len(covered) != g.n:
-        problems.append(f"ground vertices unreached: {g.n - len(covered)}")
+    image = _forced_image(pg, g, 0, v0, problems)
+    for n, u in image.items():
+        if pg.degree(n) != g.degree(u):
+            problems.append(f"port set at map vertex {n}: {pg.ports(n)} vs {g.ports(u)} at {u}")
+    if not problems and len(image) != g.n:
+        problems.append(f"ground vertices unreached: {g.n - len(image)}")
     return CheckResult(not problems, problems)
 
 
@@ -121,9 +120,10 @@ def verify_coverage(trace, g):
 def _sense_log(trace, g, sense_problems=None):
     """Per-sense (phase, map vertex, ground vertex) triples, replaying map
     positions against the map folded from the phase deltas so far (phase i
-    moves only use edges already in the map at the end of phase i-1).
-    Given a dict ``sense_problems``, each sense event is also compared with
-    the ground truth (see first_sensed_map)."""
+    moves only use edges already in the map at the end of phase i-1), and
+    the replay's problems as (phase, problem) pairs. Given a dict
+    ``sense_problems``, each sense event is also compared with the ground
+    truth (see first_sensed_map)."""
     header = trace.header()
     ground = header["root"]
     map_pos = 0
@@ -139,15 +139,15 @@ def _sense_log(trace, g, sense_problems=None):
         elif kind == "move":
             got = adj.get(map_pos, {}).get(ev["out"])
             if got is None:
-                problems.append(
-                    f"phase {phase}: trace walks port {ev['out']} at map vertex "
+                problems.append((phase, (
+                    f"trace walks port {ev['out']} at map vertex "
                     f"{map_pos} which is not in the map"
-                )
+                )))
                 return senses, problems
             map_pos = got[0]
             step = g.step(ground, ev["out"])
             if step is None:
-                problems.append(f"phase {phase}: ground walk broke at {ground}")
+                problems.append((phase, f"ground walk broke at {ground}"))
                 return senses, problems
             ground = step[0]
             arrival = ev["in"]
@@ -190,7 +190,10 @@ def first_sensed_map(trace, g, sense_problems=None):
     event with the ground truth and files what it gets wrong under the
     event's phase: an arrival port other than the last move's in-port, or
     a ball that is not the ground ball at the replayed vertex up to a
-    relabelling of its non-center ids (``Ball.matches``).
+    relabelling of its non-center ids (``Ball.matches``). The returned
+    problems, each prefixed with the phase it arose in (a walk off the map
+    or the ground graph, or the later sense of a vertex), are filed there
+    too, under that phase and without the prefix.
     """
     senses, problems = _sense_log(trace, g, sense_problems)
     first = {}
@@ -198,18 +201,22 @@ def first_sensed_map(trace, g, sense_problems=None):
         if n in first:
             f_phase, f_u = first[n]
             if f_phase != phase:
-                problems.append(f"map vertex {n} sensed in phases {f_phase} and {phase}")
+                problems.append((phase, f"map vertex {n} sensed in phases {f_phase} and {phase}"))
             elif f_u != u:
-                problems.append(f"map vertex {n} sensed at ground {f_u} and {u}")
+                problems.append((phase, f"map vertex {n} sensed at ground {f_u} and {u}"))
         else:
             first[n] = (phase, u)
-    return first, problems
+    if sense_problems is not None:
+        for phase, p in problems:
+            sense_problems.setdefault(phase, []).append(p)
+    return first, [f"phase {phase}: {p}" for phase, p in problems]
 
 
 def replay_senses(trace, g):
     """One replay of the sense events for every check that needs it:
     (first, problems, sense_problems) as first_sensed_map gives them with
-    every sense event compared with the ground truth."""
+    every sense event compared with the ground truth; sense_problems holds
+    every problem, by phase."""
     sense_problems = {}
     first, problems = first_sensed_map(trace, g, sense_problems)
     return first, problems, sense_problems
@@ -399,9 +406,8 @@ class _PhaseChecker:
         if self.vis.get(n) is None:
             return problems
         fn = phi[n]
-        ground_nbrs = set(g._nbrs[fn])
-        if set(images) != ground_nbrs:
-            missing = sorted(ground_nbrs - set(images))
+        if len(images) != g.degree(fn) or not all(g.has_edge(fn, x) for x in images):
+            missing = sorted(set(g.neighbors(fn)) - set(images))
             problems.append(
                 f"local surjectivity at explored {n}: ground neighbours "
                 f"{missing} of {fn} not represented"
@@ -429,21 +435,21 @@ class _PhaseChecker:
 
 
 def verify_phase_invariants(trace, g, sensed=None):
-    """Per-phase map correctness: every sense event of the phase must match
-    the ground truth (first_sensed_map); after each phase_end, reconstruct
-    the correspondence and check homomorphism + port preservation, local
+    """Per-phase map correctness: the replay of the phase's moves and sense
+    events must hold and every sense event match the ground truth
+    (first_sensed_map); after each phase_end, reconstruct the
+    correspondence and check homomorphism + port preservation, local
     injectivity everywhere, local surjectivity and triangle preservation at
     explored vertices; phase 1 additionally must equal the homebase ball.
-    A phase that never ended is reported last, if a sense event in it
-    failed. One pass over the deltas (see _PhaseChecker); ``sensed`` is
+    A phase that never ended is reported last, if its replay failed. One
+    pass over the deltas (see _PhaseChecker); ``sensed`` is
     replay_senses(trace, g) when the caller has it already."""
-    first, base_problems, sense_problems = sensed or replay_senses(trace, g)
+    first, _problems, sense_problems = sensed or replay_senses(trace, g)
     results = []
     root = trace.header()["root"]
     checker = _PhaseChecker(g, first)
     for (phase, delta) in trace.snapshots():
-        problems = list(base_problems) if phase == 1 else []
-        problems.extend(sense_problems.get(phase, ()))
+        problems = list(sense_problems.get(phase, ()))
         problems.extend(checker.apply(delta))
         if phase == 1 and checker.phi_problem() is None:
             pg = PortNumberedGraph(checker.n, checker.edges())
@@ -473,30 +479,6 @@ def reconstruct_final_phi(trace, g, sensed=None):
 def rooted_embedding(sub, big, sub_root, big_root):
     """Forced port-preserving embedding of ``sub`` into ``big`` from the
     given roots; used to check that a cut-off map is a prefix of a cover."""
-    sub_pg, _, _ = _as_port_graph(sub)
     problems = []
-    image = {sub_root: big_root}
-    queue = [sub_root]
-    while queue:
-        n = queue.pop()
-        u = image[n]
-        for p in sub_pg.ports(n):
-            m, q = sub_pg._ports[n][p]
-            got = big.step(u, p)
-            if got is None or got[1] != q:
-                problems.append(
-                    f"sub edge at {n} port {p} (far {q}) has no counterpart at {u}"
-                )
-                continue
-            w = got[0]
-            if m in image:
-                if image[m] != w:
-                    problems.append(f"sub vertex {m} maps to both {image[m]} and {w}")
-            else:
-                image[m] = w
-                queue.append(m)
-    if len(image) != sub_pg.n:
-        problems.append("sub graph not connected from its root")
-    if len(set(image.values())) != len(image):
-        problems.append("embedding not injective")
+    _forced_image(_as_port_graph(sub), big, sub_root, big_root, problems)
     return CheckResult(not problems, problems)

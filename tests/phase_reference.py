@@ -38,15 +38,15 @@ def sense_log(trace, g):
         elif kind == "move":
             got = adj.get(map_pos, {}).get(ev["out"])
             if got is None:
-                problems.append(
-                    f"phase {phase}: trace walks port {ev['out']} at map vertex "
+                problems.append((phase, (
+                    f"trace walks port {ev['out']} at map vertex "
                     f"{map_pos} which is not in the map"
-                )
+                )))
                 return senses, problems
             map_pos = got[0]
             step = g.step(ground, ev["out"])
             if step is None:
-                problems.append(f"phase {phase}: ground walk broke at {ground}")
+                problems.append((phase, f"ground walk broke at {ground}"))
                 return senses, problems
             ground = step[0]
         elif kind == "sense":
@@ -60,19 +60,25 @@ def sense_log(trace, g):
     return senses, problems
 
 
-def first_sensed_map(trace, g):
+def filed_problems(trace, g):
+    """(first, [(phase, problem)]) of the sense replay."""
     senses, problems = sense_log(trace, g)
     first = {}
     for (phase, n, u) in senses:
         if n in first:
             f_phase, f_u = first[n]
             if f_phase != phase:
-                problems.append(f"map vertex {n} sensed in phases {f_phase} and {phase}")
+                problems.append((phase, f"map vertex {n} sensed in phases {f_phase} and {phase}"))
             elif f_u != u:
-                problems.append(f"map vertex {n} sensed at ground {f_u} and {u}")
+                problems.append((phase, f"map vertex {n} sensed at ground {f_u} and {u}"))
         else:
             first[n] = (phase, u)
     return first, problems
+
+
+def first_sensed_map(trace, g):
+    first, problems = filed_problems(trace, g)
+    return first, [f"phase {phase}: {p}" for phase, p in problems]
 
 
 def check_snapshot(snap, phi, g):
@@ -125,11 +131,11 @@ def check_snapshot(snap, phi, g):
 
 
 def phase_invariants(trace, g):
-    first, base_problems = first_sensed_map(trace, g)
+    first, filed = filed_problems(trace, g)
     results = []
     root = trace.header()["root"]
     for (phase, snap) in folded_maps(trace):
-        problems = list(base_problems) if phase == 1 else []
+        problems = [p for ph, p in filed if ph == phase]
         phi = _phi_for_snapshot(snap, first, g, problems)
         if phi is not None:
             problems.extend(check_snapshot(snap, phi, g))
@@ -138,4 +144,8 @@ def phase_invariants(trace, g):
                 if ball(pg, 0).signature() != ball(g, root).signature():
                     problems.append("phase 1 map is not the ball around the homebase")
         results.append((phase, CheckResult(not problems, problems)))
+    ended = {phase for phase, _r in results}
+    for phase in sorted({ph for ph, _p in filed} - ended):
+        problems = [p for ph, p in filed if ph == phase]
+        results.append((phase, CheckResult(False, problems)))
     return results

@@ -14,7 +14,7 @@ import pytest
 from binox.explorer import explore
 from binox.families import generate, is_weetman, parse_spec
 from binox.homotopy import is_simply_connected, unfold_tree_cover
-from binox.runtime import create_environment
+from binox.runtime import Environment
 from binox.suite import run_one
 from binox.verify import rooted_embedding
 
@@ -87,12 +87,12 @@ def cycle_runs():
     for k in range(4, 11):
         for scheme in ("canonical", "random:7"):
             g = generate(parse_spec(f"cycle:{k}", port_scheme=scheme))
-            out = explore(create_environment(g, 0, 50 * k))
+            out = explore(Environment(g, 0, 50 * k))
             row = {"k": k, "scheme": scheme, "status": out.status, "prefix_ok": None}
             if out.status == "budget_exhausted":
                 emap = out.final_map
-                cover, _proj, _b = unfold_tree_cover(g, 0, emap.vertex_count())
-                is_path = max(emap.degree(n) for n in emap.vertex_ids()) <= 2
+                cover, _proj, _b = unfold_tree_cover(g, 0, emap.n)
+                is_path = max(emap.degree(n) for n in range(emap.n)) <= 2
                 row["prefix_ok"] = is_path and rooted_embedding(emap, cover, 0, 0).ok
             results.append(row)
     return results
@@ -241,8 +241,8 @@ def test_criterion_8_determinism():
     ):
         g = generate(parse_spec(spec_str, port_scheme=scheme))
         budget = int(BUDGET_FACTOR * g.n)
-        a = explore(create_environment(g, root, budget))
-        b = explore(create_environment(g, root, budget))
+        a = explore(Environment(g, root, budget))
+        b = explore(Environment(g, root, budget))
         if a.trace.to_jsonl() != b.trace.to_jsonl():
             problems.append(f"trace differs for {spec_str}")
         ra, _ = run_one(g, spec_str, scheme, root, BUDGET_FACTOR, ALL_CHECKS)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from binox.explorer import PhaseLedger, check_local_iso, explore
 from binox.graph import Ball, ball, ball_signature, horizontal_count
 from binox.homotopy import verify_simplicial_covering
-from binox.runtime import RunTrace, create_environment
+from binox.runtime import Environment, RunTrace
 from binox.verify import reconstruct_final_phi, verify_phase_invariants
 
 from conftest import gen
@@ -30,7 +30,7 @@ SPECS = [
 def halted(spec, ports):
     """(ground graph, final map, phi) of a halted run from vertex 0."""
     g = gen(spec, ports)
-    out = explore(create_environment(g, 0, 50 * g.n))
+    out = explore(Environment(g, 0, 50 * g.n))
     phi, problems = reconstruct_final_phi(out.trace, g)
     assert out.status == "halted" and not problems
     return g, out.final_map, phi
@@ -64,7 +64,7 @@ def covering_reference(h, g, phi, exclude=()):
             )
     for u in range(h.n):
         images = {}
-        for w in h._nbrs[u]:
+        for w in h.neighbors(u):
             fw = phi[w]
             if fw in images:
                 problems.append(
@@ -90,6 +90,7 @@ def covering_reference(h, g, phi, exclude=()):
 def _remove(emap, a, b):
     pa, pb = emap._nbrs[a].pop(b)
     del emap._nbrs[b][a], emap._ports[a][pa], emap._ports[b][pb]
+    emap.edges.remove((a, b, pa, pb) if a < b else (b, a, pb, pa))
     return pa, pb
 
 
@@ -98,12 +99,12 @@ def _fresh_port(emap, v):
 
 
 def drop_map_edge(emap, data):
-    a, b, _pa, _pb = data.draw(st.sampled_from(emap.edges()))
+    a, b, _pa, _pb = data.draw(st.sampled_from(emap.edges))
     _remove(emap, a, b)
 
 
 def add_map_edge(emap, data):
-    n = emap.vertex_count()
+    n = emap.n
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if b not in emap._nbrs[a]]
     if pairs:
         a, b = data.draw(st.sampled_from(pairs))
@@ -111,7 +112,7 @@ def add_map_edge(emap, data):
 
 
 def report_map_edge(emap, data):
-    a, b, _pa, _pb = data.draw(st.sampled_from(emap.edges()))
+    a, b, _pa, _pb = data.draw(st.sampled_from(emap.edges))
     if data.draw(st.booleans()):
         a, b = b, a
     _pa, pb = _remove(emap, a, b)
@@ -168,25 +169,25 @@ def test_check_local_iso_agrees_with_signatures(case, map_damage, ball_damage, d
         map_damage(emap, data)
     rng = random.Random(data.draw(st.integers(0, 99), label="relabel seed"))
     ledger = PhaseLedger()
-    for n in emap.vertex_ids():
+    for n in range(emap.n):
         raw = ball(g, phi[n])
         tail = list(range(1, raw.size))
         rng.shuffle(tail)
         ledger.balls[n] = raw.relabel([0] + tail)
     if ball_damage:
-        n = data.draw(st.sampled_from(list(emap.vertex_ids())), label="damaged ball")
+        n = data.draw(st.sampled_from(list(range(emap.n))), label="damaged ball")
         b = ledger.balls[n]
         edges = list(b.edges)
         ball_damage(edges, b.size, data)
         ledger.balls[n] = Ball(b.size, edges)
-    cluster = data.draw(st.permutations(list(emap.vertex_ids())), label="cluster order")
+    cluster = data.draw(st.permutations(list(range(emap.n))), label="cluster order")
     assert check_local_iso(emap, ledger, cluster) == first_signature_mismatch(emap, ledger, cluster)
 
 
 @cache
 def traced(spec, ports):
     g = gen(spec, ports)
-    return g, explore(create_environment(g, 0, 50 * g.n))
+    return g, explore(Environment(g, 0, 50 * g.n))
 
 
 @settings(max_examples=80, deadline=None)
@@ -217,7 +218,7 @@ def test_covering_check_agrees_with_signatures(case, map_damage, data):
     emap = copy.deepcopy(final_map)
     if map_damage:
         map_damage(emap, data)
-    h = emap.to_port_graph()
+    h = emap
     exclude = data.draw(st.sets(st.integers(0, h.n - 1), max_size=2), label="exclude")
     got = verify_simplicial_covering(h, g, phi, exclude)
     assert got == covering_reference(h, g, phi, exclude)

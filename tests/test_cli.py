@@ -89,6 +89,14 @@ class TestExploreAndCheck:
         assert invoke("explore", "--graph", str(bad)) == 1
         assert "port injectivity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", [[1], None, "a"])
+    def test_labels_that_are_not_an_object_are_diagnosed(self, tmp_path, capsys, labels):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 2, "edges": [[0, 1, 0, 0]], "labels": labels}))
+        assert invoke("explore", "--graph", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert '"labels" must be a JSON object' in err and "Traceback" not in err
+
 
 def add_vis_key(line, key, value):
     ev = json.loads(line)
@@ -165,6 +173,20 @@ class TestCheckInputs:
             assert f"{name}: pass" in out
         assert "phase 2: sense at map vertex 1 (ground 1): arrival port 5, " in out
         assert "phase 2: sense at map vertex 3 (ground 3): the ball is not the ground ball" in out
+
+    def test_replay_problem_is_filed_under_its_phase(self, tmp_path, capsys):
+        g, trace = self.explored(tmp_path, "chordal:n=20,rate=0.4,seed=3")
+        lines = trace.read_text().splitlines()
+        events = [json.loads(line) for line in lines]
+        start = next(i for i, ev in enumerate(events) if ev == {"kind": "phase_start", "phase": 4})
+        i = next(i for i in range(start, len(events)) if events[i]["kind"] == "move")
+        lines[i] = json.dumps(dict(events[i], out=77))
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(g), "--trace", str(trace)) == 1
+        out = capsys.readouterr().out
+        assert "  phase 4: trace walks port 77 at map vertex 5 which is not in the map\n" in out
+        assert "phase 1:" not in out
 
     def test_trace_from_another_graph_is_an_error(self, tmp_path, capsys):
         _g8, trace = self.explored(tmp_path, "path:8")

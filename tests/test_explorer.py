@@ -27,7 +27,7 @@ from binox.explorer import (
 )
 from binox.graph import PortNumberedGraph, ball, ball_signature, validate
 from binox.homotopy import unfold_tree_cover
-from binox.runtime import RunTrace, create_environment, run_agent
+from binox.runtime import Environment, RunTrace, run_agent
 from binox.suite import DEFAULT_CHECKS, evaluate_trace
 from binox.verify import reconstruct_final_phi, rooted_embedding, verify_rooted_isomorphism
 
@@ -36,7 +36,7 @@ from conftest import gen
 
 def run(spec_or_graph, root=0, factor=50):
     g = gen(spec_or_graph) if isinstance(spec_or_graph, str) else spec_or_graph
-    env = create_environment(g, root, max(1, int(factor * g.n)))
+    env = Environment(g, root, max(1, int(factor * g.n)))
     return g, explore(env)
 
 
@@ -62,14 +62,14 @@ class TestReferenceTraces:
     def test_single_vertex_graph(self):
         g, out = run("path:1")
         assert out.status == "halted" and out.moves == 0
-        assert out.final_map.vertex_count() == 1
+        assert out.final_map.n == 1
 
     def test_c6_exhausts_budget_with_a_path_prefix_of_the_cover(self):
         g, out = run("cycle:6")
         assert out.status == "budget_exhausted"
         emap = out.final_map
-        assert max(emap.degree(n) for n in emap.vertex_ids()) <= 2
-        cover, _proj, _b = unfold_tree_cover(g, 0, emap.vertex_count())
+        assert max(emap.degree(n) for n in range(emap.n)) <= 2
+        cover, _proj, _b = unfold_tree_cover(g, 0, emap.n)
         assert rooted_embedding(emap, cover, 0, 0).ok
 
     @pytest.mark.parametrize("spec,root", [
@@ -101,11 +101,23 @@ class TestReferenceTraces:
             senses = [e for e in out.trace.events if e["kind"] == "sense"]
             assert len(senses) == g.n
 
+    @pytest.mark.parametrize("root", [0, 5])
+    def test_cluster_deeper_than_the_call_stack(self, root):
+        # a fan: vertex 0 joined to every vertex of the path 1..1200, so the
+        # tour of sphere 1 from root 0 walks a DFS tree 1200 deep
+        n = 1200
+        g = PortNumberedGraph(n + 1, [(0, v, v - 1, 0) for v in range(1, n + 1)]
+                              + [(v, v + 1, 2, 1) for v in range(1, n)])
+        _, out = run(g, root=root)
+        assert out.status == "halted" and out.moves < 1.01 * g.n
+        results, problems = evaluate_trace(out.trace, g, dict.fromkeys(DEFAULT_CHECKS, True))
+        assert all(results.values()) and not problems
+
     def test_octahedron_no_duplication_through_equivalence(self):
         # the four sphere-1 vertices all see the antipode; the equivalence
         # closure must merge the four pre-vertices into one map vertex
         g, out = run("johnson:4,2")
-        assert out.final_map.vertex_count() == 6
+        assert out.final_map.n == 6
 
 
 class TestLedgerOperations:
@@ -132,8 +144,8 @@ class TestLedgerOperations:
         harvest_ledger(emap, ledger, n0)
         new_ids = apply_ledger(emap, ledger)
         assert new_ids == [1, 2]
-        assert emap.vertex_count() == 3
-        assert len(emap.edges()) == 3
+        assert emap.n == 3
+        assert len(emap.edges) == 3
         assert check_local_iso(emap, ledger, [n0]) is None
         comps = discover_new_clusters(emap, new_ids)
         assert comps == [[1, 2]]
@@ -160,7 +172,7 @@ class TestLedgerOperations:
         emap = ExplorationMap()
         emap.add_vertex()
         assert apply_ledger(emap, PhaseLedger()) == []
-        assert emap.vertex_count() == 1
+        assert emap.n == 1
 
     def test_two_explored_vertices_merge_a_common_new_neighbour(self):
         # diamond: v0 adjacent to a, b; a-b adjacent; z adjacent to a and b.
@@ -265,17 +277,17 @@ def test_harvest_skip_yields_the_full_scan_ledger(spec, ports, data):
     phi, problems = reconstruct_final_phi(out.trace, g)
     assert not problems
     full = out.final_map
-    keep = data.draw(st.lists(st.booleans(), min_size=len(full.edges()),
-                              max_size=len(full.edges())), label="kept edges")
+    keep = data.draw(st.lists(st.booleans(), min_size=len(full.edges),
+                              max_size=len(full.edges)), label="kept edges")
     emap = ExplorationMap()
-    for _ in full.vertex_ids():
+    for _ in range(full.n):
         emap.add_vertex()
-    for (a, b, pa, pb), kept in zip(full.edges(), keep):
+    for (a, b, pa, pb), kept in zip(full.edges, keep):
         if kept:
             emap.add_edge(a, pa, b, pb)
     rng = random.Random(data.draw(st.integers(0, 99), label="relabel seed"))
     skip, scan = PhaseLedger(), PhaseLedger()
-    for n in emap.vertex_ids():
+    for n in range(emap.n):
         ids = list(range(1, g.degree(phi[n]) + 1))
         rng.shuffle(ids)
         skip.balls[n] = scan.balls[n] = ball(g, phi[n], ids)
@@ -312,8 +324,8 @@ def test_sparse_large_ports_explore_like_their_ranks(spec, ports, seed):
     g = gen(spec, ports)
     h = sparse_ports(g, random.Random(seed))
     assert validate(h) == []
-    ranked = explore(create_environment(g, 0, 50 * g.n))
-    sparse = explore(create_environment(h, 0, 50 * h.n))
+    ranked = explore(Environment(g, 0, 50 * g.n))
+    sparse = explore(Environment(h, 0, 50 * h.n))
     assert sparse.status == ranked.status == "halted"
     assert sparse.moves == ranked.moves
     checks = dict.fromkeys(DEFAULT_CHECKS, True)
@@ -458,8 +470,7 @@ class TestMapExport:
         from binox.graph import validate
 
         g, out = run("johnson:4,2")
-        pg = out.final_map.to_port_graph()
-        assert validate(pg) == []
+        assert validate(out.final_map) == []
 
 
 class TestMapBalls:
@@ -477,16 +488,16 @@ class TestMapBalls:
         _, out = run(g, root=1)
         assert out.status == "halted"
         emap = out.final_map
-        for n in emap.vertex_ids():
+        for n in range(emap.n):
             assert ball_signature(emap, n) == emap.local_ball(n).signature()
 
     @pytest.mark.parametrize("k", [5, 8])
     def test_signature_on_a_budget_exhausted_partial_map(self, k):
         g = gen(f"cycle:{k}", "random:3")
         explorer = ClusterExplorer()
-        out = run_agent(explorer, create_environment(g, 0, 10 * g.n))
+        out = run_agent(explorer, Environment(g, 0, 10 * g.n))
         assert out.status == "budget_exhausted"
         emap = explorer.partial_result()
         assert emap.frontier()  # the cut-off map still has unexplored vertices
-        for n in emap.vertex_ids():
+        for n in range(emap.n):
             assert ball_signature(emap, n) == emap.local_ball(n).signature()

@@ -85,7 +85,8 @@ class TestGenerate:
         assert (g.n, g.m) == (1, 0)
         assert validate(g) == []
 
-    @pytest.mark.parametrize("bad", ["johnson:2,5", "cycle:2", "path:0", "nosuch:4"])
+    @pytest.mark.parametrize("bad", ["johnson:2,5", "cycle:2", "path:0", "nosuch:4",
+                                     "chordal:n=5,rate=2", "chordal:n=5,rate=-0.1"])
     def test_invalid_parameters(self, bad):
         with pytest.raises(ValueError):
             generate(parse_spec(bad))

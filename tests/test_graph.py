@@ -16,7 +16,6 @@ from binox.graph import (
     ball,
     ball_signature,
     cluster_decomposition,
-    dest,
     from_json_dict,
     layering,
     load_graph,
@@ -185,14 +184,14 @@ class TestBall:
 class TestDest:
     def test_empty_path(self):
         g = gen("cycle:5")
-        assert dest(g, 3, []) == 3
+        assert g.dest(3, []) == 3
 
     def test_backtrack_identity_every_edge(self):
         g = gen("chordal:n=20,rate=0.4,seed=5", ports="random:3")
         for (u, v, pu, pv) in g.edges:
-            assert dest(g, u, [pu]) == v
-            assert dest(g, v, [pv]) == u
-            assert dest(g, u, [pu, pv]) == u
+            assert g.dest(u, [pu]) == v
+            assert g.dest(v, [pv]) == u
+            assert g.dest(u, [pu, pv]) == u
 
     def test_c4_all_zero_ports_round_trip(self):
         g = gen("cycle:4")
@@ -205,12 +204,12 @@ class TestDest:
         for _ in range(4):
             pos = lookup[(pos, 0)]
         assert pos == 0
-        assert dest(g, 0, [0, 0, 0, 0]) == 0
+        assert g.dest(0, [0, 0, 0, 0]) == 0
 
     def test_missing_port_is_none(self):
         g = gen("path:3")
-        assert dest(g, 0, [5]) is None
-        assert dest(g, 0, [0, 1, 1]) is None  # port 1 absent at the far endpoint
+        assert g.dest(0, [5]) is None
+        assert g.dest(0, [0, 1, 1]) is None  # port 1 absent at the far endpoint
 
     def test_full_path_backtrack_round_trip(self):
         import random
@@ -227,8 +226,8 @@ class TestDest:
                 forward.append(p)
                 back.append(q)
                 cur = w
-            assert dest(g, v, forward) == cur
-            assert dest(g, cur, list(reversed(back))) == v
+            assert g.dest(v, forward) == cur
+            assert g.dest(cur, list(reversed(back))) == v
 
 
 class TestLayering:
@@ -373,7 +372,7 @@ class TestJson:
         # ports are any injective naturals, not necessarily 0..deg-1
         g = from_json_dict({"n": 3, "edges": [[0, 1, 5, 9], [1, 2, 3, 40], [0, 2, 2, 0]]})
         assert validate(g) == []
-        assert dest(g, 0, [5, 3, 0]) == 0
+        assert g.dest(0, [5, 3, 0]) == 0
         b = ball(g, 1)
         assert b.center_degree() == 2
         assert sorted(p for (p, _q, _j) in b.center_edges()) == [3, 9]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binox.explorer import explore
-from binox.runtime import RunTrace, create_environment
+from binox.runtime import Environment, RunTrace
 from binox.verify import first_sensed_map, verify_phase_invariants
 
 import phase_reference
@@ -30,7 +30,7 @@ runs = st.tuples(
 def explored(spec, ports, root_seed):
     g = gen(spec, ports)
     root = root_seed % g.n
-    return g, explore(create_environment(g, root, 50 * g.n))
+    return g, explore(Environment(g, root, 50 * g.n))
 
 
 def as_data(results):

@@ -5,9 +5,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from binox.families import GeneratorSpec, generate, parse_spec
-from binox.graph import ball, dest, layering, validate
+from binox.graph import ball, layering, validate
 from binox.homotopy import elementary_moves
-from binox.runtime import create_environment
+from binox.runtime import Environment
 
 chordal_specs = st.builds(
     GeneratorSpec,
@@ -38,7 +38,7 @@ def test_backtracking_any_edge_returns(spec, data):
     if g.m == 0:
         return
     u, v, pu, pv = data.draw(st.sampled_from(g.edges))
-    assert dest(g, u, [pu, pv]) == u
+    assert g.dest(u, [pu, pv]) == u
 
 
 @settings(max_examples=25, deadline=None)
@@ -82,15 +82,15 @@ def test_elementary_moves_are_symmetric(seed, steps):
 @given(chordal_specs, st.randoms(use_true_random=False))
 def test_observation_bytes_survive_ground_renaming(spec, rnd):
     from binox.explorer import explore
-    from binox.runtime import create_environment
+    from binox.runtime import Environment
 
     g = generate(spec)
     perm = list(range(g.n))
     rnd.shuffle(perm)
     h = g.renamed(perm)
     budget = 50 * g.n
-    a = explore(create_environment(g, 0, budget))
-    b = explore(create_environment(h, perm[0], budget))
+    a = explore(Environment(g, 0, budget))
+    b = explore(Environment(h, perm[0], budget))
     assert a.status == b.status
     assert a.trace.to_jsonl().splitlines()[1:] == b.trace.to_jsonl().splitlines()[1:]
 
@@ -109,7 +109,7 @@ def test_sensed_ball_is_the_relabelled_ground_ball(spec, port_seed, relabel_seed
     ground ball relabelled by the shuffle the same RNG state gives."""
     g = generate(parse_spec(spec, port_scheme=f"random:{port_seed}"))
     for v in range(g.n):
-        env = create_environment(g, v, 1, relabel_seed)
+        env = Environment(g, v, 1, relabel_seed)
         rng = random.Random(f"observe:{relabel_seed}")
         for _ in range(2):
             raw = ball(g, v)

@@ -9,10 +9,10 @@ from binox.explorer import explore
 from binox.graph import ball
 from binox.runtime import (
     TRACE_VERSION,
+    Environment,
     NoSuchPortError,
     RunTrace,
     TraceFormatError,
-    create_environment,
     run_agent,
 )
 
@@ -38,24 +38,24 @@ class AlwaysPortZero:
 
 class TestEnvironment:
     def test_fresh_environment(self):
-        env = create_environment(gen("complete:3"), 0, 100)
+        env = Environment(gen("complete:3"), 0, 100)
         assert env.move_count == 0
         assert env.ground_position() == 0
 
     def test_any_homebase_is_legal(self):
-        env = create_environment(gen("cycle:6"), 3, 10)
+        env = Environment(gen("cycle:6"), 3, 10)
         assert env.ground_position() == 3
 
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):
-            create_environment(gen("complete:3"), 0, 0)
+            Environment(gen("complete:3"), 0, 0)
 
     def test_bad_root_rejected(self):
         with pytest.raises(ValueError):
-            create_environment(gen("complete:3"), 9, 5)
+            Environment(gen("complete:3"), 9, 5)
 
     def test_sense_before_any_move(self):
-        env = create_environment(gen("cycle:6"), 0, 10)
+        env = Environment(gen("cycle:6"), 0, 10)
         obs = env.sense()
         assert obs.arrival_port is None
         assert obs.ball.size == 3
@@ -64,7 +64,7 @@ class TestEnvironment:
 
     def test_move_returns_arrival_port(self):
         g = gen("complete:3")
-        env = create_environment(g, 0, 100)
+        env = Environment(g, 0, 100)
         in_port = env.move(0)
         obs = env.sense()
         assert obs.arrival_port == in_port
@@ -74,7 +74,7 @@ class TestEnvironment:
 
     def test_cycle_walk_comes_home(self):
         g = gen("cycle:6")
-        env = create_environment(g, 0, 100)
+        env = Environment(g, 0, 100)
         arrived = env.move(0)
         for _ in range(5):
             port = next(p for p in (0, 1) if p != arrived)
@@ -82,26 +82,26 @@ class TestEnvironment:
         assert env.ground_position() == 0
 
     def test_no_such_port(self):
-        env = create_environment(gen("path:3"), 0, 10)
+        env = Environment(gen("path:3"), 0, 10)
         with pytest.raises(NoSuchPortError):
             env.move(7)
 
     def test_budget_exhaustion(self):
-        env = create_environment(gen("complete:3"), 0, 5)
+        env = Environment(gen("complete:3"), 0, 5)
         outcome = run_agent(AlwaysPortZero(), env)
         assert outcome.status == "budget_exhausted"
         assert outcome.moves == 5
         assert outcome.trace.events[-1]["kind"] == "budget_exhausted"
 
     def test_trivial_agent_halts_with_zero_moves(self):
-        env = create_environment(gen("complete:3"), 0, 5)
+        env = Environment(gen("complete:3"), 0, 5)
         outcome = run_agent(HaltImmediately(), env)
         assert outcome.status == "halted"
         assert outcome.moves == 0
         assert outcome.final_map == "done"
 
     def test_two_senses_same_spot_isomorphic_fresh_ids(self):
-        env = create_environment(gen("johnson:5,2"), 0, 10)
+        env = Environment(gen("johnson:5,2"), 0, 10)
         balls = [env.sense().ball for _ in range(6)]
         sig = balls[0].signature()
         assert all(b.signature() == sig for b in balls)
@@ -116,8 +116,8 @@ class TestAnonymity:
         perm = list(range(g.n))
         random.Random(99).shuffle(perm)
         h = g.renamed(perm)
-        out_g = explore(create_environment(g, 3, 50 * g.n))
-        out_h = explore(create_environment(h, perm[3], 50 * g.n))
+        out_g = explore(Environment(g, 3, 50 * g.n))
+        out_h = explore(Environment(h, perm[3], 50 * g.n))
         assert out_g.status == out_h.status == "halted"
         # everything after the header (which names the ground root for the
         # harness) is agent-produced and must not betray the renaming
@@ -127,20 +127,20 @@ class TestAnonymity:
 
     def test_identical_reruns_are_byte_identical(self):
         g = gen("johnson:5,2", ports="random:5")
-        a = explore(create_environment(g, 2, 500))
-        b = explore(create_environment(g, 2, 500))
+        a = explore(Environment(g, 2, 500))
+        b = explore(Environment(g, 2, 500))
         assert a.trace.to_jsonl() == b.trace.to_jsonl()
 
 
 class TestTrace:
     def test_move_events_match_move_count(self):
         g = gen("chordal:n=12,rate=0.4,seed=2")
-        out = explore(create_environment(g, 0, 600))
+        out = explore(Environment(g, 0, 600))
         assert len(out.trace.moves()) == out.moves
 
     def test_replay_reaches_environment_position(self):
         g = gen("tree:n=18,seed=7")
-        env = create_environment(g, 4, 900)
+        env = Environment(g, 4, 900)
         explore(env)
         pos = 4
         for ev in env.trace.moves():
@@ -150,7 +150,7 @@ class TestTrace:
 
     def test_jsonl_round_trip(self, tmp_path):
         g = gen("complete:4")
-        out = explore(create_environment(g, 1, 200))
+        out = explore(Environment(g, 1, 200))
         path = tmp_path / "t.jsonl"
         out.trace.save(path)
         loaded = RunTrace.load(path)
@@ -162,7 +162,7 @@ class TestTrace:
 class TestTraceFormat:
     def trace_text(self):
         g = gen("path:4")
-        return explore(create_environment(g, 0, 200)).trace.to_jsonl()
+        return explore(Environment(g, 0, 200)).trace.to_jsonl()
 
     def test_header_carries_the_current_version(self):
         header = json.loads(self.trace_text().splitlines()[0])
@@ -291,7 +291,7 @@ class TestEventOrder:
 
     def lines(self):
         g = gen("path:4")
-        return explore(create_environment(g, 0, 200)).trace.to_jsonl().splitlines()
+        return explore(Environment(g, 0, 200)).trace.to_jsonl().splitlines()
 
     def rejected(self, lines):
         with pytest.raises(TraceFormatError) as err:

@@ -8,7 +8,7 @@ import pytest
 from binox.explorer import explore
 from binox.graph import Ball, PortNumberedGraph, ball
 from binox.homotopy import verify_simplicial_covering
-from binox.runtime import RunTrace, create_environment
+from binox.runtime import Environment, RunTrace
 from binox.verify import (
     first_sensed_map,
     reconstruct_final_phi,
@@ -23,7 +23,7 @@ from conftest import gen
 
 def run(spec_or_graph, root=0, factor=50):
     g = gen(spec_or_graph) if isinstance(spec_or_graph, str) else spec_or_graph
-    env = create_environment(g, root, max(1, int(factor * g.n)))
+    env = Environment(g, root, max(1, int(factor * g.n)))
     return g, explore(env)
 
 
@@ -147,7 +147,7 @@ class TestPhaseInvariants:
     def test_failed_sense_in_a_phase_that_never_ended_is_reported(self):
         # one move senses a neighbour in phase 2, the second ends the budget
         g = gen("johnson:5,2")
-        out = explore(create_environment(g, 0, 1))
+        out = explore(Environment(g, 0, 1))
         assert out.status == "budget_exhausted"
         trace = RunTrace()
         trace.events = list(out.trace.events)
@@ -208,4 +208,4 @@ class TestCoveringAtHalt:
         assert out.status == "halted"
         phi, problems = reconstruct_final_phi(out.trace, g)
         assert problems == []
-        assert verify_simplicial_covering(out.final_map.to_port_graph(), g, phi) == []
+        assert verify_simplicial_covering(out.final_map, g, phi) == []
