@@ -22,6 +22,7 @@ The run halts when the stack is empty.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 
 from .graph import PortNumberedGraph, ball, component, horizontal_count
 from .runtime import run_agent
@@ -221,28 +222,27 @@ def harvest_ledger(emap, ledger, n):
     against the map as it stood at the start of the phase (the map is only
     updated afterwards, in apply_ledger).
 
-    Every record needs an unmapped center edge, so a ball whose center
-    edges are all in the map yields nothing more after the first pass.
+    The ball's first size - 1 edges are its center edges (``Ball``), read
+    in one pass that carries on into the horizontal ones. Every record
+    needs an unmapped center edge, so a ball whose center edges are all in
+    the map yields nothing more after them.
     """
     b = ledger.balls[n]
     center = {}  # local id -> (out port at n, map neighbour or None if unmapped)
     unmapped = False
     it = iter(b.flat)
-    for (u, j, p, q) in zip(it, it, it, it):
-        if u == 0:
-            got = emap.step(n, p)
-            if got is not None and got[1] == q:
-                center[j] = (p, got[0])
-            else:
-                center[j] = (p, None)
-                ledger.pre_vertices[(n, p)] = q
-                unmapped = True
+    edges = zip(it, it, it, it)
+    for (_u, j, p, q) in islice(edges, b.size - 1):
+        got = emap.step(n, p)
+        if got is not None and got[1] == q:
+            center[j] = (p, got[0])
+        else:
+            center[j] = (p, None)
+            ledger.pre_vertices[(n, p)] = q
+            unmapped = True
     if not unmapped:
         return
-    it = iter(b.flat)
-    for (i, j, r, s) in zip(it, it, it, it):
-        if i == 0:
-            continue
+    for (i, j, r, s) in edges:
         pi, mi = center[i]
         pj, mj = center[j]
         if mi is not None:

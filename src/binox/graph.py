@@ -14,6 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import eq, lt
 from pathlib import Path
 
@@ -32,9 +33,10 @@ class Ball:
     Local ids are 0..size-1 with the center fixed at 0. Edges carry the real
     port numbers of the source graph at both endpoints and are stored in
     ``flat``, one list of four ints per edge (u, v, port at u, port at v)
-    with u < v: the form a trace writes, so a ball is built, sent and loaded
-    without another copy. The agent and the trace share that list, so
-    nothing may modify it. ``edges`` views them as tuples. ``source_ids``
+    with u < v, every center edge (u = 0) before every horizontal one: the
+    form a trace writes, so a ball is built, sent and loaded without another
+    copy. The agent and the trace share that list, so nothing may modify
+    it. ``edges`` views them as tuples. ``source_ids``
     maps local ids back to ground-truth ids; it is harness-side bookkeeping
     and never serialized, so observations built from balls stay anonymous.
     """
@@ -45,19 +47,23 @@ class Ball:
 
     def __init__(self, size, edges, source_ids=None):
         """A ball from (u, v, port at u, port at v) edges in either
-        orientation; reversed ones are normalized."""
-        flat = []
+        orientation and any order; reversed ones are normalized and the
+        center edges moved before the others, each group in given order."""
+        center, horizontal = [], []
         for (u, v, pu, pv) in edges:
-            flat += (u, v, pu, pv) if u < v else (v, u, pv, pu)
+            if u > v:
+                u, v, pu, pv = v, u, pv, pu
+            (horizontal if u else center).extend((u, v, pu, pv))
         self.size = size
-        self.flat = flat
+        self.flat = center + horizontal
         self.source_ids = tuple(source_ids) if source_ids is not None else None
         self._sig = None
 
     @classmethod
     def _trusted(cls, size, flat, source_ids=None):
         """A ball that takes ``flat`` as it is (already four ints per edge
-        with u < v); for builders whose output needs no second pass."""
+        with u < v, center edges first); for builders whose output needs no
+        second pass."""
         b = cls.__new__(cls)
         b.size = size
         b.flat = flat
@@ -92,15 +98,13 @@ class Ball:
         horizontal edges rewritten in terms of center ports is complete.
         """
         if self._sig is None:
-            cp = {}
-            vertical = []
+            cp = {}  # complete before the first horizontal edge: center edges come first
+            vertical, horizontal = [], []
             for (u, v, pu, pv) in self.edges:
                 if u == 0:
                     cp[v] = pu
                     vertical.append((pu, pv))
-            horizontal = []
-            for (u, v, pu, pv) in self.edges:
-                if u != 0:
+                else:
                     a, b = cp[u], cp[v]
                     horizontal.append((a, b, pu, pv) if a < b else (b, a, pv, pu))
             self._sig = (tuple(sorted(vertical)), tuple(sorted(horizontal)))
@@ -124,39 +128,40 @@ class Ball:
         """Is this the ball at ``v`` of the PortNumberedGraph ``g`` (the
         explorer's map is one) up to a relabelling of the non-center ids?
 
-        The size must be v's degree + 1 and every center edge the edge of g
-        on its port, with the same far port; distinct images then make the
-        center edges a bijection onto v's. Each horizontal edge must be g's
-        edge between the images of its ends, with the same ports. g is
-        simple, so when the ball repeats no edge those sit inside g's ball,
-        and equal horizontal counts (compared first) make the two balls
-        equal.
+        The size must be v's degree d + 1 and the first d edges center
+        edges, each the edge of g on its port with the same far port;
+        distinct images then make them a bijection onto v's edges. Every
+        later edge must be g's edge between the images of its ends, with
+        the same ports, which a center edge never is. g is simple, so when
+        the ball repeats no edge those sit inside g's ball, and equal
+        horizontal counts (compared first) make the two balls equal.
         """
         at = g._ports[v]
+        d = len(at)
         size = self.size
-        if size != len(at) + 1:
+        if size != d + 1:
             return False
         flat = self.flat
         image = [v] * size  # local id -> vertex of g
-        center = 0
         it = iter(flat)
-        for (u, w, pu, pw) in zip(it, it, it, it):
-            if u == 0:
-                got = at.get(pu)
-                if got is None or got[1] != pw:
-                    return False
-                image[w] = got[0]
-                center += 1
-        if center != len(at) or len(set(image)) != size:
+        edges = zip(it, it, it, it)
+        for (u, w, pu, pw) in islice(edges, d):
+            if u:
+                return False
+            got = at.get(pu)
+            if got is None or got[1] != pw:
+                return False
+            image[w] = got[0]
+        if len(set(image)) != size:
             return False
-        horizontal = len(flat) // 4 - center
+        horizontal = len(flat) // 4 - d
         if horizontal != g.horizontal_count(v):
             return False
         if horizontal:
             adj = [g._nbrs[x] for x in image]
-            it = iter(flat)
-            for (u, w, pu, pw) in zip(it, it, it, it):
-                if u and adj[u].get(image[w]) != (pu, pw):
+            adj[0] = {}  # a center edge here is one too many
+            for (u, w, pu, pw) in edges:
+                if adj[u].get(image[w]) != (pu, pw):
                     return False
         return True
 
@@ -167,7 +172,8 @@ class Ball:
     @classmethod
     def from_json_dict(cls, d):
         """Inverse of ``to_json_dict``; keeps the loaded list unless an edge
-        is reversed, which is normalized.
+        is reversed or a center edge follows a horizontal one, which are
+        normalized.
 
         ValueError unless ``edges`` holds ints only, four per edge, with
         both ends distinct local ids below ``size`` and both ports >= 0.
@@ -177,21 +183,33 @@ class Ball:
             raise ValueError(f"ball edges: {len(flat)} values, not four per edge")
         if not set(map(type, flat)) <= {int}:
             raise ValueError("ball edges: a value is not an integer")
+        if flat and min(flat) < 0:
+            raise ValueError(_BAD_BALL_EDGE.format(size))
+        return cls._from_naturals(size, flat)
+
+    @classmethod
+    def _from_naturals(cls, size, flat):
+        """``from_json_dict`` for a list already known to hold ints >= 0
+        only (the trace reader proves that from the text)."""
+        if len(flat) % 4:
+            raise ValueError(f"ball edges: {len(flat)} values, not four per edge")
         us, vs = flat[0::4], flat[1::4]
         normal = all(map(lt, us, vs))
         if flat and (
-            min(flat) < 0
-            or max(vs if normal else us + vs) >= size
+            max(vs if normal else us + vs) >= size
             or not normal and any(map(eq, us, vs))
         ):
-            raise ValueError(
-                f"ball edges: an edge is not [u, v, portAtU, portAtV] with "
-                f"distinct ends below size {size} and ports >= 0"
-            )
-        if normal:
+            raise ValueError(_BAD_BALL_EDGE.format(size))
+        if normal and not any(us[:us.count(0)]):
             return cls._trusted(size, flat)
         it = iter(flat)
         return cls(size, zip(it, it, it, it))
+
+
+_BAD_BALL_EDGE = (
+    "ball edges: an edge is not [u, v, portAtU, portAtV] with "
+    "distinct ends below size {} and ports >= 0"
+)
 
 
 class BallEdges:
@@ -545,7 +563,8 @@ def cluster_decomposition(g, v0):
         su, sv = clusters[cu].sphere, clusters[cv].sphere
         # same-sphere adjacency between different clusters is impossible by
         # the component construction; a hit here means the decomposition broke
-        assert abs(su - sv) == 1, f"cluster edge {cu}-{cv} inside sphere {su}"
+        if abs(su - sv) != 1:
+            raise AssertionError(f"cluster edge {cu}-{cv} between spheres {su} and {sv}")
         cedges.add((cu, cv) if cu < cv else (cv, cu))
     return ClusterDecomposition(
         v0, lay, tuple(clusters), tuple(cluster_of), frozenset(cedges)
@@ -586,6 +605,11 @@ def from_json_dict(d):
         edges.append(tuple(e))
     if problems:
         raise GraphFormatError("\n".join(problems))
+    if n > len(edges) + 1:
+        # checked before anything is allocated per vertex
+        raise GraphFormatError(
+            f'"n" is {n}, but {len(edges)} edges connect at most {len(edges) + 1} vertices'
+        )
     if "labels" in d and not isinstance(d["labels"], dict):
         raise GraphFormatError('"labels" must be a JSON object of vertex id -> label')
     g = PortNumberedGraph(n, edges, d.get("labels"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,6 +115,11 @@ class RunTrace:
         for ev in self.events:
             b = ev.get("ball")
             if isinstance(b, Ball):
+                a = ev.get("arrival")
+                if (ev.keys() == _SENSE_KEYS and ev["kind"] == "sense"
+                        and (a is None or type(a) is int) and type(b.size) is int):
+                    lines.append(_sense_line(a, b))
+                    continue
                 ev = dict(ev, ball=b.to_json_dict())
             lines.append(_ENCODE(ev))
         return "\n".join(lines) + "\n"
@@ -126,7 +132,9 @@ class RunTrace:
         """Parse a trace; raises TraceFormatError unless the first event is
         a header of this TRACE_VERSION, every line is a JSON object with
         the fields of its kind (EVENT_FIELDS, NESTED_FIELDS) and valid
-        values, and the events come in order (_EventOrder)."""
+        values, and the events come in order (_EventOrder). A sense line in
+        the writer's exact form is read by ``_read_sense``, with the same
+        result and the same errors."""
         trace = cls()
         map_n = 0
         order = _EventOrder()
@@ -134,31 +142,13 @@ class RunTrace:
             line = line.strip()
             if not line:
                 continue
-            try:
-                ev = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise TraceFormatError(f"line {lineno}: not JSON: {e}") from e
-            if not isinstance(ev, dict):
-                raise TraceFormatError(f"line {lineno}: expected a JSON object")
-            if not trace.events:
-                _check_header(ev)
-            kind = ev.get("kind")
-            fields = EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
-            if fields is None:
-                raise TraceFormatError(f"line {lineno}: field 'kind': unknown event kind {kind!r}")
-            _check_fields(lineno, kind, ev, fields)
-            if kind in NESTED_FIELDS:
-                name, nested = NESTED_FIELDS[kind]
-                _check_fields(lineno, kind, ev[name], nested, name + ".")
-            try:
-                if kind == "sense":
-                    ev["ball"] = Ball.from_json_dict(ev["ball"])
-                elif kind == "phase_end":
-                    ev["delta"] = _parse_delta(ev["delta"], map_n)
+            m = _SENSE_LINE.fullmatch(line) if trace.events else None
+            ev = m and _read_sense(lineno, m)
+            if not ev:
+                ev = _read_event(lineno, line, not trace.events, map_n)
+                if ev["kind"] == "phase_end":
                     map_n = ev["delta"]["n"]
-            except (TypeError, ValueError) as e:
-                raise TraceFormatError(f"line {lineno}: malformed {kind} event: {e}") from e
-            misplaced = order.advance(kind, ev)
+            misplaced = order.advance(ev["kind"], ev)
             if misplaced:
                 raise TraceFormatError(f"line {lineno}: {misplaced}")
             trace.events.append(ev)
@@ -173,6 +163,86 @@ class RunTrace:
         except UnicodeDecodeError as e:
             raise TraceFormatError(f"{path}: not a text file: {e}") from e
         return cls.from_jsonl(text)
+
+
+def _read_event(lineno, line, first, map_n):
+    """The event of one trace line, its fields and values checked; ``first``
+    says it is the trace's first line, ``map_n`` is the map's vertex count
+    after the last phase_end so far."""
+    try:
+        ev = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise TraceFormatError(f"line {lineno}: not JSON: {e}") from e
+    if not isinstance(ev, dict):
+        raise TraceFormatError(f"line {lineno}: expected a JSON object")
+    if first:
+        _check_header(ev)
+    kind = ev.get("kind")
+    fields = EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise TraceFormatError(f"line {lineno}: field 'kind': unknown event kind {kind!r}")
+    _check_fields(lineno, kind, ev, fields)
+    if kind in NESTED_FIELDS:
+        name, nested = NESTED_FIELDS[kind]
+        _check_fields(lineno, kind, ev[name], nested, name + ".")
+    try:
+        if kind == "sense":
+            ev["ball"] = Ball.from_json_dict(ev["ball"])
+        elif kind == "phase_end":
+            ev["delta"] = _parse_delta(ev["delta"], map_n)
+    except (TypeError, ValueError) as e:
+        raise TraceFormatError(f"line {lineno}: malformed {kind} event: {e}") from e
+    return ev
+
+
+class _Decimals(dict):
+    """int -> its decimal text: a table below its bound, ``str`` above."""
+
+    def __missing__(self, value):
+        return str(value)
+
+
+# The ints a sense line holds (local ids, ports, sizes) are almost always
+# small: their text comes from this table when written, and a text in it
+# reads back as its int.
+_TEXT = _Decimals((i, str(i)) for i in range(1024))
+_VALUE = {text: i for i, text in _TEXT.items()}
+
+# A sense line exactly as _sense_line writes it (and _ENCODE would).
+# ``[0-9,]*`` is only a shape; each value must then be a text of _VALUE.
+_SENSE_LINE = re.compile(
+    r'\{"arrival":(null|[0-9]+),"ball":\{"edges":\[([0-9,]*)\],"size":([0-9]+)\},"kind":"sense"\}'
+)
+_SENSE_KEYS = {"arrival", "ball", "kind"}
+
+
+def _sense_line(arrival, b):
+    """``_ENCODE`` of a sense event with only these fields, an int or None
+    ``arrival`` and an int ``b.size``, built from the decimal table."""
+    text = _TEXT.__getitem__
+    a = "null" if arrival is None else text(arrival)
+    edges = ",".join(map(text, b.flat))
+    return f'{{"arrival":{a},"ball":{{"edges":[{edges}],"size":{text(b.size)}}},"kind":"sense"}}'
+
+
+def _read_sense(lineno, m):
+    """The sense event of a ``_SENSE_LINE`` match, or None when a value is
+    not a text of the table (too large, a leading zero, an empty item);
+    such a line takes the general path. The text proves every value an
+    int >= 0, so only the ball's structure is checked."""
+    arrival, edges, size = m.groups()
+    value = _VALUE.__getitem__
+    try:
+        flat = list(map(value, edges.split(","))) if edges else []
+        size = value(size)
+        arrival = None if arrival == "null" else value(arrival)
+    except KeyError:
+        return None
+    try:
+        b = Ball._from_naturals(size, flat)
+    except ValueError as e:
+        raise TraceFormatError(f"line {lineno}: malformed sense event: {e}") from e
+    return {"arrival": arrival, "ball": b, "kind": "sense"}
 
 
 def _check_header(ev):
@@ -272,7 +342,10 @@ def _parse_delta(delta, map_n):
     ``n`` is at least ``map_n`` (the vertex count after the previous
     delta), every edge is four integers with both ends among the ``n``
     vertices, every cir and vis key one of those vertices, every cir value
-    an int and every vis value an int or None."""
+    an int, every vis value an int or None, and the map grows by at most
+    the delta's edge count (plus the homebase in the first delta: each new
+    vertex comes with a new edge to an explored one). The last bound keeps
+    a forged ``n`` from making the checker allocate per vertex."""
     n = delta["n"]
     if n < map_n:
         raise ValueError(f"n={n} is below the {map_n} vertices of the map so far")
@@ -291,6 +364,12 @@ def _parse_delta(delta, map_n):
     for e in out["edges"]:
         if not (all(type(x) is int for x in e) and 0 <= e[0] < n and 0 <= e[1] < n):
             raise ValueError(f"edge {list(e)} is not [a, b, portAtA, portAtB] in a map of {n} vertices")
+    grown = len(out["edges"]) + (map_n == 0)
+    if n - map_n > grown:
+        raise ValueError(
+            f"n={n} adds {n - map_n} vertices to the {map_n} of the map so far, "
+            f"but at most {grown} come with the delta's edges"
+        )
     return out
 
 

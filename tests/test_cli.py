@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import binox
 from binox.cli import main
 from binox.runtime import RunTrace
 
@@ -102,6 +104,58 @@ def add_vis_key(line, key, value):
     ev = json.loads(line)
     ev["delta"]["vis"][key] = value
     return json.dumps(ev)
+
+
+# Runs the CLI in a process whose address space is capped at 1 GiB, so a
+# loader that allocated per vertex of a forged count would fail there with a
+# MemoryError instead of taking the machine's memory.
+CAPPED_CLI = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from binox.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def run_capped(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(binox.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", CAPPED_CLI, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestHugeVertexCounts:
+    def test_graph_with_more_vertices_than_its_edges_connect(self, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 10**12, "edges": []}))
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"budget":1,"kind":"header","root":0,"version":3}\n')
+        for args in (("explore", "--graph", str(g)), ("check", "--graph", str(g), "--trace", str(trace))):
+            r = run_capped(*args)
+            assert r.returncode == 1, r.stderr
+            assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+            assert '"n" is 1000000000000, but 0 edges connect at most 1 vertices' in r.stderr
+
+    @pytest.mark.parametrize("which,message", [
+        (0, "line 4: malformed phase_end event: n=1000000000000 adds 1000000000000 vertices "
+            "to the 0 of the map so far, but at most 2 come with the delta's edges"),
+        (1, "line 8: malformed phase_end event: n=1000000000000 adds 999999999998 vertices "
+            "to the 2 of the map so far, but at most 1 come with the delta's edges"),
+    ])
+    def test_delta_that_grows_the_map_past_its_edges(self, tmp_path, which, message):
+        g = tmp_path / "g.json"
+        trace = tmp_path / "t.jsonl"
+        invoke("gen", "--spec", "path:5", "--out", str(g))
+        invoke("explore", "--graph", str(g), "--trace", str(trace))
+        lines = trace.read_text().splitlines()
+        at = [i for i, line in enumerate(lines) if '"kind":"phase_end"' in line][which]
+        ev = json.loads(lines[at])
+        ev["delta"]["n"] = 10**12
+        lines[at] = json.dumps(ev)
+        trace.write_text("\n".join(lines) + "\n")
+        r = run_capped("check", "--graph", str(g), "--trace", str(trace))
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+        assert message in r.stderr
 
 
 class TestCheckInputs:

@@ -1,12 +1,17 @@
 """Graph model: validation, balls, port navigation, layering, clusters."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import binox
 from binox.graph import (
     Ball,
     GraphFormatError,
@@ -270,6 +275,20 @@ class TestClusters:
         dec = cluster_decomposition(gen("complete:3"), 0)
         assert [c.vertices for c in dec.clusters] == [(0,), (1, 2)]
         assert dec.is_tree()
+
+    def test_cluster_edge_guard_holds_under_python_O(self):
+        # component() stubbed to return only its start vertex: the adjacent
+        # sphere-1 vertices 1 and 2 of a triangle land in two clusters
+        code = (
+            "import binox.graph as G\n"
+            "G.component = lambda g, start, within=None: {start}\n"
+            "G.cluster_decomposition(G.PortNumberedGraph(3, [(0, 1, 0, 0), (0, 2, 1, 0), (1, 2, 1, 1)]), 0)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(binox.__file__).resolve().parents[1])}
+        r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                           text=True, env=env, timeout=60)
+        assert r.returncode == 1
+        assert "AssertionError: cluster edge 1-2 between spheres 1 and 1" in r.stderr
 
     def test_c6_singletons_with_cycle(self):
         g = gen("cycle:6")

@@ -1,0 +1,289 @@
+"""The sense-line codec and the center-first ball order.
+
+``to_jsonl`` writes a sense event from a table of decimal strings and
+``from_jsonl`` reads a line in exactly that form without ``json.loads``;
+both must agree with the plain JSON path byte for byte and error for error.
+A ball keeps its center edges before its horizontal ones, whatever order it
+was given in.
+"""
+
+import json
+import random
+import re
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from binox import runtime
+from binox.explorer import explore
+from binox.graph import Ball, PortNumberedGraph, ball
+from binox.runtime import TRACE_VERSION, Environment, RunTrace, TraceFormatError
+
+from conftest import gen
+
+HEAD = [
+    json.dumps({"kind": "header", "version": TRACE_VERSION, "root": 0, "budget": 99}),
+    '{"kind":"phase_start","phase":1}',
+]
+SPECS = ("complete:6", "johnson:5,2", "chordal:n=30,rate=0.4,seed=3", "tree:n=20,seed=2", "path:1")
+
+
+def plain(ev):
+    """The JSON form of an event, as json.dumps writes it."""
+    if isinstance(ev.get("ball"), Ball):
+        ev = dict(ev, ball=ev["ball"].to_json_dict())
+    return json.dumps(ev, sort_keys=True, separators=(",", ":"))
+
+
+def real_sense_lines():
+    lines = []
+    for spec in SPECS:
+        env = Environment(gen(spec, "random:5"), 0, 10_000)
+        explore(env)
+        lines += [ln for ln in env.trace.to_jsonl().splitlines() if '"kind":"sense"' in ln]
+    return lines
+
+
+SENSE_LINES = real_sense_lines()
+
+
+def comparable(trace):
+    """Events with each ball as (size, flat); repr tells 1, 1.0 and True apart."""
+    out = []
+    for ev in trace.events:
+        b = ev.get("ball")
+        if isinstance(b, Ball):
+            ev = dict(ev, ball=(b.size, b.flat))
+        out.append(repr(sorted(ev.items())))
+    return out
+
+
+def read(text):
+    try:
+        return comparable(RunTrace.from_jsonl(text))
+    except TraceFormatError as e:
+        return f"TraceFormatError: {e}"
+
+
+def read_plain(text):
+    """``read`` with every line taking the json.loads path."""
+    with mock.patch.object(runtime, "_SENSE_LINE", re.compile(r"(?!)")):
+        return read(text)
+
+
+# -- writer ------------------------------------------------------------------
+
+values = st.one_of(
+    st.integers(0, 30), st.integers(1000, 1100), st.integers(2**31, 2**40), st.integers(-5, -1)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(values, values, values, values), max_size=12),
+    st.one_of(st.none(), values),
+    st.one_of(st.integers(0, 40), st.integers(1020, 1030)),
+)
+def test_sense_line_is_the_json_encoding(edges, arrival, size):
+    trace = RunTrace()
+    trace.log("sense", arrival=arrival, ball=Ball(size, edges))
+    line = trace.to_jsonl()
+    assert line == plain(trace.events[0]) + "\n"
+
+
+def test_other_sense_events_are_written_the_plain_way():
+    b = Ball(3, [(0, 1, 0, 0), (0, 2, 1, 0)])
+    trace = RunTrace()
+    trace.log("sense", arrival=True, ball=b)
+    trace.log("sense", arrival=0, ball=b, note="x")
+    trace.log("sense", arrival=2**40, ball=b)
+    assert trace.to_jsonl() == "".join(plain(ev) + "\n" for ev in trace.events)
+
+
+def test_real_traces_round_trip_through_the_table():
+    for spec in SPECS:
+        env = Environment(gen(spec, "random:2"), 0, 10_000)
+        explore(env)
+        text = env.trace.to_jsonl()
+        assert text == "".join(plain(ev) + "\n" for ev in env.trace.events)
+        assert RunTrace.from_jsonl(text).to_jsonl() == text
+
+
+# -- reader ------------------------------------------------------------------
+
+
+def test_real_sense_lines_take_the_table_path():
+    for lineno, line in enumerate(SENSE_LINES):
+        m = runtime._SENSE_LINE.fullmatch(line)
+        assert m and runtime._read_sense(lineno, m) is not None
+
+
+def _tokens(line):
+    """(start, end) of every number in the ball's edge list."""
+    start = line.index('"edges":[') + len('"edges":[')
+    end = line.index("]", start)
+    return [(m.start() + start, m.end() + start) for m in re.finditer(r"[0-9]+", line[start:end])]
+
+
+def _swap_token(line, rng, new):
+    spans = _tokens(line)
+    if not spans:
+        return line
+    a, b = rng.choice(spans)
+    return line[:a] + new(line[a:b]) + line[b:]
+
+
+def _redump(line, rng, change):
+    ev = json.loads(line)
+    change(ev, rng)
+    return json.dumps(ev, sort_keys=True, separators=(",", ":"))
+
+
+def _reverse_edge(ev, rng):
+    flat = ev["ball"]["edges"]
+    if flat:
+        i = 4 * rng.randrange(len(flat) // 4)
+        flat[i:i + 4] = [flat[i + 1], flat[i], flat[i + 3], flat[i + 2]]
+
+
+def _end_at_size(ev, rng):
+    flat = ev["ball"]["edges"]
+    if flat:
+        flat[4 * rng.randrange(len(flat) // 4) + 1] = ev["ball"]["size"]
+
+
+def _drop_value(ev, rng):
+    flat = ev["ball"]["edges"]
+    if flat:
+        del flat[rng.randrange(len(flat))]
+
+
+def _empty_edges(ev, rng):
+    ev["ball"]["edges"] = []
+
+
+def _center_edge_last(ev, rng):
+    flat = ev["ball"]["edges"]
+    if flat:
+        flat[:] = flat[4:] + flat[:4]
+
+
+def _repeat_center_edge(ev, rng):
+    ev["ball"]["edges"] += ev["ball"]["edges"][:4]
+
+
+def _arrival_large(ev, rng):
+    ev["arrival"] = 2**40
+
+
+def _size_large(ev, rng):
+    ev["ball"]["size"] = 5000
+
+
+def _redump_unsorted(line):
+    ev = json.loads(line)
+    ev = {"kind": ev["kind"], "ball": {"size": ev["ball"]["size"], "edges": ev["ball"]["edges"]},
+          "arrival": ev["arrival"]}
+    return json.dumps(ev, separators=(",", ":"))
+
+
+MUTATIONS = {
+    "none": lambda line, rng: line,
+    "space after a comma": lambda line, rng: line.replace(",", ", ", 1 + rng.randrange(3)),
+    "space after a colon": lambda line, rng: line.replace(":", ": ", 1),
+    "keys reordered": lambda line, rng: _redump_unsorted(line),
+    "float": lambda line, rng: _swap_token(line, rng, lambda t: t + ".0"),
+    "true": lambda line, rng: _swap_token(line, rng, lambda t: "true"),
+    "negative": lambda line, rng: _swap_token(line, rng, lambda t: "-" + t),
+    "leading zero": lambda line, rng: _swap_token(line, rng, lambda t: "0" + t),
+    "2**40": lambda line, rng: _swap_token(line, rng, lambda t: str(2**40)),
+    "empty item": lambda line, rng: _swap_token(line, rng, lambda t: ""),
+    "reversed edge": lambda line, rng: _redump(line, rng, _reverse_edge),
+    "end at size": lambda line, rng: _redump(line, rng, _end_at_size),
+    "length not four per edge": lambda line, rng: _redump(line, rng, _drop_value),
+    "empty edges": lambda line, rng: _redump(line, rng, _empty_edges),
+    "center edge last": lambda line, rng: _redump(line, rng, _center_edge_last),
+    "center edge repeated": lambda line, rng: _redump(line, rng, _repeat_center_edge),
+    "arrival 2**40": lambda line, rng: _redump(line, rng, _arrival_large),
+    "size 5000": lambda line, rng: _redump(line, rng, _size_large),
+    "arrival -1": lambda line, rng: re.sub(r'"arrival":(null|[0-9]+)', '"arrival":-1', line),
+    "arrival true": lambda line, rng: re.sub(r'"arrival":(null|[0-9]+)', '"arrival":true', line),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(range(len(SENSE_LINES))), st.sampled_from(sorted(MUTATIONS)),
+                       st.integers(0, 2**32)), min_size=1, max_size=3),
+)
+def test_reader_agrees_with_the_json_path(picks):
+    lines = list(HEAD)
+    for index, name, seed in picks:
+        lines.append(MUTATIONS[name](SENSE_LINES[index], random.Random(seed)))
+    text = "\n".join(lines) + "\n"
+    assert read(text) == read_plain(text)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_each_mutation_agrees_with_the_json_path(name):
+    rng = random.Random(name)
+    for line in SENSE_LINES[::7]:
+        text = "\n".join(HEAD + [MUTATIONS[name](line, rng)]) + "\n"
+        assert read(text) == read_plain(text)
+
+
+def test_a_sense_line_before_the_header_is_still_a_missing_header():
+    text = SENSE_LINES[0] + "\n"
+    assert read(text) == read_plain(text) == "TraceFormatError: missing header: first event is 'sense'"
+
+
+# -- center-first balls ------------------------------------------------------
+
+
+def is_center_first(b):
+    us = b.flat[0::4]
+    return us == sorted(us, key=bool)
+
+
+graphs = st.sampled_from(["complete:5", "johnson:5,2", "chordal:n=15,rate=0.5,seed=4", "tree:n=9,seed=1"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs, st.data())
+def test_any_edge_order_loads_center_first(spec, data):
+    g = gen(spec, "random:7")
+    v = data.draw(st.integers(0, g.n - 1))
+    ids = data.draw(st.permutations(range(1, g.degree(v) + 1)))
+    b = ball(g, v, list(ids))
+    edges = data.draw(st.permutations(list(b.edges)))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    given_edges = [(w, u, pw, pu) if f else (u, w, pu, pw) for (u, w, pu, pw), f in zip(edges, flips)]
+    flat = [x for e in given_edges for x in e]
+    for other in (Ball(b.size, given_edges), Ball.from_json_dict({"size": b.size, "edges": flat})):
+        assert is_center_first(other)
+        assert sorted(other.edges) == sorted(b.edges)
+        assert other.signature() == b.signature()
+        for u in range(g.n):
+            assert other.matches(g, u) == b.matches(g, u)
+
+
+def test_builders_give_center_first_balls():
+    for spec in SPECS:
+        g = gen(spec, "random:3")
+        for v in range(g.n):
+            b = ball(g, v)
+            assert is_center_first(b) and is_center_first(b.relabel([0] + list(range(g.degree(v), 0, -1))))
+
+
+def test_a_second_center_edge_among_the_horizontal_ones_fails_matches():
+    # triangle 0-1-2: two center edges, one horizontal edge
+    g = PortNumberedGraph(3, [(0, 1, 0, 0), (0, 2, 1, 0), (1, 2, 1, 1)])
+    good = [0, 1, 0, 0, 0, 2, 1, 0, 1, 2, 1, 1]
+    assert Ball.from_json_dict({"size": 3, "edges": good}).matches(g, 0)
+    # the horizontal edge replaced by a copy of a center edge, so the counts agree
+    for copy in (good[0:4], good[4:8]):
+        b = Ball.from_json_dict({"size": 3, "edges": good[:8] + copy})
+        assert is_center_first(b)
+        assert not b.matches(g, 0)
+        assert not Ball(3, [tuple(copy), (0, 1, 0, 0), (0, 2, 1, 0)]).matches(g, 0)
