@@ -11,7 +11,8 @@ spheres, and the cluster decomposition of the spheres.
 from __future__ import annotations
 
 import json
-from collections import deque
+from binascii import a2b_base64, b2a_base64
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -34,9 +35,10 @@ class Ball:
     port numbers of the source graph at both endpoints and are stored in
     ``flat``, one list of four ints per edge (u, v, port at u, port at v)
     with u < v, every center edge (u = 0) before every horizontal one: the
-    form a trace writes, so a ball is built, sent and loaded without another
-    copy. The agent and the trace share that list, so nothing may modify
-    it. ``edges`` views them as tuples. ``source_ids``
+    list a trace writes (packed as bytes when every value is below 256), so
+    a ball is built, sent and loaded without reordering. The agent and the
+    trace share that list, so nothing may modify it. ``edges`` views them
+    as tuples. ``source_ids``
     maps local ids back to ground-truth ids; it is harness-side bookkeeping
     and never serialized, so observations built from balls stay anonymous.
     """
@@ -132,9 +134,11 @@ class Ball:
         edges, each the edge of g on its port with the same far port;
         distinct images then make them a bijection onto v's edges. Every
         later edge must be g's edge between the images of its ends, with
-        the same ports, which a center edge never is. g is simple, so when
-        the ball repeats no edge those sit inside g's ball, and equal
-        horizontal counts (compared first) make the two balls equal.
+        the same ports, which a center edge never is. A ball lists no
+        (u, v) pair twice (the builders read a simple graph and
+        ``from_json_dict`` rejects a repeat), so those edges sit inside g's
+        ball, and equal horizontal counts (compared first) make the two
+        balls equal.
         """
         at = g._ports[v]
         d = len(at)
@@ -166,8 +170,13 @@ class Ball:
         return True
 
     def to_json_dict(self):
-        """JSON-able form: ``edges`` is the stored flat list itself."""
-        return {"size": self.size, "edges": self.flat}
+        """JSON-able form. ``edges`` is the base64 text of ``bytes(flat)``
+        when every value is below 256, else the stored flat list itself."""
+        try:
+            packed = bytes(self.flat)
+        except ValueError:
+            return {"size": self.size, "edges": self.flat}
+        return {"size": self.size, "edges": b2a_base64(packed, newline=False).decode()}
 
     @classmethod
     def from_json_dict(cls, d):
@@ -175,22 +184,26 @@ class Ball:
         is reversed or a center edge follows a horizontal one, which are
         normalized.
 
-        ValueError unless ``edges`` holds ints only, four per edge, with
-        both ends distinct local ids below ``size`` and both ports >= 0.
+        ValueError unless ``edges`` is the canonical base64 text of a byte
+        string or a list of ints, four values per edge, with both ends
+        distinct local ids below ``size``, both ports >= 0 and no (u, v)
+        pair twice.
         """
-        size, flat = d["size"], d["edges"]
-        if len(flat) % 4:
-            raise ValueError(f"ball edges: {len(flat)} values, not four per edge")
-        if not set(map(type, flat)) <= {int}:
+        size, edges = d["size"], d["edges"]
+        if type(edges) is str:
+            return cls._from_naturals(size, *_unpack(edges))
+        if len(edges) % 4:
+            raise ValueError(f"ball edges: {len(edges)} values, not four per edge")
+        if not set(map(type, edges)) <= {int}:
             raise ValueError("ball edges: a value is not an integer")
-        if flat and min(flat) < 0:
+        if edges and min(edges) < 0:
             raise ValueError(_BAD_BALL_EDGE.format(size))
-        return cls._from_naturals(size, flat)
+        return cls._from_naturals(size, edges)
 
     @classmethod
-    def _from_naturals(cls, size, flat):
+    def _from_naturals(cls, size, flat, packed=None):
         """``from_json_dict`` for a list already known to hold ints >= 0
-        only (the trace reader proves that from the text)."""
+        only; ``packed`` is ``bytes(flat)`` when the list was unpacked."""
         if len(flat) % 4:
             raise ValueError(f"ball edges: {len(flat)} values, not four per edge")
         us, vs = flat[0::4], flat[1::4]
@@ -201,15 +214,48 @@ class Ball:
         ):
             raise ValueError(_BAD_BALL_EDGE.format(size))
         if normal and not any(us[:us.count(0)]):
-            return cls._trusted(size, flat)
-        it = iter(flat)
-        return cls(size, zip(it, it, it, it))
+            b = cls._trusted(size, flat)
+        else:
+            it = iter(flat)
+            b = cls(size, zip(it, it, it, it))
+        if normal and packed is not None:
+            # The u and v bytes side by side: one 16-bit value per pair.
+            pairs = bytearray(len(us) * 2)
+            pairs[0::2] = packed[0::4]
+            pairs[1::2] = packed[1::4]
+            distinct = len(set(memoryview(pairs).cast("H")))
+        else:
+            distinct = len(set(zip(b.flat[0::4], b.flat[1::4])))
+        if distinct < len(us):
+            raise ValueError(_repeated_edge(b.flat))
+        return b
 
 
 _BAD_BALL_EDGE = (
     "ball edges: an edge is not [u, v, portAtU, portAtV] with "
     "distinct ends below size {} and ports >= 0"
 )
+
+
+def _unpack(text):
+    """(flat, packed): the bytes of a canonical base64 ``text`` and their
+    values; ValueError for any other text (bad padding, non-zero trailing
+    bits, a character outside the alphabet, a line break). Only the
+    canonical text of some bytes encodes back to itself."""
+    try:
+        packed = a2b_base64(text)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        packed = None
+    if packed is None or b2a_base64(packed, newline=False) != text.encode():
+        raise ValueError("ball edges: not the canonical base64 text of a byte string")
+    return list(packed), packed
+
+
+def _repeated_edge(flat):
+    """The error text naming a (u, v) pair that ``flat`` lists twice."""
+    counts = Counter(zip(flat[0::4], flat[1::4]))
+    u, v = next(pair for pair, k in counts.items() if k > 1)
+    return f"ball edges: edge ({u}, {v}) is listed twice"
 
 
 class BallEdges:

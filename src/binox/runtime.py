@@ -13,11 +13,12 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from itertools import filterfalse
 from pathlib import Path
 
 from .graph import Ball, ball
 
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 
 # Writes every trace line: keys sorted, no spaces, no cycle check (events
 # are trees of plain values).
@@ -115,12 +116,13 @@ class RunTrace:
         for ev in self.events:
             b = ev.get("ball")
             if isinstance(b, Ball):
+                d = b.to_json_dict()
                 a = ev.get("arrival")
-                if (ev.keys() == _SENSE_KEYS and ev["kind"] == "sense"
+                if (type(d["edges"]) is str and ev.keys() == _SENSE_KEYS and ev["kind"] == "sense"
                         and (a is None or type(a) is int) and type(b.size) is int):
-                    lines.append(_sense_line(a, b))
+                    lines.append(_sense_line(a, d["edges"], b.size))
                     continue
-                ev = dict(ev, ball=b.to_json_dict())
+                ev = dict(ev, ball=d)
             lines.append(_ENCODE(ev))
         return "\n".join(lines) + "\n"
 
@@ -134,7 +136,7 @@ class RunTrace:
         the fields of its kind (EVENT_FIELDS, NESTED_FIELDS) and valid
         values, and the events come in order (_EventOrder). A sense line in
         the writer's exact form is read by ``_read_sense``, with the same
-        result and the same errors."""
+        result; a line it cannot read takes the general path."""
         trace = cls()
         map_n = 0
         order = _EventOrder()
@@ -143,7 +145,7 @@ class RunTrace:
             if not line:
                 continue
             m = _SENSE_LINE.fullmatch(line) if trace.events else None
-            ev = m and _read_sense(lineno, m)
+            ev = m and _read_sense(m)
             if not ev:
                 ev = _read_event(lineno, line, not trace.events, map_n)
                 if ev["kind"] == "phase_end":
@@ -171,7 +173,7 @@ def _read_event(lineno, line, first, map_n):
     after the last phase_end so far."""
     try:
         ev = json.loads(line)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int of more digits than int() takes
         raise TraceFormatError(f"line {lineno}: not JSON: {e}") from e
     if not isinstance(ev, dict):
         raise TraceFormatError(f"line {lineno}: expected a JSON object")
@@ -195,53 +197,34 @@ def _read_event(lineno, line, first, map_n):
     return ev
 
 
-class _Decimals(dict):
-    """int -> its decimal text: a table below its bound, ``str`` above."""
-
-    def __missing__(self, value):
-        return str(value)
-
-
-# The ints a sense line holds (local ids, ports, sizes) are almost always
-# small: their text comes from this table when written, and a text in it
-# reads back as its int.
-_TEXT = _Decimals((i, str(i)) for i in range(1024))
-_VALUE = {text: i for i, text in _TEXT.items()}
-
-# A sense line exactly as _sense_line writes it (and _ENCODE would).
-# ``[0-9,]*`` is only a shape; each value must then be a text of _VALUE.
+# A sense line exactly as _sense_line writes it (and _ENCODE would): a
+# packed ball, and ints in canonical decimal, which read as json.loads reads
+# them. No base64 character needs escaping in JSON.
 _SENSE_LINE = re.compile(
-    r'\{"arrival":(null|[0-9]+),"ball":\{"edges":\[([0-9,]*)\],"size":([0-9]+)\},"kind":"sense"\}'
+    r'\{"arrival":(null|0|[1-9][0-9]*),"ball":\{"edges":"([A-Za-z0-9+/=]*)",'
+    r'"size":(0|[1-9][0-9]*)\},"kind":"sense"\}'
 )
 _SENSE_KEYS = {"arrival", "ball", "kind"}
 
 
-def _sense_line(arrival, b):
+def _sense_line(arrival, edges, size):
     """``_ENCODE`` of a sense event with only these fields, an int or None
-    ``arrival`` and an int ``b.size``, built from the decimal table."""
-    text = _TEXT.__getitem__
-    a = "null" if arrival is None else text(arrival)
-    edges = ",".join(map(text, b.flat))
-    return f'{{"arrival":{a},"ball":{{"edges":[{edges}],"size":{text(b.size)}}},"kind":"sense"}}'
+    ``arrival``, an int ``size`` and packed ``edges`` (a base64 text)."""
+    a = "null" if arrival is None else arrival
+    return f'{{"arrival":{a},"ball":{{"edges":"{edges}","size":{size}}},"kind":"sense"}}'
 
 
-def _read_sense(lineno, m):
-    """The sense event of a ``_SENSE_LINE`` match, or None when a value is
-    not a text of the table (too large, a leading zero, an empty item);
-    such a line takes the general path. The text proves every value an
-    int >= 0, so only the ball's structure is checked."""
+def _read_sense(m):
+    """The sense event of a ``_SENSE_LINE`` match, or None when its ball
+    does not load (the text is not canonical base64, or the structure is
+    wrong); such a line takes the general path, which gives the same
+    error."""
     arrival, edges, size = m.groups()
-    value = _VALUE.__getitem__
     try:
-        flat = list(map(value, edges.split(","))) if edges else []
-        size = value(size)
-        arrival = None if arrival == "null" else value(arrival)
-    except KeyError:
+        b = Ball.from_json_dict({"size": int(size), "edges": edges})
+        arrival = None if arrival == "null" else int(arrival)
+    except ValueError:
         return None
-    try:
-        b = Ball._from_naturals(size, flat)
-    except ValueError as e:
-        raise TraceFormatError(f"line {lineno}: malformed sense event: {e}") from e
     return {"arrival": arrival, "ball": b, "kind": "sense"}
 
 
@@ -317,7 +300,7 @@ EVENT_FIELDS = {
 }
 # The fields of the object a sense or phase_end event carries.
 NESTED_FIELDS = {
-    "sense": ("ball", (("size", _INT), ("edges", (list,)))),
+    "sense": ("ball", (("size", _INT), ("edges", (list, str)))),
     "phase_end": ("delta", (("n", _INT), ("edges", (list,)), ("cir", (dict,)), ("vis", (dict,)))),
 }
 
@@ -337,11 +320,17 @@ def _check_fields(lineno, kind, obj, fields, prefix=""):
             )
 
 
+# A natural number as JSON and str(int) write it: no sign, space, "_" or
+# leading zero.
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
+
 def _parse_delta(delta, map_n):
     """The delta with int vertex keys and tuple edges; ValueError unless
     ``n`` is at least ``map_n`` (the vertex count after the previous
     delta), every edge is four integers with both ends among the ``n``
-    vertices, every cir and vis key one of those vertices, every cir value
+    vertices, every cir and vis key one of those vertices in canonical
+    decimal (so no two keys name one vertex), every cir value
     an int, every vis value an int or None, and the map grows by at most
     the delta's edge count (plus the homebase in the first delta: each new
     vertex comes with a new edge to an explored one). The last bound keeps
@@ -350,12 +339,14 @@ def _parse_delta(delta, map_n):
     if n < map_n:
         raise ValueError(f"n={n} is below the {map_n} vertices of the map so far")
     out = dict(delta)
-    out["cir"] = {int(k): v for k, v in delta["cir"].items()}
-    out["vis"] = {int(k): v for k, v in delta["vis"].items()}
     for name in ("cir", "vis"):
-        keys = out[name]
+        table = delta[name]
+        out[name] = keys = {int(k): v for k, v in table.items()}
         if keys and (min(keys) < 0 or max(keys) >= n):
             raise ValueError(f"a {name} key is not a vertex of a map of {n} vertices")
+        bad = next(filterfalse(_DECIMAL.fullmatch, table), None)
+        if bad is not None:
+            raise ValueError(f"{name} key {bad!r} is not a vertex id in canonical decimal")
     if not all(type(c) is int for c in out["cir"].values()):
         raise ValueError("a cir value is not an integer")
     if not all(v is None or type(v) is int for v in out["vis"].values()):

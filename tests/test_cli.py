@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from base64 import b64decode, b64encode
 from functools import cache
 from pathlib import Path
 
@@ -128,7 +129,7 @@ class TestHugeVertexCounts:
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 10**12, "edges": []}))
         trace = tmp_path / "t.jsonl"
-        trace.write_text('{"budget":1,"kind":"header","root":0,"version":3}\n')
+        trace.write_text('{"budget":1,"kind":"header","root":0,"version":4}\n')
         for args in (("explore", "--graph", str(g)), ("check", "--graph", str(g), "--trace", str(trace))):
             r = run_capped(*args)
             assert r.returncode == 1, r.stderr
@@ -168,9 +169,11 @@ class TestCheckInputs:
 
     @pytest.mark.parametrize("damage,message", [
         (lambda lines: lines[1:], "missing header"),
-        (lambda lines: [lines[0].replace('"version":3', '"version":1')] + lines[1:],
+        (lambda lines: [lines[0].replace('"version":4', '"version":1')] + lines[1:],
          "v1 trace, re-run explore"),
         (lambda lines: lines[:2] + ["not json"] + lines[2:], "not JSON"),
+        (lambda lines: lines[:2] + ['{"kind":"move","out":' + "1" * 5000 + ',"in":0}'] + lines[2:],
+         "line 3: not JSON: Exceeds the limit"),
         # path:5: line 2 starts phase 1, line 5 phase 2, line 21 is the halt
         (lambda lines: lines[:1] + lines[2:], "line 2: sense event outside a phase"),
         (lambda lines: lines[:4] + lines[5:], "line 5: move event outside a phase"),
@@ -179,6 +182,9 @@ class TestCheckInputs:
         (lambda lines: lines[:-2] + lines[-1:], "line 20: halt while phase 5 is open"),
         (lambda lines: lines[:7] + [add_vis_key(lines[7], "40", 3)] + lines[8:],
          "line 8: malformed phase_end event: a vis key is not a vertex of a map of 3 vertices"),
+        # two spellings that int() reads as vertices 1 and 2 of the map
+        (lambda lines: lines[:7] + [add_vis_key(add_vis_key(lines[7], " +1", 7), "0_2", 1)] + lines[8:],
+         "line 8: malformed phase_end event: vis key ' +1' is not a vertex id in canonical decimal"),
     ])
     def test_malformed_trace_is_an_error_not_a_traceback(self, tmp_path, capsys, damage, message):
         g, trace = self.explored(tmp_path)
@@ -228,6 +234,26 @@ class TestCheckInputs:
         assert "phase 2: sense at map vertex 1 (ground 1): arrival port 5, " in out
         assert "phase 2: sense at map vertex 3 (ground 3): the ball is not the ground ball" in out
 
+    def test_repeated_edge_in_a_sense_ball_is_an_error(self, tmp_path, capsys):
+        # complete:4: the last ball lists edge (2, 3) twice, (1, 3) not at all,
+        # so its edge count still matches the ground ball's
+        g, trace = self.explored(tmp_path, "complete:4")
+        lines = trace.read_text().splitlines()
+        i = max(i for i, line in enumerate(lines) if '"kind":"sense"' in line)
+        last = json.loads(lines[i])
+        flat = list(b64decode(last["ball"]["edges"]))
+        edges = [flat[k:k + 4] for k in range(0, len(flat), 4)]
+        assert [1, 3, 0, 1] in edges and [2, 3, 0, 0] in edges
+        edges[edges.index([1, 3, 0, 1])] = [2, 3, 0, 0]
+        last["ball"]["edges"] = b64encode(bytes(x for e in edges for x in e)).decode()
+        lines[i] = json.dumps(last, sort_keys=True, separators=(",", ":"))
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(g), "--trace", str(trace)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"line {i + 1}: malformed sense event: ball edges: edge (2, 3) is listed twice" in err
+
     def test_replay_problem_is_filed_under_its_phase(self, tmp_path, capsys):
         g, trace = self.explored(tmp_path, "chordal:n=20,rate=0.4,seed=3")
         lines = trace.read_text().splitlines()
@@ -273,7 +299,7 @@ SCHEMA = {
     "phase_end": {"phase": (int,), "delta": (dict,), "delta.n": (int,),
                   "delta.edges": (list,), "delta.cir": (dict,), "delta.vis": (dict,)},
     "sense": {"arrival": (int, type(None)), "ball": (dict,), "ball.size": (int,),
-              "ball.edges": (list,)},
+              "ball.edges": (list, str)},
     "move": {"out": (int,), "in": (int,)},
     "budget_exhausted": {},
     "error_detected": {"reason": (str,)},
@@ -332,29 +358,65 @@ def test_damaged_event_fails_check_without_a_traceback(spec, data):
     assert err.getvalue().startswith("error: ")
 
 
+def run_check(graph_text, lines):
+    """(exit code, stderr) of ``binox check`` on these files."""
+    with tempfile.TemporaryDirectory() as d:
+        g, trace = Path(d) / "g.json", Path(d) / "t.jsonl"
+        g.write_text(graph_text)
+        trace.write_text("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["check", "--graph", str(g), "--trace", str(trace)])
+    return rc, err.getvalue()
+
+
+FUZZ_CHARS = st.sampled_from(list('AZaz09+/=",:{}[]\\ -_.ne\u00e9\t'))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["path:5", "chordal:n=12,rate=0.5,seed=1", "johnson:4,2", "complete:6"]),
+    st.data(),
+)
+def test_fuzzed_sense_and_delta_lines_end_in_exit_0_or_1(spec, data):
+    graph_text, lines = valid_run(spec)
+    targets = [i for i, line in enumerate(lines) if '"kind":"sense"' in line or '"kind":"phase_end"' in line]
+    damaged = list(lines)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        i = data.draw(st.sampled_from(targets), label="line index")
+        line = damaged[i]
+        at = data.draw(st.integers(0, len(line)), label="position")
+        op = data.draw(st.sampled_from(["flip", "drop", "insert"]), label="edit")
+        new = "" if op == "drop" else data.draw(FUZZ_CHARS, label="character")
+        damaged[i] = line[:at] + new + line[at + (op != "insert"):]
+    rc, err = run_check(graph_text, damaged)
+    assert rc in (0, 1)
+    assert "Traceback" not in err
+
+
 # sha256 of `binox explore --root 0 --trace` (default budget) on graphs made
-# with `binox gen --ports random:1`, as (v3 trace, the same trace rendered in
+# with `binox gen --ports random:1`, as (v4 trace, the same trace rendered in
 # the v2 form). Traces of a fixed run must stay byte for byte the same; a
 # trace format change updates the first digest on purpose, and the second
 # (pinned when v2 was current) shows the run itself did not change.
 GOLDEN_TRACES = {
     "complete:20": (
-        "e3b30e6150c9652e879f9d766c790636857c6435e62dd401c257445a46e3eb76",
+        "73cb796fd9bfd08492862aeef6d9be0a8e57a3b19d6712ecabfc98d165962ea0",
         "78875882543f0348ff74abb327403fa63b7a50d6b26555e1fa0413640ed12ab4",
     ),
     "johnson:6,2": (
-        "b17df6c32ee6a773d9d2db18b6b353506b31a478acee4b9ac6ecf3332c8bf8e4",
+        "ef899a62181cccb7564d38ef909e7bb9b064da224dfee5c46a2ab77f5b20f64e",
         "1468422ee56eebdb3b806ac0dad7e55ca15f6e633f3d7afbd791e21a8824c29e",
     ),
     "chordal:n=60,rate=0.4,seed=2": (
-        "07893f338165c6182852134f47e19d1983f61dfef2039e2706c0ee9b4344179c",
+        "26222123d258f6b6857cc185fbe9459d719af494d574765f8a95657d46e4c7aa",
         "70517ee9442d0f828290c6bc7278eeda174a0be3431ffb14e6b93eb648d349fb",
     ),
 }
 
 
 def as_v2(text):
-    """A v3 trace written the v2 way: ball edges nested four to a list,
+    """A v4 trace written the v2 way: ball edges nested four to a list,
     default separators, version 2."""
     lines = []
     for ev in RunTrace.from_jsonl(text).events:
@@ -372,8 +434,8 @@ def test_explore_trace_is_byte_identical_to_the_pinned_one(tmp_path, capsys, spe
     trace = tmp_path / "t.jsonl"
     invoke("gen", "--spec", spec, "--ports", "random:1", "--out", str(g))
     assert invoke("explore", "--graph", str(g), "--root", "0", "--trace", str(trace)) == 0
-    v3, v2 = GOLDEN_TRACES[spec]
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == v3
+    v4, v2 = GOLDEN_TRACES[spec]
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == v4
     assert hashlib.sha256(as_v2(trace.read_text()).encode()).hexdigest() == v2
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from base64 import b64decode
 
 import pytest
 
@@ -166,7 +167,7 @@ class TestTraceFormat:
 
     def test_header_carries_the_current_version(self):
         header = json.loads(self.trace_text().splitlines()[0])
-        assert header["kind"] == "header" and header["version"] == TRACE_VERSION == 3
+        assert header["kind"] == "header" and header["version"] == TRACE_VERSION == 4
 
     def test_missing_header_is_rejected(self):
         body = "\n".join(self.trace_text().splitlines()[1:])
@@ -231,21 +232,24 @@ class TestTraceFormat:
     def test_ball_round_trip_keeps_edges_normalized(self):
         lines = self.trace_text().splitlines()
         sense = json.loads(lines[2])
-        flat = sense["ball"]["edges"]
+        packed = sense["ball"]["edges"]
+        flat = list(b64decode(packed))
         sense["ball"]["edges"] = [x for i in range(0, len(flat), 4)
                                   for x in (flat[i + 1], flat[i], flat[i + 3], flat[i + 2])]
         loaded = RunTrace.from_jsonl("\n".join([lines[0], lines[1], json.dumps(sense)]))
         b = loaded.events[2]["ball"]
         assert all(u < v for (u, v, _pu, _pv) in b.edges)
         assert all(type(e) is tuple for e in b.edges)
-        assert b.to_json_dict()["edges"] == flat
+        assert b.flat == flat and b.to_json_dict()["edges"] == packed
 
     def test_ball_edges_are_written_flat_and_compact(self):
         lines = self.trace_text().splitlines()
         assert all(", " not in line and ": " not in line for line in lines)
         sense = json.loads(lines[2])
         assert sense["kind"] == "sense"
-        assert all(type(x) is int for x in sense["ball"]["edges"])
+        # path:4 from its end vertex: one edge, packed as four bytes
+        assert list(b64decode(sense["ball"]["edges"], validate=True))[:2] == [0, 1]
+        assert len(b64decode(sense["ball"]["edges"])) == 4
 
     @pytest.mark.parametrize("edges,message", [
         ([0, 1, 0], "3 values, not four per edge"),

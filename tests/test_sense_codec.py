@@ -1,15 +1,18 @@
 """The sense-line codec and the center-first ball order.
 
-``to_jsonl`` writes a sense event from a table of decimal strings and
-``from_jsonl`` reads a line in exactly that form without ``json.loads``;
-both must agree with the plain JSON path byte for byte and error for error.
-A ball keeps its center edges before its horizontal ones, whatever order it
-was given in.
+A sense ball is written packed, as the base64 text of its flat edge list's
+bytes, whenever every value is below 256, and as the flat list otherwise.
+``to_jsonl`` writes a sense event directly and ``from_jsonl`` reads a line in
+exactly that form without ``json.loads``; both must agree with the plain
+JSON path byte for byte and error for error. A ball keeps its center edges
+before its horizontal ones, whatever order it was given in, and lists no
+(u, v) pair twice.
 """
 
 import json
 import random
 import re
+from base64 import b64decode, b64encode
 from unittest import mock
 
 import pytest
@@ -75,21 +78,29 @@ def read_plain(text):
 # -- writer ------------------------------------------------------------------
 
 values = st.one_of(
-    st.integers(0, 30), st.integers(1000, 1100), st.integers(2**31, 2**40), st.integers(-5, -1)
+    st.integers(0, 30), st.integers(250, 260), st.integers(1000, 1100), st.integers(2**31, 2**40),
+    st.integers(-5, -1),
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.tuples(values, values, values, values), max_size=12),
     st.one_of(st.none(), values),
-    st.one_of(st.integers(0, 40), st.integers(1020, 1030)),
+    st.one_of(st.integers(0, 40), st.integers(250, 260), st.integers(1020, 1030)),
 )
 def test_sense_line_is_the_json_encoding(edges, arrival, size):
     trace = RunTrace()
-    trace.log("sense", arrival=arrival, ball=Ball(size, edges))
+    b = Ball(size, edges)
+    trace.log("sense", arrival=arrival, ball=b)
     line = trace.to_jsonl()
     assert line == plain(trace.events[0]) + "\n"
+    packed = b.to_json_dict()["edges"]
+    assert (type(packed) is str) == all(0 <= x < 256 for x in b.flat)
+    if type(packed) is str:
+        assert list(b64decode(packed, validate=True)) == b.flat
+    else:
+        assert packed is b.flat
 
 
 def test_other_sense_events_are_written_the_plain_way():
@@ -98,10 +109,11 @@ def test_other_sense_events_are_written_the_plain_way():
     trace.log("sense", arrival=True, ball=b)
     trace.log("sense", arrival=0, ball=b, note="x")
     trace.log("sense", arrival=2**40, ball=b)
+    trace.log("sense", arrival=0, ball=Ball(3, [(0, 1, 0, 256), (0, 2, 1, 0)]))
     assert trace.to_jsonl() == "".join(plain(ev) + "\n" for ev in trace.events)
 
 
-def test_real_traces_round_trip_through_the_table():
+def test_real_traces_round_trip_byte_for_byte():
     for spec in SPECS:
         env = Environment(gen(spec, "random:2"), 0, 10_000)
         explore(env)
@@ -110,13 +122,35 @@ def test_real_traces_round_trip_through_the_table():
         assert RunTrace.from_jsonl(text).to_jsonl() == text
 
 
+def test_a_ball_with_a_value_from_256_on_round_trips_as_a_list():
+    # a center of degree 256 has a local id 256; a port of 256 is as large
+    for size, edges in ((257, [(0, v, v - 1, 0) for v in range(1, 257)]),
+                        (2, [(0, 1, 256, 0)])):
+        trace = RunTrace()
+        trace.log("header", version=TRACE_VERSION, root=0, budget=1)
+        trace.log("phase_start", phase=1)
+        trace.log("sense", arrival=None, ball=Ball(size, edges))
+        text = trace.to_jsonl()
+        assert type(json.loads(text.splitlines()[2])["ball"]["edges"]) is list
+        assert RunTrace.from_jsonl(text).to_jsonl() == text
+        assert read(text) == read_plain(text)
+
+
 # -- reader ------------------------------------------------------------------
 
 
-def test_real_sense_lines_take_the_table_path():
-    for lineno, line in enumerate(SENSE_LINES):
+def test_real_sense_lines_take_the_fast_path():
+    for line in SENSE_LINES:
         m = runtime._SENSE_LINE.fullmatch(line)
-        assert m and runtime._read_sense(lineno, m) is not None
+        assert m and runtime._read_sense(m) is not None
+
+
+def _as_list(line):
+    """The line with its ball's edges written as the flat list."""
+    ev = json.loads(line)
+    if type(ev["ball"]["edges"]) is str:
+        ev["ball"]["edges"] = list(b64decode(ev["ball"]["edges"]))
+    return json.dumps(ev, sort_keys=True, separators=(",", ":"))
 
 
 def _tokens(line):
@@ -127,6 +161,7 @@ def _tokens(line):
 
 
 def _swap_token(line, rng, new):
+    line = _as_list(line)
     spans = _tokens(line)
     if not spans:
         return line
@@ -135,8 +170,14 @@ def _swap_token(line, rng, new):
 
 
 def _redump(line, rng, change):
-    ev = json.loads(line)
+    """The line with ``change`` applied to its event, the ball's edges as a
+    flat list; packed again when every value is still below 256, so the fast
+    reader sees the change."""
+    ev = json.loads(_as_list(line))
     change(ev, rng)
+    flat = ev["ball"]["edges"]
+    if all(type(x) is int and 0 <= x < 256 for x in flat):
+        ev["ball"]["edges"] = b64encode(bytes(flat)).decode()
     return json.dumps(ev, sort_keys=True, separators=(",", ":"))
 
 
@@ -173,12 +214,60 @@ def _repeat_center_edge(ev, rng):
     ev["ball"]["edges"] += ev["ball"]["edges"][:4]
 
 
+def _repeat_edge(ev, rng):
+    """One edge's ends replaced by another's: the count stays, a pair repeats."""
+    flat = ev["ball"]["edges"]
+    if len(flat) >= 8:
+        i, j = rng.sample(range(len(flat) // 4), 2)
+        flat[4 * i:4 * i + 2] = flat[4 * j:4 * j + 2]
+
+
 def _arrival_large(ev, rng):
     ev["arrival"] = 2**40
 
 
 def _size_large(ev, rng):
     ev["ball"]["size"] = 5000
+
+
+def _edit_packed(line, rng, edit):
+    """The line with its packed edges text replaced by ``edit(text, rng)``."""
+    a = line.index('"edges":"') + len('"edges":"')
+    b = line.index('"', a)
+    return line[:a] + edit(line[a:b], rng) + line[b:]
+
+
+_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _trailing_bits(text, rng):
+    """Set unused low bits of the last base64 digit: the same bytes, but not
+    the canonical text (a text without padding has no unused bits)."""
+    pad = len(text) - len(text.rstrip("="))
+    if not pad:
+        return text
+    last = len(text) - pad - 1
+    digit = _ALPHABET.index(text[last]) | rng.randrange(1, 16 if pad == 2 else 4)
+    return text[:last] + _ALPHABET[digit] + text[last + 1:]
+
+
+def _escape(text, rng):
+    """One character written as a JSON escape: ``\\/`` for a slash, else
+    ``\\u00XX``; the JSON string is the same."""
+    if not text:
+        return text
+    i = text.find("/")
+    if i < 0 or rng.random() < 0.5:
+        i = rng.randrange(len(text))
+        return text[:i] + "\\u%04x" % ord(text[i]) + text[i + 1:]
+    return text[:i] + "\\/" + text[i + 1:]
+
+
+def _insert(piece):
+    def edit(text, rng):
+        i = rng.randrange(len(text) + 1)
+        return text[:i] + piece + text[i:]
+    return edit
 
 
 def _redump_unsorted(line):
@@ -209,6 +298,20 @@ MUTATIONS = {
     "size 5000": lambda line, rng: _redump(line, rng, _size_large),
     "arrival -1": lambda line, rng: re.sub(r'"arrival":(null|[0-9]+)', '"arrival":-1', line),
     "arrival true": lambda line, rng: re.sub(r'"arrival":(null|[0-9]+)', '"arrival":true', line),
+    "arrival leading zero": lambda line, rng: re.sub(r'"arrival":([0-9]+)', r'"arrival":0\1', line),
+    "size leading zero": lambda line, rng: line.replace('"size":', '"size":0'),
+    "list in place of packed": lambda line, rng: _as_list(line),
+    "repeated edge": lambda line, rng: _redump(line, rng, _repeat_edge),
+    "repeated edge as a list": lambda line, rng: _as_list(_redump(line, rng, _repeat_edge)),
+    "padding dropped": lambda line, rng: _edit_packed(line, rng, lambda t, r: t.rstrip("=")),
+    "padding added": lambda line, rng: _edit_packed(line, rng, lambda t, r: t + "="),
+    "trailing bits": lambda line, rng: _edit_packed(line, rng, _trailing_bits),
+    "escaped character": lambda line, rng: _edit_packed(line, rng, _escape),
+    "escaped line break": lambda line, rng: _edit_packed(line, rng, _insert("\\n")),
+    "character outside the alphabet": lambda line, rng: _edit_packed(
+        line, rng, _insert(rng.choice(["!", "-", "_", " ", "\\u00e9", "*"]))),
+    "base64 digit dropped": lambda line, rng: _edit_packed(
+        line, rng, lambda t, r: t[:-1] if t else t),
 }
 
 
@@ -236,6 +339,40 @@ def test_each_mutation_agrees_with_the_json_path(name):
 def test_a_sense_line_before_the_header_is_still_a_missing_header():
     text = SENSE_LINES[0] + "\n"
     assert read(text) == read_plain(text) == "TraceFormatError: missing header: first event is 'sense'"
+
+
+def test_a_v3_trace_is_refused():
+    v3 = ['{"budget":99,"kind":"header","root":0,"version":3}', '{"kind":"phase_start","phase":1}',
+          '{"arrival":null,"ball":{"edges":[0,1,0,0],"size":2},"kind":"sense"}']
+    with pytest.raises(TraceFormatError, match="version 3, expected 4: v3 trace, re-run explore"):
+        RunTrace.from_jsonl("\n".join(v3) + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    "AAEAAA",  # padding dropped
+    "AAEAAA===",  # padding added
+    "AAEAAB==",  # a non-zero unused bit
+    "AAEA\nAA==",  # a line break
+    "AAEA AA==",  # a space
+    "AAEA-A==",  # an URL-safe digit
+    "AAEA\u00e9A==",  # outside ASCII
+])
+def test_only_the_canonical_packed_text_loads(text):
+    assert Ball.from_json_dict({"size": 2, "edges": "AAEAAA=="}).flat == [0, 1, 0, 0]
+    with pytest.raises(ValueError, match="not the canonical base64 text"):
+        Ball.from_json_dict({"size": 2, "edges": text})
+
+
+@pytest.mark.parametrize("flat", [
+    [0, 1, 0, 0, 0, 2, 1, 0, 0, 3, 2, 0, 2, 3, 0, 0, 2, 3, 1, 1],  # a horizontal edge twice
+    [0, 1, 0, 0, 0, 2, 1, 0, 0, 3, 2, 0, 2, 3, 0, 0, 3, 2, 1, 1],  # once turned round
+    [0, 1, 0, 0, 0, 2, 1, 0, 0, 3, 2, 0, 2, 3, 0, 0, 0, 2, 1, 1],  # a center edge twice
+])
+def test_a_repeated_edge_is_rejected_packed_or_listed(flat):
+    message = r"ball edges: edge \((2, 3|0, 2)\) is listed twice"
+    for edges in (flat, b64encode(bytes(flat)).decode()):
+        with pytest.raises(ValueError, match=message):
+            Ball.from_json_dict({"size": 4, "edges": edges})
 
 
 # -- center-first balls ------------------------------------------------------
@@ -281,9 +418,10 @@ def test_a_second_center_edge_among_the_horizontal_ones_fails_matches():
     g = PortNumberedGraph(3, [(0, 1, 0, 0), (0, 2, 1, 0), (1, 2, 1, 1)])
     good = [0, 1, 0, 0, 0, 2, 1, 0, 1, 2, 1, 1]
     assert Ball.from_json_dict({"size": 3, "edges": good}).matches(g, 0)
-    # the horizontal edge replaced by a copy of a center edge, so the counts agree
+    # the horizontal edge replaced by a copy of a center edge, so the counts
+    # agree: a loaded ball cannot hold it, a built one fails matches
     for copy in (good[0:4], good[4:8]):
-        b = Ball.from_json_dict({"size": 3, "edges": good[:8] + copy})
-        assert is_center_first(b)
-        assert not b.matches(g, 0)
+        with pytest.raises(ValueError, match="listed twice"):
+            Ball.from_json_dict({"size": 3, "edges": good[:8] + copy})
+        assert not Ball._trusted(3, good[:8] + copy).matches(g, 0)
         assert not Ball(3, [tuple(copy), (0, 1, 0, 0), (0, 2, 1, 0)]).matches(g, 0)
