@@ -340,7 +340,6 @@ class ClusterExplorer:
         emap.cluster_of[n0] = 0
         emap.explored_in[n0] = 0
         members = {0: [n0]}  # cluster id -> its vertices, until explored
-        new_cir = {n0: 0}  # cluster ids assigned since the last phase_end
         stack = ClusterStack()
         stack.push(0)
         next_cid = 1
@@ -370,20 +369,10 @@ class ClusterExplorer:
             for comp in discover_new_clusters(emap, new_ids):
                 for v in comp:
                     emap.cluster_of[v] = next_cid
-                    new_cir[v] = next_cid
                 members[next_cid] = comp
                 stack.push(next_cid)
                 next_cid += 1
-            vis = {n: phase for n in cluster}
-            vis.update((v, None) for v in new_ids)
-            delta = {
-                "n": emap.n,
-                "edges": sorted(emap.edges[known:]),
-                "cir": new_cir,
-                "vis": vis,
-            }
-            new_cir = {}
-            env.trace.log_phase_end(phase, delta)
+            env.trace.log_phase_end(phase, {"n": emap.n, "edges": sorted(emap.edges[known:])})
         return emap
 
     def _explore_cluster(self, env, emap, ledger, pos, cluster, phase):

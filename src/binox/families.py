@@ -22,6 +22,7 @@ class GeneratorSpec:
     The same spec always yields the same graph, byte for byte. ``port_scheme``
     is "canonical" (ports 0..deg-1 in ascending neighbour order) or
     "random:SEED" (an independent seeded permutation of 0..deg-1 per vertex).
+    A spec whose values name no graph raises ValueError when it is made.
     """
 
     family: str
@@ -30,6 +31,19 @@ class GeneratorSpec:
     rate: float = 0.0
     seed: int = 0
     port_scheme: str = "canonical"
+
+    def __post_init__(self):
+        fam, n = self.family, self.n
+        if n < 1:
+            raise ValueError(f"{fam}: n must be positive, got {n}")
+        if fam == "johnson" and not (1 <= self.k <= n):
+            raise ValueError(f"johnson: need 1 <= k <= n, got k={self.k}, n={n}")
+        if fam == "cycle" and n < 3:
+            raise ValueError(f"cycle: n must be at least 3, got {n}")
+        if fam == "chordal" and not (0.0 <= self.rate <= 1.0):
+            raise ValueError(f"chordal: rate must be in [0, 1], got {self.rate}")
+        if self.port_scheme != "canonical" and self.port_scheme.partition(":")[0] != "random":
+            raise ValueError(f"unknown port scheme {self.port_scheme!r}")
 
     def echo(self):
         if self.family == "johnson":
@@ -80,10 +94,7 @@ def _assign_ports(n, pairs, scheme):
         nbrs = sorted(adj[v])
         slots = list(range(len(nbrs)))
         if scheme != "canonical":
-            kind, _, s = scheme.partition(":")
-            if kind != "random":
-                raise ValueError(f"unknown port scheme {scheme!r}")
-            random.Random(f"ports:{s}:{v}").shuffle(slots)
+            random.Random(f"ports:{scheme.partition(':')[2]}:{v}").shuffle(slots)
         for w, p in zip(nbrs, slots):
             port_of[v][w] = p
     return [(u, v, port_of[u][v], port_of[v][u]) for (u, v) in pairs]
@@ -159,11 +170,7 @@ def _johnson_pairs(n, k):
 def generate(spec):
     """Build the graph described by ``spec`` (deterministic)."""
     fam, n = spec.family, spec.n
-    if n < 1:
-        raise ValueError(f"{fam}: n must be positive, got {n}")
     if fam == "johnson":
-        if not (1 <= spec.k <= n):
-            raise ValueError(f"johnson: need 1 <= k <= n, got k={spec.k}, n={n}")
         count, pairs = _johnson_pairs(n, spec.k)
         return PortNumberedGraph(count, _assign_ports(count, pairs, spec.port_scheme))
     if fam == "complete":
@@ -171,14 +178,10 @@ def generate(spec):
     elif fam == "path":
         pairs = [(v, v + 1) for v in range(n - 1)]
     elif fam == "cycle":
-        if n < 3:
-            raise ValueError(f"cycle: n must be at least 3, got {n}")
         pairs = [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)]
     elif fam == "tree":
         pairs = _tree_pairs(n, random.Random(f"tree:{n}:{spec.seed}"))
     elif fam == "chordal":
-        if not (0.0 <= spec.rate <= 1.0):
-            raise ValueError(f"chordal: rate must be in [0, 1], got {spec.rate}")
         pairs = _chordal_pairs(n, spec.rate, random.Random(f"chordal:{n}:{spec.rate}:{spec.seed}"))
     else:
         raise ValueError(f"unknown family {fam!r}")

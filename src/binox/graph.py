@@ -667,11 +667,13 @@ def from_json_dict(d):
 
 def load_graph(path):
     """Load and validate a graph JSON file; raises GraphFormatError with
-    per-edge diagnostics on invalid input."""
-    text = Path(path).read_text()
+    per-edge diagnostics on invalid input, and on a file that cannot be
+    read or holds no JSON text."""
     try:
-        d = json.loads(text)
-    except json.JSONDecodeError as e:
+        d = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise GraphFormatError(f"{path}: cannot read: {e}") from e
+    except ValueError as e:  # not JSON, not UTF-8, or an int of more digits than int() takes
         raise GraphFormatError(f"{path}: not valid JSON: {e}") from e
     try:
         return from_json_dict(d)

@@ -13,12 +13,11 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from itertools import filterfalse
 from pathlib import Path
 
 from .graph import Ball, ball
 
-TRACE_VERSION = 4
+TRACE_VERSION = 5
 
 # Writes every trace line: keys sorted, no spaces, no cycle check (events
 # are trees of plain values).
@@ -61,10 +60,12 @@ class RunTrace:
     """Ordered event log of one run; replayable against the ground truth.
 
     Each ``phase_end`` event carries the phase's delta: ``n`` (vertex count
-    after the phase), ``edges`` (the edges inserted in the phase, sorted
-    tuples), ``cir`` and ``vis`` (the cluster ids and explored-in values set
-    in the phase). The first delta holds the whole phase-1 map; ``final_map``
-    folds them all. A ``sense`` event's ball is written as a flat edge list
+    after the phase) and ``edges`` (the edges inserted in the phase, sorted
+    tuples). The first delta holds the whole phase-1 map; ``final_map``
+    folds them all. Which vertices are explored is not logged: a vertex is
+    explored from the end of the phase it is first sensed in, which the
+    checker works out by replaying the moves (``verify.first_sensed_map``).
+    A ``sense`` event's ball is written as a flat edge list
     (``Ball.to_json_dict``).
     """
 
@@ -90,23 +91,13 @@ class RunTrace:
         return [(e["phase"], e["delta"]) for e in self.events if e["kind"] == "phase_end"]
 
     def final_map(self):
-        """The map after the last phase_end, in ExplorationMap.snapshot()
-        form, or None when no phase ended."""
+        """The map after the last phase_end in the graph JSON form
+        (``PortNumberedGraph.to_json_dict``), or None when no phase ended."""
         deltas = [d for _phase, d in self.snapshots()]
         if not deltas:
             return None
-        edges, cir, vis = [], {}, {}
-        for d in deltas:
-            edges.extend(d["edges"])
-            cir.update(d["cir"])
-            vis.update(d["vis"])
-        return {
-            "n": deltas[-1]["n"],
-            "edges": [list(e) for e in sorted(edges)],
-            "cir": cir,
-            "vis": vis,
-            "homebase": 0,
-        }
+        edges = sorted(e for d in deltas for e in d["edges"])
+        return {"n": deltas[-1]["n"], "edges": [list(e) for e in edges]}
 
     def header(self):
         return self.events[0]
@@ -301,7 +292,7 @@ EVENT_FIELDS = {
 # The fields of the object a sense or phase_end event carries.
 NESTED_FIELDS = {
     "sense": ("ball", (("size", _INT), ("edges", (list, str)))),
-    "phase_end": ("delta", (("n", _INT), ("edges", (list,)), ("cir", (dict,)), ("vis", (dict,)))),
+    "phase_end": ("delta", (("n", _INT), ("edges", (list,)))),
 }
 
 
@@ -320,48 +311,31 @@ def _check_fields(lineno, kind, obj, fields, prefix=""):
             )
 
 
-# A natural number as JSON and str(int) write it: no sign, space, "_" or
-# leading zero.
-_DECIMAL = re.compile(r"0|[1-9][0-9]*")
-
-
 def _parse_delta(delta, map_n):
-    """The delta with int vertex keys and tuple edges; ValueError unless
+    """The delta ``{"n", "edges"}`` with tuple edges; ValueError unless
     ``n`` is at least ``map_n`` (the vertex count after the previous
     delta), every edge is four integers with both ends among the ``n``
-    vertices, every cir and vis key one of those vertices in canonical
-    decimal (so no two keys name one vertex), every cir value
-    an int, every vis value an int or None, and the map grows by at most
-    the delta's edge count (plus the homebase in the first delta: each new
-    vertex comes with a new edge to an explored one). The last bound keeps
-    a forged ``n`` from making the checker allocate per vertex."""
+    vertices, the map grows by at most the delta's edge count (plus the
+    homebase in the first delta: each new vertex comes with a new edge to
+    an explored one), and the first delta holds the homebase. The growth
+    bound keeps a forged ``n`` from making the checker allocate per
+    vertex."""
     n = delta["n"]
     if n < map_n:
         raise ValueError(f"n={n} is below the {map_n} vertices of the map so far")
-    out = dict(delta)
-    for name in ("cir", "vis"):
-        table = delta[name]
-        out[name] = keys = {int(k): v for k, v in table.items()}
-        if keys and (min(keys) < 0 or max(keys) >= n):
-            raise ValueError(f"a {name} key is not a vertex of a map of {n} vertices")
-        bad = next(filterfalse(_DECIMAL.fullmatch, table), None)
-        if bad is not None:
-            raise ValueError(f"{name} key {bad!r} is not a vertex id in canonical decimal")
-    if not all(type(c) is int for c in out["cir"].values()):
-        raise ValueError("a cir value is not an integer")
-    if not all(v is None or type(v) is int for v in out["vis"].values()):
-        raise ValueError("a vis value is neither an integer nor null")
-    out["edges"] = [(a, b, pa, pb) for (a, b, pa, pb) in delta["edges"]]
-    for e in out["edges"]:
+    edges = [(a, b, pa, pb) for (a, b, pa, pb) in delta["edges"]]
+    for e in edges:
         if not (all(type(x) is int for x in e) and 0 <= e[0] < n and 0 <= e[1] < n):
             raise ValueError(f"edge {list(e)} is not [a, b, portAtA, portAtB] in a map of {n} vertices")
-    grown = len(out["edges"]) + (map_n == 0)
+    grown = len(edges) + (map_n == 0)
     if n - map_n > grown:
         raise ValueError(
             f"n={n} adds {n - map_n} vertices to the {map_n} of the map so far, "
             f"but at most {grown} come with the delta's edges"
         )
-    return out
+    if n < 1:
+        raise ValueError("n=0: a map of 0 vertices lacks the homebase")
+    return {"n": n, "edges": edges}
 
 
 class Environment:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -52,26 +53,50 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, d):
         """Build a config from parsed JSON; raises ValueError on an unknown
-        key or check name, so a misspelling cannot switch a check off."""
+        key or check name, a value of the wrong type, or a generator spec
+        that does not parse under one of the port schemes, so a bad config
+        fails before its first run and a misspelling cannot switch a check
+        off."""
         if not isinstance(d, dict):
             raise ValueError("config must be a JSON object")
         keys = {f.name for f in fields(cls)}
         unknown = sorted(set(d) - keys)
         if unknown:
             raise ValueError(f"unknown keys {unknown}; allowed: {sorted(keys)}")
+        generators = d.get("generators")
+        port_schemes = d.get("port_schemes", ["canonical"])
+        for name, value in (("generators", generators), ("port_schemes", port_schemes)):
+            if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+                raise ValueError(f'"{name}" must be a list of strings')
+        for spec in generators:
+            for scheme in port_schemes:
+                parse_spec(spec, port_scheme=scheme)
+        roots = d.get("roots", "all")
+        if roots != "all" and not (isinstance(roots, dict) and set(roots) <= {"sample", "seed"}
+                                   and _natural(roots.get("sample")) and _natural(roots.get("seed", 0))):
+            raise ValueError('"roots" must be "all" or {"sample": k, "seed": s}, '
+                             "k and s integers >= 0")
+        factor = d.get("budget_factor", 50.0)
+        if not (type(factor) in (int, float) and 0 < factor <= sys.float_info.max):
+            raise ValueError('"budget_factor" must be a positive number')
         checks = d.get("checks", {})
         if not isinstance(checks, dict):
             raise ValueError('"checks" must be an object of check name -> bool')
         unknown = sorted(set(checks) - set(DEFAULT_CHECKS))
         if unknown:
             raise ValueError(f"unknown checks {unknown}; allowed: {sorted(DEFAULT_CHECKS)}")
+        if not all(type(v) is bool for v in checks.values()):
+            raise ValueError('"checks" values must be true or false')
+        out = d.get("out")
+        if not (out is None or isinstance(out, str)):
+            raise ValueError('"out" must be a path or null')
         return cls(
-            generators=list(d["generators"]),
-            roots=d.get("roots", "all"),
-            port_schemes=list(d.get("port_schemes", ["canonical"])),
-            budget_factor=float(d.get("budget_factor", 50.0)),
+            generators=list(generators),
+            roots=roots,
+            port_schemes=list(port_schemes),
+            budget_factor=float(factor),
             checks=dict(checks),
-            out=d.get("out"),
+            out=out,
         )
 
     def to_json_dict(self):
@@ -121,6 +146,10 @@ class RunReport:
             "spec", "port_scheme", "root", "status", "moves", "n", "m",
             "moves_per_vertex", "checks", "problems",
         )})
+
+
+def _natural(x):
+    return type(x) is int and x >= 0
 
 
 def trace_status(trace):
@@ -203,7 +232,7 @@ def run_one(g, spec_echo, port_scheme, root, budget_factor, checks):
 def _roots_for(policy, g, spec_echo, port_scheme):
     if policy == "all":
         return list(range(g.n))
-    k = int(policy["sample"])
+    k = policy["sample"]
     seed = policy.get("seed", 0)
     rng = random.Random(f"roots:{seed}:{spec_echo}:{port_scheme}")
     return sorted(rng.sample(range(g.n), min(k, g.n)))

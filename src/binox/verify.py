@@ -2,9 +2,10 @@
 
 Everything here sits on the harness side of the anonymity firewall: it knows
 the hidden graph and replays the trace against it. The map-to-ground
-correspondence is reconstructed from the trace alone (each map vertex maps to
-the ground vertex where it was first sensed; frontier vertices follow one
-vertical edge label), then checked to be a locally injective, locally
+correspondence is reconstructed from the trace alone (a map vertex is
+explored from the end of the phase it was first sensed in and maps to the
+ground vertex of that sense; frontier vertices follow one vertical edge
+label), then checked to be a locally injective, locally
 surjective (at explored vertices), port-preserving homomorphism phase by
 phase.
 """
@@ -185,6 +186,9 @@ def _write_port(adj, v, p, entry):
 def first_sensed_map(trace, g, sense_problems=None):
     """map vertex -> (phase, ground vertex) of its first sense; also asserts
     single-phase sensing (a vertex re-sensed in a later phase is reported).
+    This is the one record of which vertices are explored: a vertex is
+    explored from the end of the phase of its first sense, and every other
+    vertex of the map is frontier.
 
     Given a dict ``sense_problems``, the same replay compares every sense
     event with the ground truth and files what it gets wrong under the
@@ -222,22 +226,17 @@ def replay_senses(trace, g):
     return first, problems, sense_problems
 
 
-def _phi_for_snapshot(snap, first, g, problems):
-    """Reconstruct the map-to-ground correspondence for one snapshot.
+def _phi_for_snapshot(snap, first, g, problems, phase):
+    """Reconstruct the map-to-ground correspondence for the map ``snap``
+    after ``phase``.
 
-    Explored vertices map to where they were first sensed; a frontier vertex
-    follows its lexicographically smallest vertical edge (explored endpoint,
-    port) for definiteness. Path independence is then checked, not assumed,
-    by the per-edge homomorphism sweep in the caller.
+    The explored vertices, those first sensed in ``phase`` or before, map to
+    where they were first sensed; a frontier vertex follows its
+    lexicographically smallest vertical edge (explored endpoint, port) for
+    definiteness. Path independence is then checked, not assumed, by the
+    per-edge homomorphism sweep in the caller.
     """
-    vis = snap["vis"]
-    phi = {}
-    for n in range(snap["n"]):
-        if vis.get(n) is not None:
-            if n not in first:
-                problems.append(f"vertex {n} marked explored but never sensed")
-                return None
-            phi[n] = first[n][1]
+    phi = {n: u for n, (ph, u) in first.items() if ph <= phase}
     incident = {}
     for (a, b, pa, pb) in snap["edges"]:
         if a in phi and b not in phi:
@@ -263,9 +262,10 @@ class _PhaseChecker:
     """The phase invariants of a map that grows by deltas, re-checked only
     where a delta can change them.
 
-    Deltas only add vertices and edges and set vis values, so the inputs of
-    a check change only around the dirty set D: new vertices, endpoints of
-    new edges, vertices whose vis or phi changed. Frontier phi is recomputed
+    Deltas only add vertices and edges, and a phase only makes the vertices
+    first sensed in it explored, so the inputs of a check change only
+    around the dirty set D: new vertices, endpoints of new edges, vertices
+    explored or whose phi changed in the phase. Frontier phi is recomputed
     next to the first three; edge checks are redone at the edges touching D
     and vertex checks (injectivity, surjectivity, triangles) at D and its
     neighbours. Every phase reports all problems recorded so far, in the
@@ -276,20 +276,23 @@ class _PhaseChecker:
     def __init__(self, g, first):
         self.g = g
         self.first = first
+        self.sensed_in = {}  # phase -> the vertices first sensed in it
+        for v, (phase, _u) in first.items():
+            self.sensed_in.setdefault(phase, []).append(v)
+        self.explored = set()
         self.n = 0
         self.nbrs = []  # vertex -> {neighbour: smallest edge joining them}
         self.edges_at = []  # vertex -> incident edges
         self.edge_count = {}  # edge -> occurrences in the map
-        self.vis = {}
         self.phi = {}  # vertex -> ground vertex, where defined
-        self.unsensed = set()  # explored vertices that were never sensed
         self.phi_fail = {}  # frontier vertex -> why its phi is undefined
         self.edge_bad = {}  # edge -> problem
         self.vertex_bad = {}  # vertex -> problems
         self.stale = set()  # dirty vertices left unchecked while phi was partial
 
-    def apply(self, delta):
-        """Fold one phase delta in; returns every problem of the map so far."""
+    def apply(self, phase, delta):
+        """Fold in one phase: its delta, and the vertices first sensed in it
+        become explored. Returns every problem of the map so far."""
         dirty = set(range(self.n, delta["n"]))
         for _ in range(self.n, delta["n"]):
             self.nbrs.append({})
@@ -304,10 +307,9 @@ class _PhaseChecker:
             if b != a:
                 self.edges_at[b].append(e)
             dirty.update((a, b))
-        for v, phase in delta["vis"].items():
-            self.vis[v] = phase
-            if v < self.n:
-                dirty.add(v)
+        newly = self.sensed_in.get(phase, ())
+        self.explored.update(newly)
+        dirty.update(newly)
         for v in self._with_neighbours(dirty):
             if self._update_phi(v):
                 dirty.add(v)
@@ -345,26 +347,23 @@ class _PhaseChecker:
         """Recompute phi at v the way _phi_for_snapshot does; True if the
         value changed."""
         old = self.phi.pop(v, None)
-        self.unsensed.discard(v)
         self.phi_fail.pop(v, None)
-        if self.vis.get(v) is not None:
-            if v in self.first:
-                self.phi[v] = self.first[v][1]
-            else:
-                self.unsensed.add(v)
-            return self.phi.get(v) != old
+        explored = self.explored
+        if v in explored:
+            self.phi[v] = self.first[v][1]
+            return self.phi[v] != old
         incident = []
         for (a, b, pa, pb) in self.edges_at[v]:
-            if b == v and a != v and self.vis.get(a) is not None:
+            if b == v and a != v and a in explored:
                 incident.append((a, pa))
-            elif a == v and b != v and self.vis.get(b) is not None:
+            elif a == v and b != v and b in explored:
                 incident.append((b, pb))
         if not incident:
             self.phi_fail[v] = f"frontier vertex {v} has no explored neighbour"
             return old is not None
         m, p = min(incident)
-        u = self.first[m][1] if m in self.first else None
-        step = None if u is None else self.g.step(u, p)
+        u = self.first[m][1]
+        step = self.g.step(u, p)
         if step is None:
             self.phi_fail[v] = f"frontier vertex {v}: ground has no port {p} at {u}"
             return old is not None
@@ -373,11 +372,7 @@ class _PhaseChecker:
 
     def phi_problem(self):
         """The problem that leaves phi partial, or None when phi is total."""
-        if self.unsensed:
-            return f"vertex {min(self.unsensed)} marked explored but never sensed"
-        if self.phi_fail:
-            return self.phi_fail[min(self.phi_fail)]
-        return None
+        return self.phi_fail[min(self.phi_fail)] if self.phi_fail else None
 
     def _check_edge(self, e):
         a, b, pa, pb = e
@@ -403,7 +398,7 @@ class _PhaseChecker:
                     f"both map to ground {fm}"
                 )
             images[fm] = m
-        if self.vis.get(n) is None:
+        if n not in self.explored:
             return problems
         fn = phi[n]
         if len(images) != g.degree(fn) or not all(g.has_edge(fn, x) for x in images):
@@ -450,7 +445,7 @@ def verify_phase_invariants(trace, g, sensed=None):
     checker = _PhaseChecker(g, first)
     for (phase, delta) in trace.snapshots():
         problems = list(sense_problems.get(phase, ()))
-        problems.extend(checker.apply(delta))
+        problems.extend(checker.apply(phase, delta))
         if phase == 1 and checker.phi_problem() is None:
             pg = PortNumberedGraph(checker.n, checker.edges())
             if ball(pg, 0).signature() != ball(g, root).signature():
@@ -470,7 +465,7 @@ def reconstruct_final_phi(trace, g, sensed=None):
     snap = trace.final_map()
     if snap is None:
         return None, ["trace has no phase snapshots"]
-    phi = _phi_for_snapshot(snap, first, g, problems)
+    phi = _phi_for_snapshot(snap, first, g, problems, trace.snapshots()[-1][0])
     if phi is None or problems:
         return None, problems
     return [phi[n] for n in range(snap["n"])], []

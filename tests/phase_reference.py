@@ -3,8 +3,9 @@
 Folds a trace's phase deltas into the whole map of every phase and checks
 each map on its own: the sense replay rebuilds its adjacency at every
 phase_end, and every phase reconstructs phi and re-checks every edge and
-vertex. Quadratic in the number of phases, so only for small test graphs;
-``verify_phase_invariants`` must agree with it phase by phase.
+vertex. The vertices explored after phase k are those first sensed in
+phase k or before. Quadratic in the number of phases, so only for small
+test graphs; ``verify_phase_invariants`` must agree with it phase by phase.
 """
 
 from binox.graph import PortNumberedGraph, ball
@@ -13,13 +14,11 @@ from binox.verify import CheckResult, _phi_for_snapshot
 
 def folded_maps(trace):
     """(phase, whole map after that phase) for every phase_end."""
-    edges, cir, vis = [], {}, {}
+    edges = []
     out = []
     for phase, delta in trace.snapshots():
         edges = sorted(edges + [tuple(e) for e in delta["edges"]])
-        cir = {**cir, **delta["cir"]}
-        vis = {**vis, **delta["vis"]}
-        out.append((phase, {"n": delta["n"], "edges": edges, "cir": cir, "vis": vis}))
+        out.append((phase, {"n": delta["n"], "edges": edges}))
     return out
 
 
@@ -81,9 +80,8 @@ def first_sensed_map(trace, g):
     return first, [f"phase {phase}: {p}" for phase, p in problems]
 
 
-def check_snapshot(snap, phi, g):
+def check_snapshot(snap, phi, g, explored):
     problems = []
-    vis = snap["vis"]
     n_count = snap["n"]
     nbrs = {n: {} for n in range(n_count)}
     for (a, b, pa, pb) in snap["edges"]:
@@ -105,7 +103,7 @@ def check_snapshot(snap, phi, g):
                     f"both map to ground {fm}"
                 )
             images[fm] = m
-        if vis.get(n) is None:
+        if n not in explored:
             continue
         fn = phi[n]
         ground_nbrs = set(g._nbrs[fn])
@@ -136,9 +134,10 @@ def phase_invariants(trace, g):
     root = trace.header()["root"]
     for (phase, snap) in folded_maps(trace):
         problems = [p for ph, p in filed if ph == phase]
-        phi = _phi_for_snapshot(snap, first, g, problems)
+        phi = _phi_for_snapshot(snap, first, g, problems, phase)
         if phi is not None:
-            problems.extend(check_snapshot(snap, phi, g))
+            explored = {n for n, (ph, _u) in first.items() if ph <= phase}
+            problems.extend(check_snapshot(snap, phi, g, explored))
             if phase == 1:
                 pg = PortNumberedGraph(snap["n"], snap["edges"])
                 if ball(pg, 0).signature() != ball(g, root).signature():

@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 import binox
 from binox.cli import main
+from binox.graph import load_graph
 from binox.runtime import RunTrace
+from binox.verify import first_sensed_map
 
 
 def invoke(*args):
@@ -101,9 +103,27 @@ class TestExploreAndCheck:
         assert '"labels" must be a JSON object' in err and "Traceback" not in err
 
 
-def add_vis_key(line, key, value):
+@pytest.mark.parametrize("command", ["explore", "check"])
+@pytest.mark.parametrize("text,message", [
+    ('{"n": ' + "1" * 5000 + ', "edges": []}', "not valid JSON: "),  # more digits than int() takes
+    ("\udcff", "not valid JSON: "),  # not UTF-8 once written
+    (None, "cannot read: "),  # no such file
+])
+def test_unreadable_graph_file_is_an_error_not_a_traceback(tmp_path, capsys, command, text, message):
+    g = tmp_path / "g.json"
+    if text is not None:
+        g.write_bytes(text.encode("utf-8", "surrogateescape"))
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"budget":1,"kind":"header","root":0,"version":5}\n')
+    extra = ["--trace", str(trace)] if command == "check" else []
+    assert invoke(command, "--graph", str(g), *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {g}: {message}") and "Traceback" not in err
+
+
+def add_delta_edge(line, edge):
     ev = json.loads(line)
-    ev["delta"]["vis"][key] = value
+    ev["delta"]["edges"].append(edge)
     return json.dumps(ev)
 
 
@@ -129,7 +149,7 @@ class TestHugeVertexCounts:
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 10**12, "edges": []}))
         trace = tmp_path / "t.jsonl"
-        trace.write_text('{"budget":1,"kind":"header","root":0,"version":4}\n')
+        trace.write_text('{"budget":1,"kind":"header","root":0,"version":5}\n')
         for args in (("explore", "--graph", str(g)), ("check", "--graph", str(g), "--trace", str(trace))):
             r = run_capped(*args)
             assert r.returncode == 1, r.stderr
@@ -169,8 +189,10 @@ class TestCheckInputs:
 
     @pytest.mark.parametrize("damage,message", [
         (lambda lines: lines[1:], "missing header"),
-        (lambda lines: [lines[0].replace('"version":4', '"version":1')] + lines[1:],
+        (lambda lines: [lines[0].replace('"version":5', '"version":1')] + lines[1:],
          "v1 trace, re-run explore"),
+        (lambda lines: [lines[0].replace('"version":5', '"version":4')] + lines[1:],
+         "v4 trace, re-run explore"),
         (lambda lines: lines[:2] + ["not json"] + lines[2:], "not JSON"),
         (lambda lines: lines[:2] + ['{"kind":"move","out":' + "1" * 5000 + ',"in":0}'] + lines[2:],
          "line 3: not JSON: Exceeds the limit"),
@@ -180,11 +202,13 @@ class TestCheckInputs:
         (lambda lines: lines[:-1] + ['{"kind":"budget_exhausted"}'] + lines[-1:],
          "line 22: second terminal event: halt after budget_exhausted"),
         (lambda lines: lines[:-2] + lines[-1:], "line 20: halt while phase 5 is open"),
-        (lambda lines: lines[:7] + [add_vis_key(lines[7], "40", 3)] + lines[8:],
-         "line 8: malformed phase_end event: a vis key is not a vertex of a map of 3 vertices"),
-        # two spellings that int() reads as vertices 1 and 2 of the map
-        (lambda lines: lines[:7] + [add_vis_key(add_vis_key(lines[7], " +1", 7), "0_2", 1)] + lines[8:],
-         "line 8: malformed phase_end event: vis key ' +1' is not a vertex id in canonical decimal"),
+        (lambda lines: lines[:7] + [add_delta_edge(lines[7], [0, 40, 0, 0])] + lines[8:],
+         "line 8: malformed phase_end event: edge [0, 40, 0, 0] is not [a, b, portAtA, portAtB] "
+         "in a map of 3 vertices"),
+        # phase 1 senses the homebase and ends with an empty map
+        (lambda lines: lines[:3] + ['{"delta":{"edges":[],"n":0},"kind":"phase_end","phase":1}',
+                                    lines[-1]],
+         "line 4: malformed phase_end event: n=0: a map of 0 vertices lacks the homebase"),
     ])
     def test_malformed_trace_is_an_error_not_a_traceback(self, tmp_path, capsys, damage, message):
         g, trace = self.explored(tmp_path)
@@ -297,7 +321,7 @@ SCHEMA = {
     "header": {"version": (int,), "root": (int,), "budget": (int,)},
     "phase_start": {"phase": (int,)},
     "phase_end": {"phase": (int,), "delta": (dict,), "delta.n": (int,),
-                  "delta.edges": (list,), "delta.cir": (dict,), "delta.vis": (dict,)},
+                  "delta.edges": (list,)},
     "sense": {"arrival": (int, type(None)), "ball": (dict,), "ball.size": (int,),
               "ball.edges": (list, str)},
     "move": {"out": (int,), "in": (int,)},
@@ -358,15 +382,17 @@ def test_damaged_event_fails_check_without_a_traceback(spec, data):
     assert err.getvalue().startswith("error: ")
 
 
-def run_check(graph_text, lines):
-    """(exit code, stderr) of ``binox check`` on these files."""
+def run_on_files(command, graph_text, lines):
+    """(exit code, stderr) of ``binox explore`` or ``binox check`` on these
+    files (``explore`` does not read the trace)."""
     with tempfile.TemporaryDirectory() as d:
         g, trace = Path(d) / "g.json", Path(d) / "t.jsonl"
         g.write_text(graph_text)
         trace.write_text("\n".join(lines) + "\n")
+        args = ["--graph", str(g)] + (["--trace", str(trace)] if command == "check" else [])
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["check", "--graph", str(g), "--trace", str(trace)])
+            rc = main([command, *args])
     return rc, err.getvalue()
 
 
@@ -389,41 +415,83 @@ def test_fuzzed_sense_and_delta_lines_end_in_exit_0_or_1(spec, data):
         op = data.draw(st.sampled_from(["flip", "drop", "insert"]), label="edit")
         new = "" if op == "drop" else data.draw(FUZZ_CHARS, label="character")
         damaged[i] = line[:at] + new + line[at + (op != "insert"):]
-    rc, err = run_check(graph_text, damaged)
+    rc, err = run_on_files("check", graph_text, damaged)
     assert rc in (0, 1)
     assert "Traceback" not in err
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["path:5", "chordal:n=12,rate=0.5,seed=1", "johnson:4,2", "cycle:4"]),
+    st.sampled_from(["explore", "check"]),
+    st.data(),
+)
+def test_fuzzed_graph_file_ends_in_exit_0_1_or_2(spec, command, data):
+    graph_text, lines = valid_run(spec)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        at = data.draw(st.integers(0, len(graph_text)), label="position")
+        op = data.draw(st.sampled_from(["flip", "drop", "insert"]), label="edit")
+        new = "" if op == "drop" else data.draw(FUZZ_CHARS, label="character")
+        graph_text = graph_text[:at] + new + graph_text[at + (op != "insert"):]
+    rc, err = run_on_files(command, graph_text, lines)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+
+
 # sha256 of `binox explore --root 0 --trace` (default budget) on graphs made
-# with `binox gen --ports random:1`, as (v4 trace, the same trace rendered in
+# with `binox gen --ports random:1`, as (v5 trace, the same trace rendered in
 # the v2 form). Traces of a fixed run must stay byte for byte the same; a
 # trace format change updates the first digest on purpose, and the second
 # (pinned when v2 was current) shows the run itself did not change.
 GOLDEN_TRACES = {
     "complete:20": (
-        "73cb796fd9bfd08492862aeef6d9be0a8e57a3b19d6712ecabfc98d165962ea0",
+        "859b0de5f99916127efca6b5ff199baf08abc12e14ff491346a95ce0ce2c22be",
         "78875882543f0348ff74abb327403fa63b7a50d6b26555e1fa0413640ed12ab4",
     ),
     "johnson:6,2": (
-        "ef899a62181cccb7564d38ef909e7bb9b064da224dfee5c46a2ab77f5b20f64e",
+        "27b2bc0cde8cc043021d4bcceb1a376c5b0c191efed03c3175a97116374b1c97",
         "1468422ee56eebdb3b806ac0dad7e55ca15f6e633f3d7afbd791e21a8824c29e",
     ),
     "chordal:n=60,rate=0.4,seed=2": (
-        "26222123d258f6b6857cc185fbe9459d719af494d574765f8a95657d46e4c7aa",
+        "aa6959fc9fe9baaabbd14228822c08d38926d85b2f8d4aca98e79bfb610dbf29",
         "70517ee9442d0f828290c6bc7278eeda174a0be3431ffb14e6b93eb648d349fb",
     ),
 }
 
 
-def as_v2(text):
-    """A v4 trace written the v2 way: ball edges nested four to a list,
-    default separators, version 2."""
+def as_v2(text, g):
+    """A v5 trace written the v2 way: ball edges nested four to a list,
+    default separators, version 2, and each delta with the two tables v2
+    logged and v5 dropped, rebuilt from the trace. ``vis`` holds the phase
+    of the vertices first sensed in it (the sense replay) and null for the
+    phase's new vertices; ``cir`` numbers the connected groups of new
+    vertices, in order of their smallest id, after the homebase's cluster
+    0."""
+    trace = RunTrace.from_jsonl(text)
+    first, _problems = first_sensed_map(trace, g)
+    clusters, old_n = 0, 0
     lines = []
-    for ev in RunTrace.from_jsonl(text).events:
+    for ev in trace.events:
         if ev["kind"] == "header":
             ev = dict(ev, version=2)
         elif ev["kind"] == "sense":
             ev = dict(ev, ball={"size": ev["ball"].size, "edges": list(ev["ball"].edges)})
+        elif ev["kind"] == "phase_end":
+            delta, new = ev["delta"], range(old_n or 1, ev["delta"]["n"])
+            vis = {v: ph for v, (ph, _u) in first.items() if ph == ev["phase"]}
+            vis.update((v, None) for v in new)
+            group = {v: {v} for v in new}
+            for (a, b, _pa, _pb) in delta["edges"]:
+                if a in group and b in group:
+                    merged = group[a] | group[b]
+                    group.update((x, merged) for x in merged)
+            cir = {} if old_n else {0: 0}
+            for v in new:
+                if v == min(group[v]):
+                    clusters += 1
+                    cir.update((x, clusters) for x in group[v])
+            ev = dict(ev, delta=dict(delta, cir=cir, vis=vis))
+            old_n = delta["n"]
         lines.append(json.dumps(ev, sort_keys=True))
     return "\n".join(lines) + "\n"
 
@@ -434,9 +502,13 @@ def test_explore_trace_is_byte_identical_to_the_pinned_one(tmp_path, capsys, spe
     trace = tmp_path / "t.jsonl"
     invoke("gen", "--spec", spec, "--ports", "random:1", "--out", str(g))
     assert invoke("explore", "--graph", str(g), "--root", "0", "--trace", str(trace)) == 0
-    v4, v2 = GOLDEN_TRACES[spec]
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == v4
-    assert hashlib.sha256(as_v2(trace.read_text()).encode()).hexdigest() == v2
+    v5, v2 = GOLDEN_TRACES[spec]
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == v5
+    rendered = as_v2(trace.read_text(), load_graph(g))
+    assert hashlib.sha256(rendered.encode()).hexdigest() == v2
+
+
+BAD_ROOTS = '"roots" must be "all" or {"sample": k, "seed": s}, k and s integers >= 0'
 
 
 class TestSuite:
@@ -506,6 +578,25 @@ class TestSuite:
         assert captured.err.startswith("error: bad config: ") and message in captured.err
         assert "runs" not in captured.out
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"checks": {"coverage": "yes"}}, '"checks" values must be true or false'),
+        ({"generators": 5}, '"generators" must be a list of strings'),
+        ({"budget_factor": None}, '"budget_factor" must be a positive number'),
+        ({"roots": {"sample": "a"}}, BAD_ROOTS),
+        ({"roots": 7}, BAD_ROOTS),
+        ({"generators": ["nope:3"]}, "unknown family in generator spec 'nope:3'"),
+        ({"port_schemes": ["weird"]}, "bad generator spec 'path:4': unknown port scheme 'weird'"),
+        ({"generators": ["path:0"]}, "bad generator spec 'path:0': path: n must be positive, got 0"),
+        ({"out": 5}, '"out" must be a path or null'),
+    ])
+    def test_malformed_config_is_rejected_before_any_run(self, tmp_path, capsys, bad, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generators": ["path:4"], **bad}))
+        assert invoke("suite", "--config", str(cfg), "--out", str(tmp_path / "res")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad config: {message}\n"
+        assert captured.out == "" and not (tmp_path / "res").exists()
 
     def test_cycles_suite_reports_non_halting(self, tmp_path, capsys):
         cfg = self.config(

@@ -55,8 +55,8 @@ class TestReferenceTraces:
         assert out.moves == 2
         # after phase 1 the map is already the whole ball: K3 itself
         first = out.trace.snapshots()[0][1]
-        assert first["n"] == 3 and len(first["edges"]) == 3
-        assert first["vis"] == {0: 1, 1: None, 2: None}
+        assert set(first) == {"n", "edges"} and first["n"] == 3 and len(first["edges"]) == 3
+        assert out.final_map.explored_in == {0: 1, 1: 2, 2: 2}
         assert verify_rooted_isomorphism(out.final_map, g, 0).ok
 
     def test_single_vertex_graph(self):

@@ -51,7 +51,29 @@ def test_honest_runs_agree_and_pass(run):
     results = assert_agrees(out.trace, g)
     assert results and all(r.ok for _ph, r in results)
     if out.status == "halted":
-        assert out.trace.final_map() == out.final_map.snapshot()
+        assert out.trace.final_map() == out.final_map.to_json_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [f"chordal:n={n},rate={r},seed={s}" for n in (12, 30) for r in (0.2, 0.6) for s in (1, 2)]
+        + ["johnson:5,2", "johnson:6,3"]
+        + [f"tree:n={n},seed={s}" for n in (10, 40) for s in (3, 4)]
+        + [f"cycle:{k}" for k in (4, 7)]
+    ),
+    st.integers(min_value=0, max_value=100),
+    st.integers(min_value=0, max_value=1000),
+    st.sampled_from([0.2, 0.5, 1, 50]),
+)
+def test_explored_from_the_sense_replay_is_what_the_explorer_marked(spec, ports, root_seed, factor):
+    # small budgets cut runs off mid-phase; cycles never halt
+    g = gen(spec, f"random:{ports}")
+    out = explore(Environment(g, root_seed % g.n, max(1, int(factor * g.n))))
+    first, problems = first_sensed_map(out.trace, g)
+    assert problems == []
+    marked = {v: ph for v, ph in out.final_map.explored_in.items() if ph is not None}
+    assert {v: ph for v, (ph, _u) in first.items()} == marked
 
 
 def _pick_edge(deltas, data):
@@ -109,35 +131,15 @@ def clashing_edge(deltas, data, trace, g):
         later["edges"] = sorted(later["edges"] + [(x, b, q, pb) if x < b else (b, x, pb, q)])
 
 
-def flip_vis(deltas, data, trace, g):
-    k = data.draw(st.sampled_from([i for i, d in enumerate(deltas) if d["vis"]]))
-    v = data.draw(st.sampled_from(sorted(deltas[k]["vis"])))
-    deltas[k]["vis"][v] = k + 1 if deltas[k]["vis"][v] is None else None
-
-
-def explored_unsensed(deltas, data, trace, g):
-    """Mark explored a vertex that is never sensed: a frontier vertex left
-    at the end of a non-halting run, or else one more vertex in the last
-    delta."""
-    first, _ = phase_reference.first_sensed_map(trace, g)
-    created = {}
-    for k, d in enumerate(deltas):
-        for v in range(deltas[k - 1]["n"] if k else 0, d["n"]):
-            created[v] = k
-    never = sorted(v for v in created if v not in first)
-    if never:
-        v = data.draw(st.sampled_from(never))
-        k = data.draw(st.integers(created[v], len(deltas) - 1))
-    else:
-        k = len(deltas) - 1
-        v = deltas[k]["n"]
-        deltas[k]["n"] += 1
-    deltas[k]["vis"][v] = k + 1
+def drop_sense(deltas, data, trace, g):
+    """Delete a sense event, so its vertex stays frontier (or becomes
+    explored only where it is sensed again)."""
+    senses = [i for i, ev in enumerate(trace.events) if ev["kind"] == "sense"]
+    del trace.events[data.draw(st.sampled_from(senses))]
 
 
 CORRUPTIONS = [
-    drop_edge, wrong_far_port, wrong_near_port, late_edge, clashing_edge, flip_vis,
-    explored_unsensed,
+    drop_edge, wrong_far_port, wrong_near_port, late_edge, clashing_edge, drop_sense,
 ]
 
 

@@ -167,7 +167,7 @@ class TestTraceFormat:
 
     def test_header_carries_the_current_version(self):
         header = json.loads(self.trace_text().splitlines()[0])
-        assert header["kind"] == "header" and header["version"] == TRACE_VERSION == 4
+        assert header["kind"] == "header" and header["version"] == TRACE_VERSION == 5
 
     def test_missing_header_is_rejected(self):
         body = "\n".join(self.trace_text().splitlines()[1:])
@@ -195,8 +195,8 @@ class TestTraceFormat:
         ({"kind": "move", "out": 0, "in": "1"}, "line 3: move event field 'in' is str, expected int"),
         ({"kind": "teleport"}, "line 3: field 'kind': unknown event kind 'teleport'"),
         ({"out": 0, "in": 1}, "line 3: field 'kind': unknown event kind None"),
-        ({"kind": "phase_end", "phase": 1, "delta": {"n": 1, "edges": [], "cir": {}}},
-         "line 3: phase_end event lacks field 'delta.vis'"),
+        ({"kind": "phase_end", "phase": 1, "delta": {"n": 1}},
+         "line 3: phase_end event lacks field 'delta.edges'"),
         ({"kind": "sense", "arrival": 0, "ball": {"size": "2", "edges": []}},
          "line 3: sense event field 'ball.size' is str, expected int"),
         ({"kind": "sense", "arrival": None, "ball": {"size": 2, "edges": [[0, 1, 0]]}},
@@ -204,14 +204,13 @@ class TestTraceFormat:
         ({"kind": "sense", "arrival": True, "ball": {"size": 1, "edges": []}},
          "line 3: sense event field 'arrival' is bool, expected int or NoneType"),
         ({"kind": "phase_end", "phase": 1,
-          "delta": {"n": 2, "edges": [[0, "1", 0, 0]], "cir": {}, "vis": {}}},
+          "delta": {"n": 2, "edges": [[0, "1", 0, 0]]}},
          "line 3: malformed phase_end event: edge [0, '1', 0, 0] is not"),
         ({"kind": "phase_end", "phase": 1,
-          "delta": {"n": 2, "edges": [[0, 5, 0, 0]], "cir": {}, "vis": {}}},
+          "delta": {"n": 2, "edges": [[0, 5, 0, 0]]}},
          "edge [0, 5, 0, 0] is not [a, b, portAtA, portAtB] in a map of 2 vertices"),
-        ({"kind": "phase_end", "phase": 1,
-          "delta": {"n": 2, "edges": [], "cir": {}, "vis": {"0": "x"}}},
-         "a vis value is neither an integer nor null"),
+        ({"kind": "phase_end", "phase": 1, "delta": {"n": 0, "edges": []}},
+         "a map of 0 vertices lacks the homebase"),
     ])
     def test_event_with_missing_or_mistyped_field_is_rejected(self, event, message):
         lines = self.trace_text().splitlines()
@@ -224,7 +223,7 @@ class TestTraceFormat:
     def test_shrinking_map_is_rejected(self):
         lines = self.trace_text().splitlines()
         shrunk = {"kind": "phase_end", "phase": 9,
-                  "delta": {"n": 1, "edges": [], "cir": {}, "vis": {}}}
+                  "delta": {"n": 1, "edges": []}}
         lines.insert(len(lines) - 1, json.dumps(shrunk))
         with pytest.raises(TraceFormatError, match=f"line {len(lines) - 1}: .*n=1 is below the 4"):
             RunTrace.from_jsonl("\n".join(lines))
@@ -273,20 +272,6 @@ class TestTraceFormat:
             RunTrace.from_jsonl("\n".join(lines))
         assert str(err.value).startswith("line 3: malformed sense event: ball edges: ")
         assert message in str(err.value)
-
-    @pytest.mark.parametrize("table,key", [("vis", "4"), ("vis", "40"), ("vis", "-1"),
-                                           ("cir", "4"), ("cir", "-2")])
-    def test_delta_key_outside_the_map_is_rejected(self, table, key):
-        lines = self.trace_text().splitlines()
-        index = max(i for i, line in enumerate(lines) if '"phase_end"' in line)
-        ev = json.loads(lines[index])
-        ev["delta"][table][key] = 1
-        lines[index] = json.dumps(ev)
-        with pytest.raises(TraceFormatError, match=(
-            f"line {index + 1}: malformed phase_end event: a {table} key is not a vertex "
-            f"of a map of 4 vertices"
-        )):
-            RunTrace.from_jsonl("\n".join(lines))
 
 
 class TestEventOrder:

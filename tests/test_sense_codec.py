@@ -344,7 +344,7 @@ def test_a_sense_line_before_the_header_is_still_a_missing_header():
 def test_a_v3_trace_is_refused():
     v3 = ['{"budget":99,"kind":"header","root":0,"version":3}', '{"kind":"phase_start","phase":1}',
           '{"arrival":null,"ball":{"edges":[0,1,0,0],"size":2},"kind":"sense"}']
-    with pytest.raises(TraceFormatError, match="version 3, expected 4: v3 trace, re-run explore"):
+    with pytest.raises(TraceFormatError, match="version 3, expected 5: v3 trace, re-run explore"):
         RunTrace.from_jsonl("\n".join(v3) + "\n")
 
 
