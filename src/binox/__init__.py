@@ -63,7 +63,6 @@ from .suite import ExperimentConfig, RunReport, run_one, run_suite
 from .verify import (
     CheckResult,
     reconstruct_final_phi,
-    rooted_embedding,
     verify_coverage,
     verify_phase_invariants,
     verify_rooted_isomorphism,

@@ -22,7 +22,14 @@ from .explorer import explore
 from .families import generate, parse_spec
 from .graph import GraphFormatError, load_graph, save_graph
 from .runtime import Environment, RunTrace, TraceFormatError
-from .suite import DEFAULT_CHECKS, ExperimentConfig, evaluate_trace, format_summary, run_suite, trace_status
+from .suite import (DEFAULT_CHECKS, ExperimentConfig, evaluate_trace, format_summary, move_budget,
+                    run_suite, trace_status)
+
+
+def _error(message):
+    """Report an input or usage error; its exit code is 1."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def _cmd_gen(args):
@@ -30,8 +37,7 @@ def _cmd_gen(args):
         spec = parse_spec(args.spec, port_scheme=args.ports)
         g = generate(spec)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _error(e)
     if args.out:
         save_graph(g, args.out)
         print(f"{spec.echo()} ports={args.ports}: n={g.n} m={g.m} -> {args.out}")
@@ -44,13 +50,13 @@ def _cmd_explore(args):
     try:
         g = load_graph(args.graph)
     except GraphFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _error(e)
     if not (0 <= args.root < g.n):
-        print(f"error: root {args.root} out of range for n={g.n}", file=sys.stderr)
-        return 1
-    budget = max(1, int(args.budget_factor * g.n))
-    env = Environment(g, args.root, budget)
+        return _error(f"root {args.root} out of range for n={g.n}")
+    try:
+        env = Environment(g, args.root, move_budget(args.budget_factor, g.n))
+    except ValueError as e:
+        return _error(e)
     outcome = explore(env)
     if args.trace:
         outcome.trace.save(args.trace)
@@ -69,24 +75,22 @@ def _cmd_check(args):
     try:
         g = load_graph(args.graph)
     except GraphFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _error(e)
     try:
         trace = RunTrace.load(args.trace)
     except (OSError, TraceFormatError) as e:
-        print(f"error: {args.trace}: {e}", file=sys.stderr)
-        return 1
+        return _error(f"{args.trace}: {e}")
     root = trace.header()["root"]
     if not (0 <= root < g.n):
-        print(f"error: {args.trace}: root {root} out of range for n={g.n} "
-              f"(trace recorded on another graph?)", file=sys.stderr)
-        return 1
-    if args.checks:
+        return _error(f"{args.trace}: root {root} out of range for n={g.n} "
+                      f"(trace recorded on another graph?)")
+    if args.checks is not None:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
         unknown = [c for c in names if c not in DEFAULT_CHECKS]
         if unknown:
-            print(f"error: unknown checks {unknown}", file=sys.stderr)
-            return 1
+            return _error(f"unknown checks {unknown}")
+        if not names:
+            return _error("--checks names no check")
         checks = {name: True for name in names}
     else:
         checks = {name: True for name in DEFAULT_CHECKS}
@@ -99,9 +103,7 @@ def _cmd_check(args):
     for p in problems:
         print(f"  {p}")
     if status == "incomplete":
-        print("error: trace has no terminal event (halt, budget_exhausted or "
-              "error_detected)", file=sys.stderr)
-        return 1
+        return _error("trace has no terminal event (halt, budget_exhausted or error_detected)")
     return 0 if not any(v is False for v in results.values()) else 1
 
 
@@ -109,9 +111,11 @@ def _cmd_suite(args):
     try:
         config = ExperimentConfig.from_json_dict(json.loads(Path(args.config).read_text()))
     except (OSError, ValueError, KeyError) as e:
-        print(f"error: bad config: {e}", file=sys.stderr)
-        return 1
-    reports, summary = run_suite(config, out_dir=args.out)
+        return _error(f"bad config: {e}")
+    try:
+        reports, summary = run_suite(config, out_dir=args.out)
+    except ValueError as e:  # a budget factor that gives no budget on a graph (move_budget)
+        return _error(e)
     print(format_summary(summary), end="")
     failed = [r for r in reports if not r.passed()]
     print(f"{len(reports)} runs, {len(failed)} with failing checks")

@@ -61,10 +61,10 @@ class RunTrace:
 
     Each ``phase_end`` event carries the phase's delta: ``n`` (vertex count
     after the phase) and ``edges`` (the edges inserted in the phase, sorted
-    tuples). The first delta holds the whole phase-1 map; ``final_map``
-    folds them all. Which vertices are explored is not logged: a vertex is
-    explored from the end of the phase it is first sensed in, which the
-    checker works out by replaying the moves (``verify.first_sensed_map``).
+    tuples). The first delta holds the whole phase-1 map. Which vertices are
+    explored is not logged: a vertex is explored from the end of the phase
+    it is first sensed in, which the checker works out in its one replay of
+    the events (``verify.TraceReplay``), as it folds the deltas.
     A ``sense`` event's ball is written as a flat edge list
     (``Ball.to_json_dict``).
     """
@@ -89,15 +89,6 @@ class RunTrace:
     def snapshots(self):
         """(phase, delta) of every phase_end, in order."""
         return [(e["phase"], e["delta"]) for e in self.events if e["kind"] == "phase_end"]
-
-    def final_map(self):
-        """The map after the last phase_end in the graph JSON form
-        (``PortNumberedGraph.to_json_dict``), or None when no phase ended."""
-        deltas = [d for _phase, d in self.snapshots()]
-        if not deltas:
-            return None
-        edges = sorted(e for d in deltas for e in d["edges"])
-        return {"n": deltas[-1]["n"], "edges": [list(e) for e in edges]}
 
     def header(self):
         return self.events[0]

@@ -10,6 +10,7 @@ ambient state).
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass, field, fields
@@ -17,16 +18,10 @@ from pathlib import Path
 
 from .explorer import explore
 from .families import generate, parse_spec
-from .graph import PortNumberedGraph, cluster_decomposition
+from .graph import cluster_decomposition
 from .homotopy import verify_simplicial_covering
 from .runtime import Environment
-from .verify import (
-    reconstruct_final_phi,
-    replay_senses,
-    verify_coverage,
-    verify_phase_invariants,
-    verify_rooted_isomorphism,
-)
+from .verify import TraceReplay, verify_coverage, verify_rooted_isomorphism
 
 DEFAULT_CHECKS = {
     "phase_invariants": True,
@@ -163,17 +158,19 @@ def evaluate_trace(trace, g, checks):
     """Apply the requested checks to a finished trace.
 
     Returns (results, problems). A check that does not apply to the run's
-    status (e.g. coverage of a non-halting run) is reported as None.
+    status (e.g. coverage of a non-halting run) is reported as None. One
+    replay of the trace (TraceReplay) gives the phase results, the final
+    map and its phi.
     """
     status = trace_status(trace)
     root = trace.header()["root"]
+    halted = status == "halted"
+    needs_map = halted and (checks.get("final_isomorphism") or checks.get("covering"))
+    replay = TraceReplay(trace, g) if checks.get("phase_invariants") or needs_map else None
     results = {}
     problems = []
-    sensed = None  # one sense replay, shared with the covering check
     if checks.get("phase_invariants"):
-        sensed = replay_senses(trace, g)
-        per_phase = verify_phase_invariants(trace, g, sensed)
-        bad = [(ph, r) for (ph, r) in per_phase if not r.ok]
+        bad = [(ph, r) for (ph, r) in replay.results if not r.ok]
         results["phase_invariants"] = not bad
         for ph, r in bad[:3]:
             problems.extend(f"phase {ph}: {p}" for p in r.problems[:3])
@@ -181,13 +178,11 @@ def evaluate_trace(trace, g, checks):
         results["cluster_tree"] = cluster_decomposition(g, root).is_tree()
         if not results["cluster_tree"]:
             problems.append(f"clusters of (g, {root}) do not form a tree")
-    halted = status == "halted"
     for name in ("final_isomorphism", "coverage", "covering"):
         if checks.get(name):
             results[name] = None if not halted else True
     if halted:
-        snap = trace.final_map()
-        final_map = PortNumberedGraph(snap["n"], snap["edges"])
+        final_map = replay.graph() if needs_map else None
         if checks.get("final_isomorphism"):
             r = verify_rooted_isomorphism(final_map, g, root)
             results["final_isomorphism"] = r.ok
@@ -197,7 +192,7 @@ def evaluate_trace(trace, g, checks):
             results["coverage"] = r.ok
             problems.extend(f"coverage: {p}" for p in r.problems[:3])
         if checks.get("covering"):
-            phi, phi_problems = reconstruct_final_phi(trace, g, sensed)
+            phi, phi_problems = replay.final_phi()
             if phi is None:
                 results["covering"] = False
                 problems.extend(f"covering: {p}" for p in phi_problems[:3])
@@ -208,10 +203,19 @@ def evaluate_trace(trace, g, checks):
     return results, problems
 
 
+def move_budget(budget_factor, n):
+    """The move budget on ``n`` vertices, ``budget_factor * n`` and at least
+    1; ValueError unless that product is finite and the factor positive."""
+    budget = budget_factor * n
+    if not (budget_factor > 0 and math.isfinite(budget)):
+        raise ValueError(f"budget factor {budget_factor!r} gives no move budget on {n} vertices")
+    return max(1, int(budget))
+
+
 def run_one(g, spec_echo, port_scheme, root, budget_factor, checks):
-    """One exploration plus its checks; returns (RunReport, RunOutcome)."""
-    budget = max(1, int(budget_factor * g.n))
-    env = Environment(g, root, budget)
+    """One exploration plus its checks; returns (RunReport, RunOutcome).
+    ValueError when the budget factor gives no budget (see move_budget)."""
+    env = Environment(g, root, move_budget(budget_factor, g.n))
     outcome = explore(env)
     results, problems = evaluate_trace(outcome.trace, g, checks)
     report = RunReport(

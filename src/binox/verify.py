@@ -1,13 +1,12 @@
 """Ground-truth verification of exploration runs.
 
 Everything here sits on the harness side of the anonymity firewall: it knows
-the hidden graph and replays the trace against it. The map-to-ground
-correspondence is reconstructed from the trace alone (a map vertex is
-explored from the end of the phase it was first sensed in and maps to the
-ground vertex of that sense; frontier vertices follow one vertical edge
-label), then checked to be a locally injective, locally
-surjective (at explored vertices), port-preserving homomorphism phase by
-phase.
+the hidden graph and replays the trace against it, once (TraceReplay). The
+map-to-ground correspondence is reconstructed from the trace alone (a map
+vertex is explored from the end of the phase it was first sensed in and maps
+to the ground vertex of that sense; frontier vertices follow one vertical
+edge label), then checked to be a locally injective, locally surjective (at
+explored vertices), port-preserving homomorphism phase by phase.
 """
 
 from __future__ import annotations
@@ -24,13 +23,6 @@ class CheckResult:
 
     def __bool__(self):
         return self.ok
-
-
-def _as_port_graph(map_like):
-    """Accept a PortNumberedGraph (an ExplorationMap is one) or a snapshot dict."""
-    if isinstance(map_like, dict):
-        return PortNumberedGraph(map_like["n"], map_like["edges"])
-    return map_like
 
 
 def _forced_image(sub, big, sub_root, big_root, problems):
@@ -65,11 +57,10 @@ def _forced_image(sub, big, sub_root, big_root, problems):
     return image
 
 
-def verify_rooted_isomorphism(map_like, g, v0):
-    """The forced traversal from (map homebase, v0) must be a bijection
-    that keeps every port set: either it is, or a concrete mismatch is
-    reported."""
-    pg = _as_port_graph(map_like)
+def verify_rooted_isomorphism(pg, g, v0):
+    """The forced traversal of the map ``pg`` (a PortNumberedGraph) from its
+    homebase 0 and of g from v0 must be a bijection that keeps every port
+    set: either it is, or a concrete mismatch is reported."""
     problems = []
     if pg.n != g.n:
         problems.append(f"vertex count: map has {pg.n}, graph has {g.n}")
@@ -118,169 +109,32 @@ def verify_coverage(trace, g):
     return CheckResult(not problems, problems)
 
 
-def _sense_log(trace, g, sense_problems=None):
-    """Per-sense (phase, map vertex, ground vertex) triples, replaying map
-    positions against the map folded from the phase deltas so far (phase i
-    moves only use edges already in the map at the end of phase i-1), and
-    the replay's problems as (phase, problem) pairs. Given a dict
-    ``sense_problems``, each sense event is also compared with the ground
-    truth (see first_sensed_map)."""
-    header = trace.header()
-    ground = header["root"]
-    map_pos = 0
-    arrival = None  # the in-port of the last move
-    adj = {}  # map vertex -> port -> (neighbour, far port, edge)
-    phase = 0
-    senses = []
-    problems = []
-    for ev in trace.events:
-        kind = ev["kind"]
-        if kind == "phase_start":
-            phase = ev["phase"]
-        elif kind == "move":
-            got = adj.get(map_pos, {}).get(ev["out"])
-            if got is None:
-                problems.append((phase, (
-                    f"trace walks port {ev['out']} at map vertex "
-                    f"{map_pos} which is not in the map"
-                )))
-                return senses, problems
-            map_pos = got[0]
-            step = g.step(ground, ev["out"])
-            if step is None:
-                problems.append((phase, f"ground walk broke at {ground}"))
-                return senses, problems
-            ground = step[0]
-            arrival = ev["in"]
-        elif kind == "sense":
-            senses.append((phase, map_pos, ground))
-            if sense_problems is not None:
-                found = []
-                if ev["arrival"] != arrival:
-                    found.append(
-                        f"arrival port {ev['arrival']}, but the last move came in on {arrival}"
-                    )
-                if not ev["ball"].matches(g, ground):
-                    found.append("the ball is not the ground ball")
-                if found:
-                    sense_problems.setdefault(phase, []).extend(
-                        f"sense at map vertex {map_pos} (ground {ground}): {p}" for p in found
-                    )
-        elif kind == "phase_end":
-            for e in ev["delta"]["edges"]:
-                a, b, pa, pb = e
-                _write_port(adj, a, pa, (b, pb, e))
-                _write_port(adj, b, pb, (a, pa, e))
-    return senses, problems
+class TraceReplay:
+    """The checker's one pass over a trace's events, against the ground
+    graph. A move is walked over the map folded from the deltas so far
+    (phase i moves only use edges in the map at the end of phase i-1) and
+    over the ground; a sense is compared with the ground truth and the
+    first sense of each map vertex recorded in ``first`` (vertex -> (phase,
+    ground vertex)); a phase_end folds in its delta, makes the vertices
+    first sensed in the phase explored and adds (phase, CheckResult) to
+    ``results``, as does, at the end, a phase that never ended but has a
+    problem.
 
-
-def _write_port(adj, v, p, entry):
-    # A port written by two edges (only in a corrupt trace) keeps the edge
-    # that sorts last, as writing the whole map in sorted edge order would.
-    ports = adj.setdefault(v, {})
-    old = ports.get(p)
-    if old is None or old[2] <= entry[2]:
-        ports[p] = entry
-
-
-def first_sensed_map(trace, g, sense_problems=None):
-    """map vertex -> (phase, ground vertex) of its first sense; also asserts
-    single-phase sensing (a vertex re-sensed in a later phase is reported).
-    This is the one record of which vertices are explored: a vertex is
-    explored from the end of the phase of its first sense, and every other
-    vertex of the map is frontier.
-
-    Given a dict ``sense_problems``, the same replay compares every sense
-    event with the ground truth and files what it gets wrong under the
-    event's phase: an arrival port other than the last move's in-port, or
-    a ball that is not the ground ball at the replayed vertex up to a
-    relabelling of its non-center ids (``Ball.matches``). The returned
-    problems, each prefixed with the phase it arose in (a walk off the map
-    or the ground graph, or the later sense of a vertex), are filed there
-    too, under that phase and without the prefix.
-    """
-    senses, problems = _sense_log(trace, g, sense_problems)
-    first = {}
-    for (phase, n, u) in senses:
-        if n in first:
-            f_phase, f_u = first[n]
-            if f_phase != phase:
-                problems.append((phase, f"map vertex {n} sensed in phases {f_phase} and {phase}"))
-            elif f_u != u:
-                problems.append((phase, f"map vertex {n} sensed at ground {f_u} and {u}"))
-        else:
-            first[n] = (phase, u)
-    if sense_problems is not None:
-        for phase, p in problems:
-            sense_problems.setdefault(phase, []).append(p)
-    return first, [f"phase {phase}: {p}" for phase, p in problems]
-
-
-def replay_senses(trace, g):
-    """One replay of the sense events for every check that needs it:
-    (first, problems, sense_problems) as first_sensed_map gives them with
-    every sense event compared with the ground truth; sense_problems holds
-    every problem, by phase."""
-    sense_problems = {}
-    first, problems = first_sensed_map(trace, g, sense_problems)
-    return first, problems, sense_problems
-
-
-def _phi_for_snapshot(snap, first, g, problems, phase):
-    """Reconstruct the map-to-ground correspondence for the map ``snap``
-    after ``phase``.
-
-    The explored vertices, those first sensed in ``phase`` or before, map to
-    where they were first sensed; a frontier vertex follows its
-    lexicographically smallest vertical edge (explored endpoint, port) for
-    definiteness. Path independence is then checked, not assumed, by the
-    per-edge homomorphism sweep in the caller.
-    """
-    phi = {n: u for n, (ph, u) in first.items() if ph <= phase}
-    incident = {}
-    for (a, b, pa, pb) in snap["edges"]:
-        if a in phi and b not in phi:
-            incident.setdefault(b, []).append((a, pa))
-        elif b in phi and a not in phi:
-            incident.setdefault(a, []).append((b, pb))
-    for n in range(snap["n"]):
-        if n in phi:
-            continue
-        if n not in incident:
-            problems.append(f"frontier vertex {n} has no explored neighbour")
-            return None
-        m, p = min(incident[n])
-        step = g.step(phi[m], p)
-        if step is None:
-            problems.append(f"frontier vertex {n}: ground has no port {p} at {phi[m]}")
-            return None
-        phi[n] = step[0]
-    return phi
-
-
-class _PhaseChecker:
-    """The phase invariants of a map that grows by deltas, re-checked only
-    where a delta can change them.
-
-    Deltas only add vertices and edges, and a phase only makes the vertices
-    first sensed in it explored, so the inputs of a check change only
+    Deltas only add vertices and edges, so a check's inputs change only
     around the dirty set D: new vertices, endpoints of new edges, vertices
     explored or whose phi changed in the phase. Frontier phi is recomputed
-    next to the first three; edge checks are redone at the edges touching D
-    and vertex checks (injectivity, surjectivity, triangles) at D and its
-    neighbours. Every phase reports all problems recorded so far, in the
-    order a check of the whole map gives: edges in sorted order, then
-    vertices ascending.
+    next to the first three, edge checks at the edges touching D, vertex
+    checks (injectivity, surjectivity, triangles) at D and its neighbours.
+    Every phase reports all problems so far in the order a check of the
+    whole map gives: edges in sorted order, then vertices ascending.
     """
 
-    def __init__(self, g, first):
+    def __init__(self, trace, g):
         self.g = g
-        self.first = first
-        self.sensed_in = {}  # phase -> the vertices first sensed in it
-        for v, (phase, _u) in first.items():
-            self.sensed_in.setdefault(phase, []).append(v)
+        self.first = {}
         self.explored = set()
         self.n = 0
+        self.ports = []  # vertex -> {port: the edge on it}
         self.nbrs = []  # vertex -> {neighbour: smallest edge joining them}
         self.edges_at = []  # vertex -> incident edges
         self.edge_count = {}  # edge -> occurrences in the map
@@ -289,25 +143,123 @@ class _PhaseChecker:
         self.edge_bad = {}  # edge -> problem
         self.vertex_bad = {}  # vertex -> problems
         self.stale = set()  # dirty vertices left unchecked while phi was partial
+        self.mismatched = {}  # phase -> its sense events that differ from the ground
+        self.resensed = {}  # phase -> its senses of a vertex sensed before
+        self.walk_problem = None  # (phase, where the walk left the map or the ground)
+        self.ended = set()  # the phases whose phase_end was folded in
+        self.results = []
+        self._replay(trace)
 
-    def apply(self, phase, delta):
-        """Fold in one phase: its delta, and the vertices first sensed in it
-        become explored. Returns every problem of the map so far."""
-        dirty = set(range(self.n, delta["n"]))
-        for _ in range(self.n, delta["n"]):
+    def _replay(self, trace):
+        g, ports, first = self.g, self.ports, self.first
+        root = ground = trace.header()["root"]
+        pos = 0  # the agent's map vertex
+        arrival = None  # the in-port of the last move
+        walking = True  # until the walk leaves the map or the ground graph
+        phase = 0
+        newly = []  # the vertices first sensed in this phase
+        for ev in trace.events:
+            kind = ev["kind"]
+            if kind == "move":
+                if not walking:
+                    continue
+                out = ev["out"]
+                e = ports[pos].get(out) if pos < len(ports) else None
+                step = g.step(ground, out)
+                if e is None or step is None:
+                    walking = False
+                    self.walk_problem = (phase, (
+                        f"trace walks port {out} at map vertex {pos} which is not in the map"
+                        if e is None else f"ground walk broke at {ground}"
+                    ))
+                    continue
+                pos = e[1] if e[0] == pos else e[0]
+                ground = step[0]
+                arrival = ev["in"]
+            elif kind == "sense":
+                if not walking:
+                    continue
+                found = []
+                if ev["arrival"] != arrival:
+                    found.append(f"arrival port {ev['arrival']}, but the last move came in on {arrival}")
+                if not ev["ball"].matches(g, ground):
+                    found.append("the ball is not the ground ball")
+                if found:
+                    self.mismatched.setdefault(phase, []).extend(
+                        f"sense at map vertex {pos} (ground {ground}): {p}" for p in found)
+                seen = first.get(pos)
+                if seen is None:
+                    first[pos] = (phase, ground)
+                    newly.append(pos)
+                elif seen[0] != phase:
+                    self.resensed.setdefault(phase, []).append(
+                        f"map vertex {pos} sensed in phases {seen[0]} and {phase}")
+                elif seen[1] != ground:
+                    self.resensed.setdefault(phase, []).append(
+                        f"map vertex {pos} sensed at ground {seen[1]} and {ground}")
+            elif kind == "phase_start":
+                phase = ev["phase"]
+            elif kind == "phase_end":
+                ended = ev["phase"]
+                problems = self._sense_problems(ended)
+                problems += self.apply(ev["delta"], newly)
+                newly = []
+                if ended == 1 and self.phi_problem() is None:
+                    pg = PortNumberedGraph(self.n, self.edges())
+                    if ball(pg, 0).signature() != ball(g, root).signature():
+                        problems.append("phase 1 map is not the ball around the homebase")
+                self.results.append((ended, CheckResult(not problems, problems)))
+                self.ended.add(ended)
+        problems = self._sense_problems(phase)  # the last phase, if it never ended
+        if problems and phase not in self.ended:
+            self.results.append((phase, CheckResult(False, problems)))
+
+    def _sense_problems(self, phase):
+        """The replay's problems in ``phase``: its senses that differ from
+        the ground, where the walk stopped, its vertices sensed again."""
+        walk = self.walk_problem
+        stopped = [walk[1]] if walk and walk[0] == phase else []
+        return self.mismatched.get(phase, []) + stopped + self.resensed.get(phase, [])
+
+    def replay_problems(self):
+        """Where the walk stopped, then each vertex sensed again in a later
+        phase or at another ground vertex, prefixed with the phase."""
+        filed = [self.walk_problem] if self.walk_problem else []
+        filed += [(phase, p) for phase, found in self.resensed.items() for p in found]
+        return [f"phase {phase}: {p}" for phase, p in filed]
+
+    def apply(self, delta, newly):
+        """Fold in one phase: its delta, and the vertices ``newly`` first
+        sensed in it become explored. Returns every problem of the map so
+        far."""
+        n = delta["n"]
+        dirty = set(range(self.n, n))
+        for _ in range(self.n, n):
+            self.ports.append({})
             self.nbrs.append({})
             self.edges_at.append([])
-        self.n = delta["n"]
+        self.n = n
+        ports, nbrs, edges_at, edge_count = self.ports, self.nbrs, self.edges_at, self.edge_count
         for e in delta["edges"]:
             a, b, pa, pb = e
-            self.edge_count[e] = self.edge_count.get(e, 0) + 1
-            for x, y in ((a, b), (b, a)):
-                self.nbrs[x][y] = min(self.nbrs[x].get(y, e), e)
-            self.edges_at[a].append(e)
+            edge_count[e] = edge_count.get(e, 0) + 1
+            # A port held by two edges (only in a corrupt trace) leads the
+            # walk along the edge that sorts last, as writing the whole map
+            # in sorted edge order would; the checks join two vertices by
+            # their smallest edge.
+            if ports[a].get(pa, e) <= e:
+                ports[a][pa] = e
+            if ports[b].get(pb, e) <= e:
+                ports[b][pb] = e
+            if nbrs[a].get(b, e) >= e:
+                nbrs[a][b] = e
+            if nbrs[b].get(a, e) >= e:
+                nbrs[b][a] = e
+            edges_at[a].append(e)
             if b != a:
-                self.edges_at[b].append(e)
-            dirty.update((a, b))
-        newly = self.sensed_in.get(phase, ())
+                edges_at[b].append(e)
+            dirty.add(a)
+            dirty.add(b)
         self.explored.update(newly)
         dirty.update(newly)
         for v in self._with_neighbours(dirty):
@@ -319,7 +271,7 @@ class _PhaseChecker:
             return [partial]
         dirty |= self.stale
         self.stale = set()
-        for e in {e for v in dirty for e in self.edges_at[v]}:
+        for e in {e for v in dirty for e in edges_at[v]}:
             self._check_edge(e)
         for v in self._with_neighbours(dirty):
             found = self._vertex_problems(v)
@@ -329,13 +281,29 @@ class _PhaseChecker:
                 self.vertex_bad.pop(v, None)
         problems = []
         for e in sorted(self.edge_bad):
-            problems += [self.edge_bad[e]] * self.edge_count[e]
+            problems += [self.edge_bad[e]] * edge_count[e]
         for v in sorted(self.vertex_bad):
             problems += self.vertex_bad[v]
         return problems
 
     def edges(self):
         return [e for e in sorted(self.edge_count) for _ in range(self.edge_count[e])]
+
+    def graph(self):
+        """The map after the last phase_end, or None when no phase ended."""
+        return PortNumberedGraph(self.n, self.edges()) if self.ended else None
+
+    def final_phi(self):
+        """See reconstruct_final_phi."""
+        if not self.ended:
+            return None, ["trace has no phase snapshots"]
+        problems = self.replay_problems()
+        partial = self.phi_problem()
+        if partial is not None:
+            problems.append(partial)
+        if problems:
+            return None, problems
+        return [self.phi[v] for v in range(self.n)], []
 
     def _with_neighbours(self, vertices):
         out = set(vertices)
@@ -344,8 +312,9 @@ class _PhaseChecker:
         return out
 
     def _update_phi(self, v):
-        """Recompute phi at v the way _phi_for_snapshot does; True if the
-        value changed."""
+        """Recompute phi at v; True if it changed. An explored vertex maps to
+        its first sense, a frontier vertex along its smallest vertical edge
+        (explored end, port); the edge checks test path independence."""
         old = self.phi.pop(v, None)
         self.phi_fail.pop(v, None)
         explored = self.explored
@@ -429,51 +398,24 @@ class _PhaseChecker:
         return problems
 
 
-def verify_phase_invariants(trace, g, sensed=None):
-    """Per-phase map correctness: the replay of the phase's moves and sense
-    events must hold and every sense event match the ground truth
-    (first_sensed_map); after each phase_end, reconstruct the
-    correspondence and check homomorphism + port preservation, local
-    injectivity everywhere, local surjectivity and triangle preservation at
-    explored vertices; phase 1 additionally must equal the homebase ball.
-    A phase that never ended is reported last, if its replay failed. One
-    pass over the deltas (see _PhaseChecker); ``sensed`` is
-    replay_senses(trace, g) when the caller has it already."""
-    first, _problems, sense_problems = sensed or replay_senses(trace, g)
-    results = []
-    root = trace.header()["root"]
-    checker = _PhaseChecker(g, first)
-    for (phase, delta) in trace.snapshots():
-        problems = list(sense_problems.get(phase, ()))
-        problems.extend(checker.apply(phase, delta))
-        if phase == 1 and checker.phi_problem() is None:
-            pg = PortNumberedGraph(checker.n, checker.edges())
-            if ball(pg, 0).signature() != ball(g, root).signature():
-                problems.append("phase 1 map is not the ball around the homebase")
-        results.append((phase, CheckResult(not problems, problems)))
-    ended = {phase for phase, _r in results}
-    for phase in sorted(sense_problems.keys() - ended):
-        results.append((phase, CheckResult(False, list(sense_problems[phase]))))
-    return results
+def verify_phase_invariants(trace, g):
+    """Per phase: the replay of its moves and senses holds, every sense
+    matches the ground truth, and the map after its phase_end is a port-
+    preserving homomorphism, locally injective, locally surjective and
+    triangle-preserving at explored vertices (phase 1: the homebase ball).
+    A phase that never ended comes last, if its replay failed."""
+    return TraceReplay(trace, g).results
 
 
-def reconstruct_final_phi(trace, g, sensed=None):
-    """phi for the final map (total on a halted run), as a list; ``sensed``
-    is replay_senses(trace, g) when the caller has it already."""
-    first, problems = sensed[:2] if sensed else first_sensed_map(trace, g)
-    problems = list(problems)
-    snap = trace.final_map()
-    if snap is None:
-        return None, ["trace has no phase snapshots"]
-    phi = _phi_for_snapshot(snap, first, g, problems, trace.snapshots()[-1][0])
-    if phi is None or problems:
-        return None, problems
-    return [phi[n] for n in range(snap["n"])], []
+def first_sensed_map(trace, g):
+    """map vertex -> (phase, ground vertex) of its first sense, which makes
+    it explored from the end of that phase (other map vertices are
+    frontier), and the replay's problems (TraceReplay.replay_problems)."""
+    replay = TraceReplay(trace, g)
+    return replay.first, replay.replay_problems()
 
 
-def rooted_embedding(sub, big, sub_root, big_root):
-    """Forced port-preserving embedding of ``sub`` into ``big`` from the
-    given roots; used to check that a cut-off map is a prefix of a cover."""
-    problems = []
-    _forced_image(_as_port_graph(sub), big, sub_root, big_root, problems)
-    return CheckResult(not problems, problems)
+def reconstruct_final_phi(trace, g):
+    """phi for the final map (total on a halted run), as a list, and [];
+    or None and the problems that leave it undefined."""
+    return TraceReplay(trace, g).final_phi()

@@ -1,15 +1,17 @@
-"""From-scratch reference for the per-phase verifier.
+"""From-scratch reference for the checker's replay (``verify.TraceReplay``).
 
 Folds a trace's phase deltas into the whole map of every phase and checks
 each map on its own: the sense replay rebuilds its adjacency at every
-phase_end, and every phase reconstructs phi and re-checks every edge and
-vertex. The vertices explored after phase k are those first sensed in
-phase k or before. Quadratic in the number of phases, so only for small
-test graphs; ``verify_phase_invariants`` must agree with it phase by phase.
+phase_end, every sense event is compared with the ground ball by
+``ball_signature`` (not by ``Ball.matches``), and every phase reconstructs
+phi and re-checks every edge and vertex. The vertices explored after phase k
+are those first sensed in phase k or before. Quadratic in the number of
+phases, so only for small test graphs; ``first_sensed_map``,
+``verify_phase_invariants`` and ``reconstruct_final_phi`` must agree with it.
 """
 
-from binox.graph import PortNumberedGraph, ball
-from binox.verify import CheckResult, _phi_for_snapshot
+from binox.graph import PortNumberedGraph, ball, ball_signature
+from binox.verify import CheckResult
 
 
 def folded_maps(trace):
@@ -22,14 +24,41 @@ def folded_maps(trace):
     return out
 
 
+def final_map(trace):
+    """The map after the last phase_end in the graph JSON form
+    (``PortNumberedGraph.to_json_dict``), or None when no phase ended."""
+    maps = folded_maps(trace)
+    if not maps:
+        return None
+    snap = maps[-1][1]
+    return {"n": snap["n"], "edges": [list(e) for e in snap["edges"]]}
+
+
+def is_ground_ball(b, g, u):
+    """Is the sensed ball ``b`` the ball of ``g`` at ``u``? Read as a graph
+    of its own, it must have u's degree + 1 vertices, as many edges as u's
+    ball and the same signature at its center."""
+    sig = ball_signature(g, u)
+    return (
+        b.size == g.degree(u) + 1
+        and len(b.edges) == len(sig[0]) + len(sig[1])
+        and ball_signature(PortNumberedGraph(b.size, b.edges), 0) == sig
+    )
+
+
 def sense_log(trace, g):
+    """(senses, stop, mismatched): the (phase, map vertex, ground vertex) of
+    every sense up to where the walk stopped; [(phase, problem)] of that
+    stop, if any; and (phase, problem) for every sense event so far that
+    differs from the ground truth."""
     maps = iter(folded_maps(trace))
     ground = trace.header()["root"]
     map_pos = 0
+    arrival = None
     adj = {0: {}}
     phase = 0
     senses = []
-    problems = []
+    mismatched = []
     for ev in trace.events:
         kind = ev["kind"]
         if kind == "phase_start":
@@ -37,31 +66,39 @@ def sense_log(trace, g):
         elif kind == "move":
             got = adj.get(map_pos, {}).get(ev["out"])
             if got is None:
-                problems.append((phase, (
+                return senses, [(phase, (
                     f"trace walks port {ev['out']} at map vertex "
                     f"{map_pos} which is not in the map"
-                )))
-                return senses, problems
+                ))], mismatched
             map_pos = got[0]
             step = g.step(ground, ev["out"])
             if step is None:
-                problems.append((phase, f"ground walk broke at {ground}"))
-                return senses, problems
+                return senses, [(phase, f"ground walk broke at {ground}")], mismatched
             ground = step[0]
+            arrival = ev["in"]
         elif kind == "sense":
             senses.append((phase, map_pos, ground))
+            where = f"sense at map vertex {map_pos} (ground {ground})"
+            if ev["arrival"] != arrival:
+                mismatched.append((phase, (
+                    f"{where}: arrival port {ev['arrival']}, but the last move came in on {arrival}"
+                )))
+            if not is_ground_ball(ev["ball"], g, ground):
+                mismatched.append((phase, f"{where}: the ball is not the ground ball"))
         elif kind == "phase_end":
             _, snap = next(maps)
             adj = {n: {} for n in range(snap["n"])}
             for (a, b, pa, pb) in snap["edges"]:
                 adj[a][pa] = (b, pb)
                 adj[b][pb] = (a, pa)
-    return senses, problems
+    return senses, [], mismatched
 
 
 def filed_problems(trace, g):
-    """(first, [(phase, problem)]) of the sense replay."""
-    senses, problems = sense_log(trace, g)
+    """(first, [(phase, problem)], mismatched) of the sense replay: where
+    the walk stopped, then every vertex sensed again; and the sense events
+    that differ from the ground truth."""
+    senses, problems, mismatched = sense_log(trace, g)
     first = {}
     for (phase, n, u) in senses:
         if n in first:
@@ -72,12 +109,44 @@ def filed_problems(trace, g):
                 problems.append((phase, f"map vertex {n} sensed at ground {f_u} and {u}"))
         else:
             first[n] = (phase, u)
-    return first, problems
+    return first, problems, mismatched
 
 
 def first_sensed_map(trace, g):
-    first, problems = filed_problems(trace, g)
+    first, problems, _mismatched = filed_problems(trace, g)
     return first, [f"phase {phase}: {p}" for phase, p in problems]
+
+
+def _phi_for_snapshot(snap, first, g, problems, phase):
+    """Reconstruct the map-to-ground correspondence for the map ``snap``
+    after ``phase``.
+
+    The explored vertices, those first sensed in ``phase`` or before, map to
+    where they were first sensed; a frontier vertex follows its
+    lexicographically smallest vertical edge (explored endpoint, port) for
+    definiteness. Path independence is then checked, not assumed, by the
+    per-edge homomorphism sweep in ``check_snapshot``.
+    """
+    phi = {n: u for n, (ph, u) in first.items() if ph <= phase}
+    incident = {}
+    for (a, b, pa, pb) in snap["edges"]:
+        if a in phi and b not in phi:
+            incident.setdefault(b, []).append((a, pa))
+        elif b in phi and a not in phi:
+            incident.setdefault(a, []).append((b, pb))
+    for n in range(snap["n"]):
+        if n in phi:
+            continue
+        if n not in incident:
+            problems.append(f"frontier vertex {n} has no explored neighbour")
+            return None
+        m, p = min(incident[n])
+        step = g.step(phi[m], p)
+        if step is None:
+            problems.append(f"frontier vertex {n}: ground has no port {p} at {phi[m]}")
+            return None
+        phi[n] = step[0]
+    return phi
 
 
 def check_snapshot(snap, phi, g, explored):
@@ -129,11 +198,18 @@ def check_snapshot(snap, phi, g, explored):
 
 
 def phase_invariants(trace, g):
-    first, filed = filed_problems(trace, g)
+    """Per phase_end: the phase's sense mismatches, where the walk stopped
+    and its vertices sensed again, then the checks of the whole map. A phase
+    that never ended comes last, if its replay has a problem."""
+    first, filed, mismatched = filed_problems(trace, g)
+
+    def replay_problems(phase):
+        return [p for ph, p in mismatched + filed if ph == phase]
+
     results = []
     root = trace.header()["root"]
     for (phase, snap) in folded_maps(trace):
-        problems = [p for ph, p in filed if ph == phase]
+        problems = replay_problems(phase)
         phi = _phi_for_snapshot(snap, first, g, problems, phase)
         if phi is not None:
             explored = {n for n, (ph, _u) in first.items() if ph <= phase}
@@ -144,7 +220,19 @@ def phase_invariants(trace, g):
                     problems.append("phase 1 map is not the ball around the homebase")
         results.append((phase, CheckResult(not problems, problems)))
     ended = {phase for phase, _r in results}
-    for phase in sorted({ph for ph, _p in filed} - ended):
-        problems = [p for ph, p in filed if ph == phase]
-        results.append((phase, CheckResult(False, problems)))
+    for phase in sorted({ph for ph, _p in mismatched + filed} - ended):
+        results.append((phase, CheckResult(False, replay_problems(phase))))
     return results
+
+
+def reconstruct_final_phi(trace, g):
+    """phi of the final map as a list and [], or None and the problems."""
+    maps = folded_maps(trace)
+    if not maps:
+        return None, ["trace has no phase snapshots"]
+    first, problems = first_sensed_map(trace, g)
+    phase, snap = maps[-1]
+    phi = _phi_for_snapshot(snap, first, g, problems, phase)
+    if phi is None or problems:
+        return None, problems
+    return [phi[n] for n in range(snap["n"])], []

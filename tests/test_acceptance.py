@@ -16,9 +16,8 @@ from binox.families import generate, is_weetman, parse_spec
 from binox.homotopy import is_simply_connected, unfold_tree_cover
 from binox.runtime import Environment
 from binox.suite import run_one
-from binox.verify import rooted_embedding
 
-from conftest import to_nx
+from conftest import rooted_embedding, to_nx
 
 CHORDAL_SIZES = (10, 25, 50, 100, 200)
 CHORDAL_SEEDS = tuple(range(1, 8))

@@ -88,6 +88,28 @@ class TestExploreAndCheck:
         assert invoke("check", "--graph", str(g), "--trace", str(trace),
                       "--checks", "bogus") == 1
 
+    @pytest.mark.parametrize("factor", ["nan", "inf", "1e308", "-1", "0"])
+    def test_budget_factor_that_gives_no_budget_is_an_error(self, tmp_path, capsys, factor):
+        # 1e308 is finite, but times 5 vertices it is not
+        g = tmp_path / "g.json"
+        invoke("gen", "--spec", "path:5", "--out", str(g))
+        capsys.readouterr()
+        assert invoke("explore", "--graph", str(g), f"--budget-factor={factor}") == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: budget factor {float(factor)!r} gives no move budget on 5 vertices\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("names", [",", " ", " , ", ""])
+    def test_check_list_that_names_no_check_is_an_error(self, tmp_path, capsys, names):
+        g = tmp_path / "g.json"
+        trace = tmp_path / "t.jsonl"
+        invoke("gen", "--spec", "path:3", "--out", str(g))
+        invoke("explore", "--graph", str(g), "--trace", str(trace))
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(g), "--trace", str(trace), "--checks", names) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --checks names no check\n" and captured.out == ""
+
     def test_invalid_graph_file_is_diagnosed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 3, "edges": [[0, 1, 0, 0], [0, 2, 0, 0]]}))
@@ -598,6 +620,14 @@ class TestSuite:
         assert captured.err == f"error: bad config: {message}\n"
         assert captured.out == "" and not (tmp_path / "res").exists()
 
+    def test_budget_factor_that_overflows_on_a_graph_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generators": ["path:4"], "budget_factor": 1e308}))
+        assert invoke("suite", "--config", str(cfg), "--out", str(tmp_path / "res")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: budget factor 1e+308 gives no move budget on 4 vertices\n"
+        assert captured.out == "" and not (tmp_path / "res").exists()
+
     def test_cycles_suite_reports_non_halting(self, tmp_path, capsys):
         cfg = self.config(
             tmp_path, ["cycle:5"],
@@ -607,6 +637,59 @@ class TestSuite:
         assert rc == 0  # non-halting is not a check failure; status says it
         payload = json.loads((tmp_path / "res" / "report.json").read_text())
         assert all(r["status"] == "budget_exhausted" for r in payload["reports"])
+
+
+# A valid suite config of tiny graphs that halt whatever the budget (no
+# cycles), and values to put in its place: wrong types, NaN, infinities,
+# huge and tiny numbers, and names good and bad.
+SUITE_CONFIG = {
+    "generators": ["path:3", "complete:3"],
+    "roots": {"sample": 1, "seed": 0},
+    "port_schemes": ["canonical", "random:2"],
+    "budget_factor": 5,
+    "checks": {"covering": True},
+}
+SUITE_NAMES = st.sampled_from(
+    ["path:1", "path:4", "complete:4", "johnson:4,2", "path:0", "nope:3", "complete:", "path:x",
+     "canonical", "random:3", "random:", "random:-1", "random:99999999999999999999", "weird", "all"]
+    + list(SUITE_CONFIG) + ["phase_invariants", "final_isomorphism", "coverage", "sample", "seed"]
+)
+SUITE_SCALARS = (
+    st.sampled_from([1e308, -1e308, 5e-324, float("nan"), float("inf"), -1, 0, 10**30])
+    | st.none() | st.booleans() | st.integers(-3, 10**30) | st.floats() | SUITE_NAMES
+)
+SUITE_VALUES = st.recursive(
+    SUITE_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(SUITE_NAMES, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fuzzed_suite_config_ends_in_exit_0_or_1(data):
+    cfg = json.loads(json.dumps(SUITE_CONFIG))
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        key = data.draw(st.sampled_from(sorted(SUITE_CONFIG) + ["extra"]), label="key")
+        where = cfg.get(key)
+        op = data.draw(st.sampled_from(["scalar", "value", "delete", "inner"]), label="edit")
+        if op == "delete":
+            cfg.pop(key, None)
+        elif op == "inner" and isinstance(where, list) and where:
+            where[data.draw(st.integers(0, len(where) - 1), label="index")] = data.draw(
+                SUITE_VALUES, label="item")
+        elif op == "inner" and isinstance(where, dict):
+            where[data.draw(SUITE_NAMES, label="name")] = data.draw(SUITE_VALUES, label="item")
+        else:
+            cfg[key] = data.draw(SUITE_SCALARS if op == "scalar" else SUITE_VALUES, label="value")
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["suite", "--config", str(path), "--out", str(Path(d) / "res")])
+    assert rc == 0 or rc == 1 and (err.getvalue().startswith("error: ")
+                                   or "with failing checks" in out.getvalue())
 
 
 def test_console_entry_point_runs():

@@ -29,9 +29,9 @@ from binox.graph import PortNumberedGraph, ball, ball_signature, validate
 from binox.homotopy import unfold_tree_cover
 from binox.runtime import Environment, RunTrace, run_agent
 from binox.suite import DEFAULT_CHECKS, evaluate_trace
-from binox.verify import reconstruct_final_phi, rooted_embedding, verify_rooted_isomorphism
+from binox.verify import reconstruct_final_phi, verify_rooted_isomorphism
 
-from conftest import gen
+from conftest import gen, rooted_embedding
 
 
 def run(spec_or_graph, root=0, factor=50):

@@ -1,5 +1,6 @@
-"""The one-pass phase verifier against a from-scratch check of every folded
-map, on honest and corrupted delta traces."""
+"""The checker's one replay against a from-scratch check of every folded
+map, on honest traces and on traces with corrupted deltas, moves and
+senses."""
 
 import copy
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binox.explorer import explore
+from binox.graph import Ball
 from binox.runtime import Environment, RunTrace
-from binox.verify import first_sensed_map, verify_phase_invariants
+from binox.verify import TraceReplay, first_sensed_map, reconstruct_final_phi, verify_phase_invariants
 
 import phase_reference
 from conftest import gen
@@ -51,7 +53,7 @@ def test_honest_runs_agree_and_pass(run):
     results = assert_agrees(out.trace, g)
     assert results and all(r.ok for _ph, r in results)
     if out.status == "halted":
-        assert out.trace.final_map() == out.final_map.to_json_dict()
+        assert TraceReplay(out.trace, g).graph().to_json_dict() == out.final_map.to_json_dict()
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,6 +157,93 @@ def test_corrupted_deltas_agree_with_the_reference(run, corruptions, data):
     assert_agrees(trace, g)
 
 
+def _pick_event(trace, kind, data, last=False):
+    """A drawn event of ``kind`` (the last one if ``last``); None if there is none."""
+    found = [ev for ev in trace.events if ev["kind"] == kind]
+    if not found:
+        return None
+    return found[-1] if last else data.draw(st.sampled_from(found))
+
+
+def _other(data, value):
+    return data.draw(st.integers(0, value + 3).filter(lambda q: q != value))
+
+
+def wrong_out_port(trace, data):
+    ev = _pick_event(trace, "move", data)
+    if ev:
+        ev["out"] = _other(data, ev["out"])
+
+
+def off_the_map_last_move(trace, data):
+    """The last move takes a port no vertex of these graphs has; in a
+    cut-off run it lies in the phase that never ended."""
+    ev = _pick_event(trace, "move", data, last=True)
+    if ev:
+        ev["out"] = 1000 + ev["out"]
+
+
+def wrong_in_port(trace, data):
+    ev = _pick_event(trace, "move", data)
+    if ev:
+        ev["in"] = _other(data, ev["in"])
+
+
+def wrong_arrival(trace, data):
+    ev = _pick_event(trace, "sense", data)
+    if ev:
+        ev["arrival"] = data.draw(st.none() | st.integers(0, 6))
+
+
+def swapped_balls(trace, data):
+    a, b = _pick_event(trace, "sense", data), _pick_event(trace, "sense", data)
+    if a:
+        a["ball"], b["ball"] = b["ball"], a["ball"]
+
+
+def wrong_ball_port(trace, data):
+    ev = _pick_event(trace, "sense", data)
+    if ev and ev["ball"].flat:
+        flat = list(ev["ball"].flat)
+        k = data.draw(st.sampled_from([k for k in range(len(flat)) if k % 4 >= 2]))
+        flat[k] = _other(data, flat[k])
+        ev["ball"] = Ball(ev["ball"].size, [flat[i:i + 4] for i in range(0, len(flat), 4)])
+
+
+def duplicated_sense(trace, data):
+    """Copy a sense event to a place inside some phase."""
+    ev = _pick_event(trace, "sense", data)
+    spots = [i + 1 for i, e in enumerate(trace.events) if e["kind"] in ("phase_start", "sense", "move")]
+    if ev:
+        trace.events.insert(data.draw(st.sampled_from(spots)), copy.deepcopy(ev))
+
+
+WALK_CORRUPTIONS = [
+    wrong_out_port, off_the_map_last_move, wrong_in_port, wrong_arrival, swapped_balls,
+    wrong_ball_port, duplicated_sense,
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    runs,
+    st.sampled_from([0.2, 0.5, 1, 50]),
+    st.lists(st.sampled_from(WALK_CORRUPTIONS), min_size=1, max_size=3),
+    st.data(),
+)
+def test_corrupted_moves_and_senses_agree_with_the_reference(run, factor, corruptions, data):
+    # small budgets cut runs off mid-phase, so a phase may never end
+    spec, ports, root_seed = run
+    g = gen(spec, ports)
+    out = explore(Environment(g, root_seed % g.n, max(1, int(factor * g.n))))
+    trace = RunTrace()
+    trace.events = copy.deepcopy(out.trace.events)
+    for corrupt in corruptions:
+        corrupt(trace, data)
+    assert_agrees(trace, g)
+    assert reconstruct_final_phi(trace, g) == phase_reference.reconstruct_final_phi(trace, g)
+
+
 def test_checks_postponed_while_phi_is_partial_are_caught_up():
     # Vertex 1 loses its only edge to an explored vertex until phase 3, so
     # phi is partial in phases 1 and 2 and their checks wait; the wrong far
@@ -177,7 +266,7 @@ def test_reloaded_trace_verifies_the_same(spec):
     g, out = explored(spec, "random:5", 0)
     loaded = RunTrace.from_jsonl(out.trace.to_jsonl())
     assert as_data(verify_phase_invariants(loaded, g)) == as_data(verify_phase_invariants(out.trace, g))
-    assert loaded.final_map() == out.trace.final_map()
+    assert TraceReplay(loaded, g).graph().edges == TraceReplay(out.trace, g).graph().edges
 
 
 def test_trace_grows_linearly_on_a_tree():

@@ -10,6 +10,7 @@ from binox.graph import Ball, PortNumberedGraph, ball
 from binox.homotopy import verify_simplicial_covering
 from binox.runtime import Environment, RunTrace
 from binox.verify import (
+    TraceReplay,
     first_sensed_map,
     reconstruct_final_phi,
     replay_ground,
@@ -18,6 +19,7 @@ from binox.verify import (
     verify_rooted_isomorphism,
 )
 
+import phase_reference
 from conftest import gen
 
 
@@ -32,10 +34,9 @@ class TestRootedIsomorphism:
         g, out = run("complete:3")
         assert verify_rooted_isomorphism(out.final_map, g, 0).ok
 
-    def test_accepts_snapshot_dicts_too(self):
+    def test_map_folded_from_the_trace_matches(self):
         g, out = run("johnson:4,2")
-        snap = out.trace.final_map()
-        assert verify_rooted_isomorphism(snap, g, 0).ok
+        assert verify_rooted_isomorphism(TraceReplay(out.trace, g).graph(), g, 0).ok
 
     def test_path_map_against_cycle_ground(self):
         # a 5-path pretending to map a 6-cycle: degree breaks at the far end
@@ -123,7 +124,7 @@ class TestPhaseInvariants:
         g, out = run("complete:4")
         trace = RunTrace()
         trace.events = copy.deepcopy(out.trace.events)
-        final = trace.final_map()
+        final = phase_reference.final_map(trace)
         adj = {}
         for (a, b, pa, pb) in final["edges"]:
             adj.setdefault(a, {})[pa] = b
@@ -163,6 +164,22 @@ class TestPhaseInvariants:
         assert not results[-1][1].ok
         assert results[-1][1].problems[0].endswith("the ball is not the ground ball")
 
+    def test_walk_off_the_map_in_a_phase_that_never_ended_is_reported(self):
+        # the one move of a budget of 1 lies in phase 2, which never ends
+        g = gen("johnson:5,2")
+        out = explore(Environment(g, 0, 1))
+        trace = RunTrace()
+        trace.events = copy.deepcopy(out.trace.events)
+        ended = trace.snapshots()[-1][0]
+        move = trace.moves()[-1]
+        move["out"] += 1000
+        results = verify_phase_invariants(trace, g)
+        assert [ph for ph, r in results] == list(range(1, ended + 2))
+        assert all(r.ok for ph, r in results[:-1])
+        assert results[-1][1].problems == [
+            f"trace walks port {move['out']} at map vertex 0 which is not in the map"
+        ]
+
     def test_phase1_map_is_the_homebase_ball(self):
         g, out = run("johnson:5,2")
         _, snap1 = out.trace.snapshots()[0]
@@ -179,7 +196,7 @@ class TestPhaseInvariants:
         g, out = run("chordal:n=25,rate=0.5,seed=2")
         phi, problems = reconstruct_final_phi(out.trace, g)
         assert problems == [] and phi is not None
-        snap = out.trace.final_map()
+        snap = phase_reference.final_map(out.trace)
         adj = {n: [] for n in range(snap["n"])}
         for (a, b, pa, pb) in snap["edges"]:
             adj[a].append((pa, b))
