@@ -8,7 +8,7 @@
 Exit codes: ``check`` and ``suite`` exit 0 iff every requested check passed
 (``check`` also needs a trace that ends in a terminal event);
 ``explore`` exits 0 iff the run halted (2 otherwise); any usage or input
-error exits 1.
+error, or an output file that cannot be written, exits 1.
 """
 
 from __future__ import annotations
@@ -39,7 +39,10 @@ def _cmd_gen(args):
     except ValueError as e:
         return _error(e)
     if args.out:
-        save_graph(g, args.out)
+        try:
+            save_graph(g, args.out)
+        except OSError as e:
+            return _error(e)
         print(f"{spec.echo()} ports={args.ports}: n={g.n} m={g.m} -> {args.out}")
     else:
         print(g.to_json())
@@ -58,12 +61,15 @@ def _cmd_explore(args):
     except ValueError as e:
         return _error(e)
     outcome = explore(env)
-    if args.trace:
-        outcome.trace.save(args.trace)
-    if args.map and outcome.final_map is not None:
-        Path(args.map).write_text(
-            json.dumps(outcome.final_map.snapshot(), sort_keys=True) + "\n"
-        )
+    try:
+        if args.trace:
+            outcome.trace.save(args.trace)
+        if args.map and outcome.final_map is not None:
+            Path(args.map).write_text(
+                json.dumps(outcome.final_map.snapshot(), sort_keys=True) + "\n"
+            )
+    except OSError as e:
+        return _error(e)
     print(
         f"status={outcome.status} moves={outcome.moves} n={g.n} "
         f"moves_per_vertex={outcome.moves / g.n:.3f}"
@@ -114,7 +120,7 @@ def _cmd_suite(args):
         return _error(f"bad config: {e}")
     try:
         reports, summary = run_suite(config, out_dir=args.out)
-    except ValueError as e:  # a budget factor that gives no budget on a graph (move_budget)
+    except (OSError, ValueError) as e:  # an unwritable --out, or a factor move_budget refuses
         return _error(e)
     print(format_summary(summary), end="")
     failed = [r for r in reports if not r.passed()]

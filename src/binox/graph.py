@@ -33,13 +33,13 @@ class Ball:
 
     Local ids are 0..size-1 with the center fixed at 0. Edges carry the real
     port numbers of the source graph at both endpoints and are stored in
-    ``flat``, one list of four ints per edge (u, v, port at u, port at v)
-    with u < v, every center edge (u = 0) before every horizontal one: the
-    list a trace writes (packed as bytes when every value is below 256), so
-    a ball is built, sent and loaded without reordering. The agent and the
-    trace share that list, so nothing may modify it. ``edges`` views them
-    as tuples. ``source_ids``
-    maps local ids back to ground-truth ids; it is harness-side bookkeeping
+    ``flat``, four ints per edge (u, v, port at u, port at v) with u < v,
+    every center edge (u = 0) before every horizontal one: the order a trace
+    writes, so a ball is built, sent and loaded without reordering. ``flat``
+    is immutable ``bytes`` when every value is below 256, else a list (by
+    content alone, so equal balls store equal objects); the agent and the
+    trace share it. ``edges`` views them as tuples. ``source_ids`` maps
+    local ids back to ground-truth ids; it is harness-side bookkeeping
     and never serialized, so observations built from balls stay anonymous.
     """
 
@@ -57,18 +57,17 @@ class Ball:
                 u, v, pu, pv = v, u, pv, pu
             (horizontal if u else center).extend((u, v, pu, pv))
         self.size = size
-        self.flat = center + horizontal
+        self.flat = _compact(center + horizontal)
         self.source_ids = tuple(source_ids) if source_ids is not None else None
         self._sig = None
 
     @classmethod
     def _trusted(cls, size, flat, source_ids=None):
-        """A ball that takes ``flat`` as it is (already four ints per edge
-        with u < v, center edges first); for builders whose output needs no
-        second pass."""
+        """A ball of ``flat`` in its order (already four ints per edge, u < v,
+        center edges first); for builders whose output needs no second pass."""
         b = cls.__new__(cls)
         b.size = size
-        b.flat = flat
+        b.flat = _compact(flat)
         b.source_ids = source_ids
         b._sig = None
         return b
@@ -170,13 +169,10 @@ class Ball:
         return True
 
     def to_json_dict(self):
-        """JSON-able form. ``edges`` is the base64 text of ``bytes(flat)``
-        when every value is below 256, else the stored flat list itself."""
-        try:
-            packed = bytes(self.flat)
-        except ValueError:
-            return {"size": self.size, "edges": self.flat}
-        return {"size": self.size, "edges": b2a_base64(packed, newline=False).decode()}
+        """JSON-able form: ``edges`` is ``flat``, as base64 text if bytes."""
+        if type(self.flat) is bytes:
+            return {"size": self.size, "edges": b2a_base64(self.flat, newline=False).decode()}
+        return {"size": self.size, "edges": self.flat}
 
     @classmethod
     def from_json_dict(cls, d):
@@ -191,7 +187,7 @@ class Ball:
         """
         size, edges = d["size"], d["edges"]
         if type(edges) is str:
-            return cls._from_naturals(size, *_unpack(edges))
+            return cls._from_naturals(size, _unpack(edges))
         if len(edges) % 4:
             raise ValueError(f"ball edges: {len(edges)} values, not four per edge")
         if not set(map(type, edges)) <= {int}:
@@ -201,9 +197,9 @@ class Ball:
         return cls._from_naturals(size, edges)
 
     @classmethod
-    def _from_naturals(cls, size, flat, packed=None):
-        """``from_json_dict`` for a list already known to hold ints >= 0
-        only; ``packed`` is ``bytes(flat)`` when the list was unpacked."""
+    def _from_naturals(cls, size, flat):
+        """``from_json_dict`` for bytes, or a list already known to hold
+        ints >= 0 only; both are read in place."""
         if len(flat) % 4:
             raise ValueError(f"ball edges: {len(flat)} values, not four per edge")
         us, vs = flat[0::4], flat[1::4]
@@ -218,11 +214,11 @@ class Ball:
         else:
             it = iter(flat)
             b = cls(size, zip(it, it, it, it))
-        if normal and packed is not None:
+        if type(b.flat) is bytes:
             # The u and v bytes side by side: one 16-bit value per pair.
             pairs = bytearray(len(us) * 2)
-            pairs[0::2] = packed[0::4]
-            pairs[1::2] = packed[1::4]
+            pairs[0::2] = b.flat[0::4]
+            pairs[1::2] = b.flat[1::4]
             distinct = len(set(memoryview(pairs).cast("H")))
         else:
             distinct = len(set(zip(b.flat[0::4], b.flat[1::4])))
@@ -237,18 +233,26 @@ _BAD_BALL_EDGE = (
 )
 
 
+def _compact(flat):
+    """``flat`` as bytes when every value is below 256, else as it is."""
+    try:
+        return bytes(flat)
+    except ValueError:
+        return flat
+
+
 def _unpack(text):
-    """(flat, packed): the bytes of a canonical base64 ``text`` and their
-    values; ValueError for any other text (bad padding, non-zero trailing
-    bits, a character outside the alphabet, a line break). Only the
-    canonical text of some bytes encodes back to itself."""
+    """The bytes of a canonical base64 ``text``; ValueError for any other
+    text (bad padding, non-zero trailing bits, a character outside the
+    alphabet, a line break). Only the canonical text of some bytes encodes
+    back to itself."""
     try:
         packed = a2b_base64(text)
     except ValueError:  # binascii.Error, or a character outside ASCII
         packed = None
     if packed is None or b2a_base64(packed, newline=False) != text.encode():
         raise ValueError("ball edges: not the canonical base64 text of a byte string")
-    return list(packed), packed
+    return packed
 
 
 def _repeated_edge(flat):

@@ -19,6 +19,7 @@ import binox
 from binox.cli import main
 from binox.graph import load_graph
 from binox.runtime import RunTrace
+from binox.suite import DEFAULT_CHECKS
 from binox.verify import first_sensed_map
 
 
@@ -528,6 +529,47 @@ def test_explore_trace_is_byte_identical_to_the_pinned_one(tmp_path, capsys, spe
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == v5
     rendered = as_v2(trace.read_text(), load_graph(g))
     assert hashlib.sha256(rendered.encode()).hexdigest() == v2
+
+
+# sha256 of the same kind of run on johnson:5,2 with 300 added to the first
+# port and 7 to the second of every edge of the generated graph: every sense
+# ball then holds a port from 256 on and is written as a list, not packed.
+WIDE_PORTS_TRACE = "d1880e09ab6db787a48525c11046dae48b54ee2d6ef8b74d409e63f59cf0a1cf"
+
+
+def test_list_form_trace_is_byte_identical_to_the_pinned_one(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    trace = tmp_path / "t.jsonl"
+    invoke("gen", "--spec", "johnson:5,2", "--ports", "random:1", "--out", str(g))
+    data = json.loads(g.read_text())
+    data["edges"] = [[u, v, pu + 300, pv + 7] for (u, v, pu, pv) in data["edges"]]
+    g.write_text(json.dumps(data))
+    assert invoke("explore", "--graph", str(g), "--root", "0", "--trace", str(trace)) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == WIDE_PORTS_TRACE
+    senses = [ev for ev in map(json.loads, trace.read_text().splitlines()) if ev["kind"] == "sense"]
+    assert senses and all(type(ev["ball"]["edges"]) is list for ev in senses)
+    capsys.readouterr()
+    assert invoke("check", "--graph", str(g), "--trace", str(trace),
+                  "--checks", ",".join(DEFAULT_CHECKS)) == 0
+    out = capsys.readouterr().out
+    assert all(f"{name}: pass" in out for name in DEFAULT_CHECKS) and len(DEFAULT_CHECKS) == 5
+
+
+@pytest.mark.parametrize("args,path", [
+    (["gen", "--spec", "path:3", "--out", "{dir}/nodir/g.json"], "nodir/g.json"),
+    (["explore", "--graph", "{g}", "--trace", "{dir}/nodir/t.jsonl"], "nodir/t.jsonl"),
+    (["explore", "--graph", "{g}", "--map", "{dir}/nodir/m.json"], "nodir/m.json"),
+    (["suite", "--config", "{cfg}", "--out", "{g}/res"], "g.json/res"),  # a path under a file
+], ids=["gen --out", "explore --trace", "explore --map", "suite --out"])
+def test_unwritable_output_path_is_an_error_not_a_traceback(tmp_path, capsys, args, path):
+    g, cfg = tmp_path / "g.json", tmp_path / "cfg.json"
+    invoke("gen", "--spec", "path:3", "--out", str(g))
+    cfg.write_text(json.dumps({"generators": ["path:3"]}))
+    capsys.readouterr()
+    assert invoke(*(a.format(dir=tmp_path, g=g, cfg=cfg) for a in args)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and f"{tmp_path}/{path}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 BAD_ROOTS = '"roots" must be "all" or {"sample": k, "seed": s}, k and s integers >= 0'

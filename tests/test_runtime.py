@@ -239,7 +239,7 @@ class TestTraceFormat:
         b = loaded.events[2]["ball"]
         assert all(u < v for (u, v, _pu, _pv) in b.edges)
         assert all(type(e) is tuple for e in b.edges)
-        assert b.flat == flat and b.to_json_dict()["edges"] == packed
+        assert list(b.flat) == flat and b.to_json_dict()["edges"] == packed
 
     def test_ball_edges_are_written_flat_and_compact(self):
         lines = self.trace_text().splitlines()

@@ -6,19 +6,22 @@ bytes, whenever every value is below 256, and as the flat list otherwise.
 exactly that form without ``json.loads``; both must agree with the plain
 JSON path byte for byte and error for error. A ball keeps its center edges
 before its horizontal ones, whatever order it was given in, and lists no
-(u, v) pair twice.
+(u, v) pair twice. In memory, every builder stores a ball's edges as bytes
+exactly when every value is below 256, and the agent and the trace share
+that one object.
 """
 
 import json
 import random
 import re
+import sys
 from base64 import b64decode, b64encode
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binox import runtime
+from binox import explorer, runtime
 from binox.explorer import explore
 from binox.graph import Ball, PortNumberedGraph, ball
 from binox.runtime import TRACE_VERSION, Environment, RunTrace, TraceFormatError
@@ -98,7 +101,7 @@ def test_sense_line_is_the_json_encoding(edges, arrival, size):
     packed = b.to_json_dict()["edges"]
     assert (type(packed) is str) == all(0 <= x < 256 for x in b.flat)
     if type(packed) is str:
-        assert list(b64decode(packed, validate=True)) == b.flat
+        assert list(b64decode(packed, validate=True)) == list(b.flat)
     else:
         assert packed is b.flat
 
@@ -358,7 +361,7 @@ def test_a_v3_trace_is_refused():
     "AAEA\u00e9A==",  # outside ASCII
 ])
 def test_only_the_canonical_packed_text_loads(text):
-    assert Ball.from_json_dict({"size": 2, "edges": "AAEAAA=="}).flat == [0, 1, 0, 0]
+    assert list(Ball.from_json_dict({"size": 2, "edges": "AAEAAA=="}).flat) == [0, 1, 0, 0]
     with pytest.raises(ValueError, match="not the canonical base64 text"):
         Ball.from_json_dict({"size": 2, "edges": text})
 
@@ -379,7 +382,7 @@ def test_a_repeated_edge_is_rejected_packed_or_listed(flat):
 
 
 def is_center_first(b):
-    us = b.flat[0::4]
+    us = list(b.flat[0::4])
     return us == sorted(us, key=bool)
 
 
@@ -425,3 +428,69 @@ def test_a_second_center_edge_among_the_horizontal_ones_fails_matches():
             Ball.from_json_dict({"size": 3, "edges": good[:8] + copy})
         assert not Ball._trusted(3, good[:8] + copy).matches(g, 0)
         assert not Ball(3, [tuple(copy), (0, 1, 0, 0), (0, 2, 1, 0)]).matches(g, 0)
+
+
+# -- compact storage ---------------------------------------------------------
+
+
+def is_compact(b):
+    """Is ``b.flat`` bytes exactly when every value is below 256?"""
+    return type(b.flat) is (bytes if all(x < 256 for x in b.flat) else list)
+
+
+def wide_ports(g, du, dv):
+    """``g`` with ``du`` added to the port at each edge's first end and ``dv``
+    to the one at its second."""
+    return PortNumberedGraph(g.n, [(u, v, pu + du, pv + dv) for (u, v, pu, pv) in g.edges])
+
+
+# A star of 300 leaves: local ids and center ports from 256 on at the hub,
+# and leaves on either side of port 256.
+STAR = PortNumberedGraph(301, [(0, v, v - 1, 0) for v in range(1, 301)])
+
+
+@pytest.mark.parametrize("g,forms", [
+    (gen("johnson:5,2", "random:1"), {bytes}),
+    (wide_ports(gen("johnson:5,2", "random:1"), 300, 7), {list}),
+    (wide_ports(gen("chordal:n=20,rate=0.5,seed=4", "random:2"), 253, 0), {bytes, list}),
+    (STAR, {bytes, list}),
+], ids=["small", "wide", "mixed", "star"])
+def test_every_builder_stores_the_compact_form(g, forms):
+    rng = random.Random(1)
+    seen = set()
+    for v in range(g.n):
+        ids = list(range(1, g.degree(v) + 1))
+        rng.shuffle(ids)
+        b = ball(g, v)
+        built = [b, ball(g, v, ids), Ball(b.size, list(b.edges)), b.relabel([0] + ids),
+                 Ball.from_json_dict(b.to_json_dict()),
+                 Ball.from_json_dict({"size": b.size, "edges": list(b.flat)})]
+        assert all(map(is_compact, built))
+        # equal content, so the same form: BallEdges compares the stored objects
+        assert all(other.edges == b.edges for other in (built[2], built[4], built[5]))
+        assert built[1].edges == built[3].edges
+        seen.add(type(b.flat))
+    assert seen == forms
+
+
+def test_the_ledger_and_the_trace_share_each_sensed_ball():
+    recorded = []
+    record_ball = explorer.record_ball
+
+    def spy(emap, ledger, n, sensed, phase):
+        record_ball(emap, ledger, n, sensed, phase)
+        recorded.append(ledger.balls[n])
+
+    env = Environment(gen("johnson:6,2", "random:3"), 0, 10_000)
+    with mock.patch.object(explorer, "record_ball", spy):
+        explore(env)
+    senses = [ev["ball"] for ev in env.trace.events if ev["kind"] == "sense"]
+    assert len(recorded) == len(senses) > 1
+    assert all(a is b and type(a.flat) is bytes for a, b in zip(recorded, senses))
+
+
+def test_a_dense_sense_ball_costs_a_byte_per_value():
+    env = Environment(gen("complete:60"), 0, 10)
+    b = env.sense().ball
+    assert len(b.edges) == 59 + 59 * 58 // 2
+    assert sys.getsizeof(b.flat) <= len(b.flat) + 64
