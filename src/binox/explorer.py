@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import islice
 
-from .graph import PortNumberedGraph, ball, component, horizontal_count
+from .graph import PortNumberedGraph, ball, component, count_new_pair
 from .runtime import run_agent
 
 
@@ -49,17 +49,20 @@ class ExplorationMap(PortNumberedGraph):
     ``explored_in`` holds the phase a vertex was sensed in, or None while it
     is still frontier. Vertex ids are allocation-ordered naturals, the
     homebase is always 0. ``edges`` lists the edges (a < b) in insertion
-    order.
+    order. ``add_edge`` keeps every vertex's ``horizontal_count`` in the
+    table a fixed graph builds once.
     """
 
     def __init__(self):
         super().__init__(0, [])
         self.cluster_of = {}
         self.explored_in = {}
+        self._horizontal_counts = []
 
     def add_vertex(self):
         self._ports.append({})
         self._nbrs.append({})
+        self._horizontal_counts.append(0)
         self.n += 1
         self.explored_in[self.n - 1] = None
         return self.n - 1
@@ -83,6 +86,7 @@ class ExplorationMap(PortNumberedGraph):
                 f"second edge between map vertices {a} and {b} "
                 f"(existing labels {self._nbrs[a][b]}, new ({pa},{pb}))"
             )
+        count_new_pair(self._nbrs, self._horizontal_counts, a, b)
         self._ports[a][pa] = (b, pb)
         self._ports[b][pb] = (a, pa)
         self._nbrs[a][b] = (pa, pb)
@@ -92,10 +96,6 @@ class ExplorationMap(PortNumberedGraph):
 
     def frontier(self):
         return [n for n in range(self.n) if self.explored_in[n] is None]
-
-    def horizontal_count(self, n):
-        """``horizontal_count`` at n, counted afresh: the map grows."""
-        return horizontal_count(self._nbrs, n)
 
     def local_ball(self, n):
         """The map's radius-1 ball at n in the same local form a sensed

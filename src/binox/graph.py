@@ -349,13 +349,14 @@ class PortNumberedGraph:
 
     def horizontal_count(self, v):
         """``horizontal_count`` at v, read from a table of every vertex's
-        count that the first call builds: the graph never changes, and
-        the checks ask again for the same vertices."""
+        count: the first call builds it, since the graph never changes
+        and the checks ask again for the same vertices (the explorer's
+        map keeps its table as it grows)."""
         return self._horizontal_counts[v]
 
     @cached_property
     def _horizontal_counts(self):
-        return [horizontal_count(self._nbrs, v) for v in range(self.n)]
+        return horizontal_counts(self._nbrs)
 
     def renamed(self, perm):
         """Copy with vertex ids mapped through ``perm``; ports unchanged."""
@@ -481,6 +482,41 @@ def horizontal_count(nbrs, v):
     seen from both ends by C-level key intersections."""
     around = nbrs[v].keys()
     return sum(len(nbrs[w].keys() & around) for w in around) // 2
+
+
+def horizontal_counts(nbrs):
+    """Every vertex's ``horizontal_count`` in ``nbrs``, from one triangle
+    listing. Ranked by degree (then id), each vertex splits its neighbours
+    into those above and below it. A triangle u < w < x is then found once,
+    from its lowest corner u: at u's edge to w, the set above u meets the
+    set above w in x, which counts it at u and at w; at u's edge to x, the
+    set above u meets the set below x in w, which counts it at x."""
+    n = len(nbrs)
+    rank = [0] * n
+    for i, v in enumerate(sorted(range(n), key=lambda v: len(nbrs[v]))):
+        rank[v] = i
+    above = [{w for w in nbrs[v] if rank[w] > rank[v]} for v in range(n)]
+    below = [nbrs[v].keys() - above[v] for v in range(n)]
+    counts = [0] * n
+    for u, up in enumerate(above):
+        for w in up:
+            k = len(up & above[w])
+            counts[u] += k
+            counts[w] += k + len(up & below[w])
+    return counts
+
+
+def count_new_pair(nbrs, counts, a, b):
+    """Keep ``counts`` (vertex -> ``horizontal_count`` in ``nbrs``) as the
+    distinct neighbours a and b, not yet adjacent in ``nbrs``, become
+    adjacent; call it before the pair enters ``nbrs``. The edge closes one
+    triangle with each common neighbour: one more edge among the
+    neighbours of each, and as many as there are at a and at b."""
+    common = nbrs[a].keys() & nbrs[b].keys()
+    counts[a] += len(common)
+    counts[b] += len(common)
+    for w in common:
+        counts[w] += 1
 
 
 def ball_signature(g, v):
@@ -638,7 +674,7 @@ def from_json_dict(d):
     if not isinstance(d, dict):
         raise GraphFormatError("graph file must contain a JSON object")
     n = d.get("n")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # JSON true and false are bools, not ints
         raise GraphFormatError('"n" must be a non-negative integer')
     raw = d.get("edges")
     if not isinstance(raw, list):
@@ -648,7 +684,7 @@ def from_json_dict(d):
         if (
             not isinstance(e, list)
             or len(e) != 4
-            or not all(isinstance(x, int) for x in e)
+            or not all(type(x) is int for x in e)
         ):
             problems.append(f"edges[{idx}]: expected 4 integers, got {e!r}")
             continue

@@ -9,8 +9,10 @@ ambient state).
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass, field, fields
@@ -246,10 +248,13 @@ def run_suite(config, out_dir=None):
     """Execute every (generator x port scheme x root) run of the config.
 
     Returns (reports, summary). When ``out_dir`` is given, writes
-    ``report.json`` (config, reports, summary) and ``summary.txt`` there.
+    ``report.json`` (config, reports, summary) and ``summary.txt`` there;
+    a path that cannot be a directory fails before the first run.
     """
     if out_dir is None:
         out_dir = config.out
+    if out_dir is not None:
+        _check_can_be_dir(Path(out_dir))
     checks = config.active_checks()
     reports = []
     for spec_str in config.generators:
@@ -271,6 +276,16 @@ def run_suite(config, out_dir=None):
         (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         (out / "summary.txt").write_text(format_summary(summary))
     return reports, summary
+
+
+def _check_can_be_dir(path):
+    """NotADirectoryError unless ``path`` is a directory or the nearest of
+    its ancestors that exists is one; creates nothing."""
+    at = path.absolute()
+    while not at.exists():
+        at = at.parent
+    if not at.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
 
 
 def summarize(reports):

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import PortNumberedGraph, ball, horizontal_count
+from .graph import PortNumberedGraph, ball, ball_signature, count_new_pair  # noqa: F401
+# ``ball`` stays importable here: the benchmark's tracer (perfbench/tracer.py)
+# patches ``graph.ball`` at every module that imports it by name.
 
 
 @dataclass
@@ -127,6 +129,8 @@ class TraceReplay:
     checks (injectivity, surjectivity, triangles) at D and its neighbours.
     Every phase reports all problems so far in the order a check of the
     whole map gives: edges in sorted order, then vertices ascending.
+    Each vertex's horizontal count is kept as the edges arrive (a self-loop
+    or a second edge between two neighbours adds none).
     """
 
     def __init__(self, trace, g):
@@ -136,6 +140,7 @@ class TraceReplay:
         self.n = 0
         self.ports = []  # vertex -> {port: the edge on it}
         self.nbrs = []  # vertex -> {neighbour: smallest edge joining them}
+        self.horizontal_counts = []  # vertex -> edges among its other neighbours
         self.edges_at = []  # vertex -> incident edges
         self.edge_count = {}  # edge -> occurrences in the map
         self.phi = {}  # vertex -> ground vertex, where defined
@@ -206,7 +211,7 @@ class TraceReplay:
                 newly = []
                 if ended == 1 and self.phi_problem() is None:
                     pg = PortNumberedGraph(self.n, self.edges())
-                    if ball(pg, 0).signature() != ball(g, root).signature():
+                    if ball_signature(pg, 0) != ball_signature(g, root):
                         problems.append("phase 1 map is not the ball around the homebase")
                 self.results.append((ended, CheckResult(not problems, problems)))
                 self.ended.add(ended)
@@ -237,12 +242,15 @@ class TraceReplay:
         for _ in range(self.n, n):
             self.ports.append({})
             self.nbrs.append({})
+            self.horizontal_counts.append(0)
             self.edges_at.append([])
         self.n = n
         ports, nbrs, edges_at, edge_count = self.ports, self.nbrs, self.edges_at, self.edge_count
         for e in delta["edges"]:
             a, b, pa, pb = e
             edge_count[e] = edge_count.get(e, 0) + 1
+            if a != b and b not in nbrs[a]:
+                count_new_pair(nbrs, self.horizontal_counts, a, b)
             # A port held by two edges (only in a corrupt trace) leads the
             # walk along the edge that sorts last, as writing the whole map
             # in sorted edge order would; the checks join two vertices by
@@ -290,8 +298,14 @@ class TraceReplay:
         return [e for e in sorted(self.edge_count) for _ in range(self.edge_count[e])]
 
     def graph(self):
-        """The map after the last phase_end, or None when no phase ended."""
-        return PortNumberedGraph(self.n, self.edges()) if self.ended else None
+        """The map after the last phase_end, or None when no phase ended;
+        its horizontal counts are the ones kept here (it drops self-loops
+        and keeps one edge per pair, which no kept count includes)."""
+        if not self.ended:
+            return None
+        pg = PortNumberedGraph(self.n, self.edges())
+        pg._horizontal_counts = list(self.horizontal_counts)
+        return pg
 
     def final_phi(self):
         """See reconstruct_final_phi."""
@@ -380,8 +394,9 @@ class TraceReplay:
         # With every edge mapped and phi a bijection from n's neighbours
         # onto fn's, each map pair (a, b) maps to a ground edge: the pairs
         # agree iff both sides have as many edges among the neighbours.
+        # With no bad edge the map is simple, so the kept count is exact.
         if not self.edge_bad and not problems and (
-            horizontal_count(nbrs, n) == g.horizontal_count(fn)
+            self.horizontal_counts[n] == g.horizontal_count(fn)
         ):
             return problems
         mlist = sorted(nbrs[n])

@@ -117,6 +117,21 @@ class TestExploreAndCheck:
         assert invoke("explore", "--graph", str(bad)) == 1
         assert "port injectivity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 2, "edges": [[0, 1, true, false]]}', "edges[0]: expected 4 integers, got [0, 1, True, False]"),
+        ('{"n": true, "edges": []}', '"n" must be a non-negative integer'),
+    ], ids=["port", "n"])
+    @pytest.mark.parametrize("command", ["explore", "check"])
+    def test_json_booleans_are_not_integers(self, tmp_path, capsys, command, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"budget":1,"kind":"header","root":0,"version":5}\n')
+        extra = ["--trace", str(trace)] if command == "check" else []
+        assert invoke(command, "--graph", str(bad), *extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}:\n{message}\n" and captured.out == ""
+
     @pytest.mark.parametrize("labels", [[1], None, "a"])
     def test_labels_that_are_not_an_object_are_diagnosed(self, tmp_path, capsys, labels):
         bad = tmp_path / "bad.json"
@@ -661,6 +676,19 @@ class TestSuite:
         captured = capsys.readouterr()
         assert captured.err == f"error: bad config: {message}\n"
         assert captured.out == "" and not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("out", ["{g}/res", "{g}"], ids=["under a file", "a file"])
+    def test_out_that_cannot_be_a_directory_fails_before_any_run(self, tmp_path, capsys,
+                                                                 monkeypatch, out):
+        g = tmp_path / "g.json"
+        g.write_text("{}")
+        cfg = self.config(tmp_path, ["path:4"])
+        runs = []
+        monkeypatch.setattr(binox.suite, "run_one", lambda *args: runs.append(args))
+        assert invoke("suite", "--config", str(cfg), "--out", out.format(g=g)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 20] Not a directory: '{out.format(g=g)}'\n"
+        assert captured.out == "" and runs == []
 
     def test_budget_factor_that_overflows_on_a_graph_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
