@@ -26,28 +26,16 @@ from .graph import (
     ClusterDecomposition,
     GraphFormatError,
     Layering,
-    NotATreeError,
     PortNumberedGraph,
-    ancestor_cluster,
     ball,
-    ball_signature,
     cluster_decomposition,
     component,
-    horizontal_count,
     layering,
     load_graph,
     save_graph,
     validate,
 )
-from .homotopy import (
-    ContractibilityAnswer,
-    InstanceTooLargeError,
-    elementary_moves,
-    is_contractible,
-    is_simply_connected,
-    unfold_tree_cover,
-    verify_simplicial_covering,
-)
+from .homotopy import verify_simplicial_covering
 from .runtime import (
     BudgetExhaustedError,
     Environment,
@@ -60,13 +48,7 @@ from .runtime import (
     run_agent,
 )
 from .suite import ExperimentConfig, RunReport, run_one, run_suite
-from .verify import (
-    CheckResult,
-    reconstruct_final_phi,
-    verify_coverage,
-    verify_phase_invariants,
-    verify_rooted_isomorphism,
-)
+from .verify import CheckResult, verify_rooted_isomorphism
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

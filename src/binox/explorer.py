@@ -94,9 +94,6 @@ class ExplorationMap(PortNumberedGraph):
         self.edges.append((a, b, pa, pb) if a < b else (b, a, pb, pa))
         return True
 
-    def frontier(self):
-        return [n for n in range(self.n) if self.explored_in[n] is None]
-
     def local_ball(self, n):
         """The map's radius-1 ball at n in the same local form a sensed
         ball has: center 0, neighbours by ascending port."""

@@ -24,10 +24,6 @@ class GraphFormatError(ValueError):
     """A graph file or dict failed structural validation."""
 
 
-class NotATreeError(ValueError):
-    """A cluster-graph operation required a tree and found a cycle."""
-
-
 class Ball:
     """Radius-1 view: the subgraph induced by a vertex and its neighbours.
 
@@ -38,16 +34,12 @@ class Ball:
     writes, so a ball is built, sent and loaded without reordering. ``flat``
     is immutable ``bytes`` when every value is below 256, else a list (by
     content alone, so equal balls store equal objects); the agent and the
-    trace share it. ``edges`` views them as tuples. ``source_ids`` maps
-    local ids back to ground-truth ids; it is harness-side bookkeeping
-    and never serialized, so observations built from balls stay anonymous.
+    trace share it. ``edges`` views them as tuples.
     """
 
-    __slots__ = ("size", "flat", "source_ids", "_sig")
+    __slots__ = ("size", "flat")
 
-    center = 0
-
-    def __init__(self, size, edges, source_ids=None):
+    def __init__(self, size, edges):
         """A ball from (u, v, port at u, port at v) edges in either
         orientation and any order; reversed ones are normalized and the
         center edges moved before the others, each group in given order."""
@@ -58,18 +50,14 @@ class Ball:
             (horizontal if u else center).extend((u, v, pu, pv))
         self.size = size
         self.flat = _compact(center + horizontal)
-        self.source_ids = tuple(source_ids) if source_ids is not None else None
-        self._sig = None
 
     @classmethod
-    def _trusted(cls, size, flat, source_ids=None):
+    def _trusted(cls, size, flat):
         """A ball of ``flat`` in its order (already four ints per edge, u < v,
         center edges first); for builders whose output needs no second pass."""
         b = cls.__new__(cls)
         b.size = size
         b.flat = _compact(flat)
-        b.source_ids = source_ids
-        b._sig = None
         return b
 
     @property
@@ -79,17 +67,6 @@ class Ball:
     def __repr__(self):
         return f"Ball(size={self.size}, edges={len(self.flat) >> 2})"
 
-    def center_edges(self):
-        """Edges at the center as (out_port, far_port, local_neighbour) triples."""
-        return [(pu, pv, v) for (u, v, pu, pv) in self.edges if u == 0]
-
-    def horizontal_edges(self):
-        """Edges between neighbours as (i, j, port_at_i, port_at_j) tuples."""
-        return [e for e in self.edges if e[0] != 0]
-
-    def center_degree(self):
-        return self.flat[0::4].count(0)
-
     def signature(self):
         """Canonical form deciding rooted port-preserving isomorphism.
 
@@ -98,24 +75,21 @@ class Ball:
         correspondence, so the (out_port, far_port) multiset plus the set of
         horizontal edges rewritten in terms of center ports is complete.
         """
-        if self._sig is None:
-            cp = {}  # complete before the first horizontal edge: center edges come first
-            vertical, horizontal = [], []
-            for (u, v, pu, pv) in self.edges:
-                if u == 0:
-                    cp[v] = pu
-                    vertical.append((pu, pv))
-                else:
-                    a, b = cp[u], cp[v]
-                    horizontal.append((a, b, pu, pv) if a < b else (b, a, pv, pu))
-            self._sig = (tuple(sorted(vertical)), tuple(sorted(horizontal)))
-        return self._sig
+        cp = {}  # complete before the first horizontal edge: center edges come first
+        vertical, horizontal = [], []
+        for (u, v, pu, pv) in self.edges:
+            if u == 0:
+                cp[v] = pu
+                vertical.append((pu, pv))
+            else:
+                a, b = cp[u], cp[v]
+                horizontal.append((a, b, pu, pv) if a < b else (b, a, pv, pu))
+        return tuple(sorted(vertical)), tuple(sorted(horizontal))
 
     def relabel(self, new_id):
         """Return a copy with local ids mapped through ``new_id`` (a list).
 
-        ``new_id[0]`` must stay 0: the center is always distinguished. The
-        returned ball drops ``source_ids``.
+        ``new_id[0]`` must stay 0: the center is always distinguished.
         """
         if new_id[0] != 0:
             raise ValueError("center must keep local id 0")
@@ -325,16 +299,6 @@ class PortNumberedGraph:
         """Cross one edge; returns (far_vertex, in_port) or None if absent."""
         return self._ports[v].get(port)
 
-    def dest(self, v, port_seq):
-        """Follow a port sequence from v; None once a port is missing."""
-        cur = v
-        for p in port_seq:
-            nxt = self._ports[cur].get(p)
-            if nxt is None:
-                return None
-            cur = nxt[0]
-        return cur
-
     def has_edge(self, u, v):
         return v in self._nbrs[u]
 
@@ -343,26 +307,16 @@ class PortNumberedGraph:
         got = self._ports[v].get(p)
         return got is not None and got[1] == q
 
-    def port_pair(self, u, v):
-        """(port at u, port at v) for edge uv, or None."""
-        return self._nbrs[u].get(v)
-
     def horizontal_count(self, v):
-        """``horizontal_count`` at v, read from a table of every vertex's
-        count: the first call builds it, since the graph never changes
-        and the checks ask again for the same vertices (the explorer's
-        map keeps its table as it grows)."""
+        """The number of edges among v's neighbours, read from a table of
+        every vertex's count: the first call builds it, since the graph
+        never changes and the checks ask again for the same vertices (the
+        explorer's map keeps its table as it grows)."""
         return self._horizontal_counts[v]
 
     @cached_property
     def _horizontal_counts(self):
         return horizontal_counts(self._nbrs)
-
-    def renamed(self, perm):
-        """Copy with vertex ids mapped through ``perm``; ports unchanged."""
-        edges = [(perm[u], perm[v], pu, pv) for (u, v, pu, pv) in self.edges]
-        labels = {perm[int(k)]: v for k, v in self.labels.items()} if self.labels else None
-        return PortNumberedGraph(self.n, edges, labels)
 
     def to_json_dict(self):
         d = {
@@ -447,15 +401,13 @@ def ball(g, v, ids=None):
 
     ``ids``, a permutation of 1..degree, gives the neighbours their local
     ids instead, in the same ascending port order: the result equals
-    ``ball(g, v).relabel([0] + ids)``, edges in the same order, and has no
-    ``source_ids``.
+    ``ball(g, v).relabel([0] + ids)``, edges in the same order.
     """
     if not (0 <= v < len(g._ports)):
         raise ValueError(f"invalid vertex id {v}")
     ports = g._ports[v]
     cps = sorted(ports)
-    fresh = ids is not None
-    if not fresh:
+    if ids is None:
         ids = range(1, len(cps) + 1)
     near = []
     flat = []
@@ -473,24 +425,18 @@ def ball(g, v, ids=None):
             if pq is not None:
                 j = ids[m]
                 flat += (i, j, pq[0], pq[1]) if i < j else (j, i, pq[1], pq[0])
-    return Ball._trusted(d + 1, flat, None if fresh else (v, *near))
-
-
-def horizontal_count(nbrs, v):
-    """The number of edges among v's neighbours in the adjacency ``nbrs``
-    (a ``_nbrs``-shaped list: vertex -> {neighbour: ...}); each edge is
-    seen from both ends by C-level key intersections."""
-    around = nbrs[v].keys()
-    return sum(len(nbrs[w].keys() & around) for w in around) // 2
+    return Ball._trusted(d + 1, flat)
 
 
 def horizontal_counts(nbrs):
-    """Every vertex's ``horizontal_count`` in ``nbrs``, from one triangle
-    listing. Ranked by degree (then id), each vertex splits its neighbours
-    into those above and below it. A triangle u < w < x is then found once,
-    from its lowest corner u: at u's edge to w, the set above u meets the
-    set above w in x, which counts it at u and at w; at u's edge to x, the
-    set above u meets the set below x in w, which counts it at x."""
+    """Every vertex's horizontal count (the number of edges among its
+    neighbours) in the adjacency ``nbrs`` (a ``_nbrs``-shaped list: vertex
+    -> {neighbour: ...}), from one triangle listing. Ranked by degree (then
+    id), each vertex splits its neighbours into those above and below it.
+    A triangle u < w < x is then found once, from its lowest corner u: at
+    u's edge to w, the set above u meets the set above w in x, which counts
+    it at u and at w; at u's edge to x, the set above u meets the set below
+    x in w, which counts it at x."""
     n = len(nbrs)
     rank = [0] * n
     for i, v in enumerate(sorted(range(n), key=lambda v: len(nbrs[v]))):
@@ -507,7 +453,7 @@ def horizontal_counts(nbrs):
 
 
 def count_new_pair(nbrs, counts, a, b):
-    """Keep ``counts`` (vertex -> ``horizontal_count`` in ``nbrs``) as the
+    """Keep ``counts`` (vertex -> horizontal count in ``nbrs``) as the
     distinct neighbours a and b, not yet adjacent in ``nbrs``, become
     adjacent; call it before the pair enters ``nbrs``. The edge closes one
     triangle with each common neighbour: one more edge among the
@@ -519,27 +465,6 @@ def count_new_pair(nbrs, counts, a, b):
         counts[w] += 1
 
 
-def ball_signature(g, v):
-    """``ball(g, v).signature()`` read straight off the adjacency, without
-    building the ball: neighbours in ascending center port and pairs i < j
-    give both tuples already sorted."""
-    if not (0 <= v < len(g._ports)):
-        raise ValueError(f"invalid vertex id {v}")
-    ports = g._ports[v]
-    cps = sorted(ports)
-    vertical = tuple((p, ports[p][1]) for p in cps)
-    nbrs = [ports[p][0] for p in cps]
-    horizontal = []
-    for i, a in enumerate(nbrs):
-        na = g._nbrs[a]
-        pa = cps[i]
-        for j in range(i + 1, len(nbrs)):
-            pq = na.get(nbrs[j])
-            if pq is not None:
-                horizontal.append((pa, cps[j], pq[0], pq[1]))
-    return vertical, tuple(horizontal)
-
-
 @dataclass(frozen=True)
 class Layering:
     """Partition of the vertices into spheres by BFS distance from a root."""
@@ -547,9 +472,6 @@ class Layering:
     root: int
     sphere_of: tuple
     spheres: tuple
-
-    def radius(self):
-        return len(self.spheres) - 1
 
 
 def layering(g, v0):
@@ -594,31 +516,22 @@ class ClusterDecomposition:
     cluster_of: tuple
     edges: frozenset
 
-    def cluster(self, cid):
-        return self.clusters[cid]
-
     def root_cluster(self):
         return self.cluster_of[self.root]
 
     @cached_property
-    def _adjacent(self):
-        """(predecessors, successors) of every cluster, indexed once."""
+    def _predecessors(self):
+        """Each cluster's neighbour clusters one sphere closer to the root,
+        indexed once."""
         preds = [set() for _ in self.clusters]
-        succs = [set() for _ in self.clusters]
         for (a, b) in self.edges:
             for x, y in ((a, b), (b, a)):
-                step = self.clusters[y].sphere - self.clusters[x].sphere
-                if step == -1:
+                if self.clusters[y].sphere == self.clusters[x].sphere - 1:
                     preds[x].add(y)
-                elif step == 1:
-                    succs[x].add(y)
-        return [sorted(s) for s in preds], [sorted(s) for s in succs]
+        return [sorted(s) for s in preds]
 
     def predecessors(self, cid):
-        return list(self._adjacent[0][cid])
-
-    def successors(self, cid):
-        return list(self._adjacent[1][cid])
+        return list(self._predecessors[cid])
 
     def is_tree(self):
         return all(
@@ -655,18 +568,6 @@ def cluster_decomposition(g, v0):
     return ClusterDecomposition(
         v0, lay, tuple(clusters), tuple(cluster_of), frozenset(cedges)
     )
-
-
-def ancestor_cluster(dec, cid):
-    """The unique cluster one sphere closer to the root; errors otherwise."""
-    if cid == dec.root_cluster():
-        raise ValueError("root cluster has no ancestor")
-    preds = dec.predecessors(cid)
-    if len(preds) != 1:
-        raise NotATreeError(
-            f"cluster {cid} has {len(preds)} predecessor clusters; cluster graph is not a tree"
-        )
-    return preds[0]
 
 
 def from_json_dict(d):

@@ -83,13 +83,6 @@ class RunTrace:
     def log_phase_end(self, phase, delta):
         self.log("phase_end", phase=phase, delta=delta)
 
-    def moves(self):
-        return [e for e in self.events if e["kind"] == "move"]
-
-    def snapshots(self):
-        """(phase, delta) of every phase_end, in order."""
-        return [(e["phase"], e["delta"]) for e in self.events if e["kind"] == "phase_end"]
-
     def header(self):
         return self.events[0]
 
@@ -225,8 +218,9 @@ class _EventOrder:
     """The order of a trace's events: the header, then phases 1, 2, ...,
     each a phase_start and a phase_end with the sense and move events in
     between, and at most one terminal event, which is the last event:
-    budget_exhausted or error_detected may end the open phase, halt comes
-    only after a phase_end. O(1) per event."""
+    budget_exhausted or error_detected may end the open phase but come only
+    after the first phase_start, halt comes only after a phase_end. O(1)
+    per event."""
 
     TERMINAL = frozenset({"budget_exhausted", "error_detected", "halt"})
 
@@ -260,6 +254,8 @@ class _EventOrder:
         elif kind in self.TERMINAL:
             if kind == "halt" and self.open is not None:
                 return f"halt while phase {self.open} is open"
+            if self.open is None and self.last == 0:
+                return f"{kind} before the first phase_start"
             self.ended = kind
         elif self.open is None:
             return f"{kind} event outside a phase"
@@ -336,7 +332,7 @@ class Environment:
     environments over the same (immutable) graph are independent.
     """
 
-    def __init__(self, graph, v0, budget, relabel_seed=0):
+    def __init__(self, graph, v0, budget):
         if not (0 <= v0 < graph.n):
             raise ValueError(f"invalid homebase {v0}")
         if budget <= 0:
@@ -348,7 +344,7 @@ class Environment:
         self.budget = budget
         self.trace = RunTrace()
         self.trace.log("header", version=TRACE_VERSION, root=v0, budget=budget)
-        self._rng = random.Random(f"observe:{relabel_seed}")
+        self._rng = random.Random("observe:0")
 
     def sense(self):
         """Fresh observation of the current location.

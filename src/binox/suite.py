@@ -23,7 +23,7 @@ from .families import generate, parse_spec
 from .graph import cluster_decomposition
 from .homotopy import verify_simplicial_covering
 from .runtime import Environment
-from .verify import TraceReplay, verify_coverage, verify_rooted_isomorphism
+from .verify import TraceReplay, verify_rooted_isomorphism
 
 DEFAULT_CHECKS = {
     "phase_invariants": True,
@@ -161,14 +161,15 @@ def evaluate_trace(trace, g, checks):
 
     Returns (results, problems). A check that does not apply to the run's
     status (e.g. coverage of a non-halting run) is reported as None. One
-    replay of the trace (TraceReplay) gives the phase results, the final
-    map and its phi.
+    replay of the trace (TraceReplay) gives the phase results, coverage,
+    the final map and its phi.
     """
     status = trace_status(trace)
     root = trace.header()["root"]
     halted = status == "halted"
     needs_map = halted and (checks.get("final_isomorphism") or checks.get("covering"))
-    replay = TraceReplay(trace, g) if checks.get("phase_invariants") or needs_map else None
+    needs_replay = checks.get("phase_invariants") or needs_map or halted and checks.get("coverage")
+    replay = TraceReplay(trace, g) if needs_replay else None
     results = {}
     problems = []
     if checks.get("phase_invariants"):
@@ -190,7 +191,7 @@ def evaluate_trace(trace, g, checks):
             results["final_isomorphism"] = r.ok
             problems.extend(f"isomorphism: {p}" for p in r.problems[:3])
         if checks.get("coverage"):
-            r = verify_coverage(trace, g)
+            r = replay.coverage()
             results["coverage"] = r.ok
             problems.extend(f"coverage: {p}" for p in r.problems[:3])
         if checks.get("covering"):

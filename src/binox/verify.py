@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import PortNumberedGraph, ball, ball_signature, count_new_pair  # noqa: F401
-# ``ball`` stays importable here: the benchmark's tracer (perfbench/tracer.py)
-# patches ``graph.ball`` at every module that imports it by name.
+from .graph import PortNumberedGraph, ball, count_new_pair
 
 
 @dataclass
@@ -75,52 +73,17 @@ def verify_rooted_isomorphism(pg, g, v0):
     return CheckResult(not problems, problems)
 
 
-def replay_ground(trace, g):
-    """Fold the move events over the ground truth.
-
-    Returns (positions, problems): positions[i] is where the agent stands
-    after i moves (positions[0] is the homebase). In-port disagreements with
-    the trace are reported.
-    """
-    header = trace.header()
-    pos = header["root"]
-    positions = [pos]
-    problems = []
-    for ev in trace.events:
-        if ev["kind"] != "move":
-            continue
-        step = g.step(pos, ev["out"])
-        if step is None:
-            problems.append(f"move {len(positions)}: no port {ev['out']} at ground {pos}")
-            break
-        pos, in_port = step
-        if in_port != ev["in"]:
-            problems.append(
-                f"move {len(positions)}: arrived on port {in_port}, trace says {ev['in']}"
-            )
-        positions.append(pos)
-    return positions, problems
-
-
-def verify_coverage(trace, g):
-    """Replaying the moves must visit every ground vertex at least once."""
-    positions, problems = replay_ground(trace, g)
-    unvisited = sorted(set(range(g.n)) - set(positions))
-    if unvisited:
-        problems.append(f"unvisited ground vertices: {unvisited}")
-    return CheckResult(not problems, problems)
-
-
 class TraceReplay:
     """The checker's one pass over a trace's events, against the ground
     graph. A move is walked over the map folded from the deltas so far
     (phase i moves only use edges in the map at the end of phase i-1) and
-    over the ground; a sense is compared with the ground truth and the
-    first sense of each map vertex recorded in ``first`` (vertex -> (phase,
-    ground vertex)); a phase_end folds in its delta, makes the vertices
-    first sensed in the phase explored and adds (phase, CheckResult) to
-    ``results``, as does, at the end, a phase that never ended but has a
-    problem.
+    over the ground, its in-port compared with the ground's; a sense is
+    compared with the ground truth and the first sense of each map vertex
+    recorded in ``first`` (vertex -> (phase, ground vertex)); a phase_end
+    folds in its delta, makes the vertices first sensed in the phase
+    explored and adds (phase, CheckResult) to ``results``, as does, at the
+    end, a phase that never ended but has a problem. Once the map walk
+    stops, the ground walk goes on alone for ``coverage``.
 
     Deltas only add vertices and edges, so a check's inputs change only
     around the dirty set D: new vertices, endpoints of new edges, vertices
@@ -148,39 +111,55 @@ class TraceReplay:
         self.edge_bad = {}  # edge -> problem
         self.vertex_bad = {}  # vertex -> problems
         self.stale = set()  # dirty vertices left unchecked while phi was partial
-        self.mismatched = {}  # phase -> its sense events that differ from the ground
+        self.mismatched = {}  # phase -> its move and sense events that differ from the ground
         self.resensed = {}  # phase -> its senses of a vertex sensed before
         self.walk_problem = None  # (phase, where the walk left the map or the ground)
+        self.visited = set()  # the ground vertices the ground walk reached
+        self.ground_problems = []  # the ground walk's in-port disagreements and break
         self.ended = set()  # the phases whose phase_end was folded in
         self.results = []
         self._replay(trace)
 
     def _replay(self, trace):
-        g, ports, first = self.g, self.ports, self.first
+        g, ports, first, visited = self.g, self.ports, self.first, self.visited
         root = ground = trace.header()["root"]
+        visited.add(root)
         pos = 0  # the agent's map vertex
         arrival = None  # the in-port of the last move
         walking = True  # until the walk leaves the map or the ground graph
+        moves = 0
         phase = 0
         newly = []  # the vertices first sensed in this phase
         for ev in trace.events:
             kind = ev["kind"]
             if kind == "move":
-                if not walking:
+                if ground is None:  # the ground walk broke
                     continue
                 out = ev["out"]
-                e = ports[pos].get(out) if pos < len(ports) else None
+                moves += 1
                 step = g.step(ground, out)
-                if e is None or step is None:
-                    walking = False
-                    self.walk_problem = (phase, (
-                        f"trace walks port {out} at map vertex {pos} which is not in the map"
-                        if e is None else f"ground walk broke at {ground}"
-                    ))
+                if walking:
+                    e = ports[pos].get(out) if pos < len(ports) else None
+                    if e is None or step is None:
+                        walking = False
+                        self.walk_problem = (phase, (
+                            f"trace walks port {out} at map vertex {pos} which is not in the map"
+                            if e is None else f"ground walk broke at {ground}"
+                        ))
+                    else:
+                        pos = e[1] if e[0] == pos else e[0]
+                if step is None:
+                    self.ground_problems.append(f"move {moves}: no port {out} at ground {ground}")
+                    ground = None
                     continue
-                pos = e[1] if e[0] == pos else e[0]
-                ground = step[0]
+                ground, in_port = step
+                visited.add(ground)
                 arrival = ev["in"]
+                if in_port != arrival:
+                    problem = f"move {moves}: arrived on port {in_port}, trace says {arrival}"
+                    self.ground_problems.append(problem)
+                    if walking:
+                        self.mismatched.setdefault(phase, []).append(problem)
             elif kind == "sense":
                 if not walking:
                     continue
@@ -210,8 +189,7 @@ class TraceReplay:
                 problems += self.apply(ev["delta"], newly)
                 newly = []
                 if ended == 1 and self.phi_problem() is None:
-                    pg = PortNumberedGraph(self.n, self.edges())
-                    if ball_signature(pg, 0) != ball_signature(g, root):
+                    if not ball(PortNumberedGraph(self.n, self.edges()), 0).matches(g, root):
                         problems.append("phase 1 map is not the ball around the homebase")
                 self.results.append((ended, CheckResult(not problems, problems)))
                 self.ended.add(ended)
@@ -220,8 +198,9 @@ class TraceReplay:
             self.results.append((phase, CheckResult(False, problems)))
 
     def _sense_problems(self, phase):
-        """The replay's problems in ``phase``: its senses that differ from
-        the ground, where the walk stopped, its vertices sensed again."""
+        """The replay's problems in ``phase``: its moves and senses that
+        differ from the ground, where the walk stopped, its vertices sensed
+        again."""
         walk = self.walk_problem
         stopped = [walk[1]] if walk and walk[0] == phase else []
         return self.mismatched.get(phase, []) + stopped + self.resensed.get(phase, [])
@@ -308,7 +287,8 @@ class TraceReplay:
         return pg
 
     def final_phi(self):
-        """See reconstruct_final_phi."""
+        """phi for the final map (total on a halted run), as a list, and [];
+        or None and the problems that leave it undefined."""
         if not self.ended:
             return None, ["trace has no phase snapshots"]
         problems = self.replay_problems()
@@ -318,6 +298,16 @@ class TraceReplay:
         if problems:
             return None, problems
         return [self.phi[v] for v in range(self.n)], []
+
+    def coverage(self):
+        """The ground walk of every move visits every ground vertex, with
+        the in-port the trace says: its disagreements, where it broke, then
+        the vertices it never reached."""
+        problems = list(self.ground_problems)
+        unvisited = [v for v in range(self.g.n) if v not in self.visited]
+        if unvisited:
+            problems.append(f"unvisited ground vertices: {unvisited}")
+        return CheckResult(not problems, problems)
 
     def _with_neighbours(self, vertices):
         out = set(vertices)
@@ -411,26 +401,3 @@ class TraceReplay:
                         f"{'has' if in_g else 'lacks'} edge {phi[a]}-{phi[b]}"
                     )
         return problems
-
-
-def verify_phase_invariants(trace, g):
-    """Per phase: the replay of its moves and senses holds, every sense
-    matches the ground truth, and the map after its phase_end is a port-
-    preserving homomorphism, locally injective, locally surjective and
-    triangle-preserving at explored vertices (phase 1: the homebase ball).
-    A phase that never ended comes last, if its replay failed."""
-    return TraceReplay(trace, g).results
-
-
-def first_sensed_map(trace, g):
-    """map vertex -> (phase, ground vertex) of its first sense, which makes
-    it explored from the end of that phase (other map vertices are
-    frontier), and the replay's problems (TraceReplay.replay_problems)."""
-    replay = TraceReplay(trace, g)
-    return replay.first, replay.replay_problems()
-
-
-def reconstruct_final_phi(trace, g):
-    """phi for the final map (total on a halted run), as a list, and [];
-    or None and the problems that leave it undefined."""
-    return TraceReplay(trace, g).final_phi()

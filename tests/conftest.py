@@ -1,6 +1,7 @@
 import networkx as nx
 
 from binox.families import generate, parse_spec
+from binox.graph import PortNumberedGraph
 from binox.verify import CheckResult, _forced_image
 
 
@@ -21,3 +22,101 @@ def rooted_embedding(sub, big, sub_root, big_root):
     problems = []
     _forced_image(sub, big, sub_root, big_root, problems)
     return CheckResult(not problems, problems)
+
+
+# Free functions over binox's data that the tests use as oracles and helpers.
+
+
+def ball_signature(g, v):
+    """``ball(g, v).signature()`` read straight off the adjacency, without
+    building the ball: neighbours in ascending center port and pairs i < j
+    give both tuples already sorted."""
+    ports = g._ports[v]
+    cps = sorted(ports)
+    vertical = tuple((p, ports[p][1]) for p in cps)
+    nbrs = [ports[p][0] for p in cps]
+    horizontal = []
+    for i, a in enumerate(nbrs):
+        na = g._nbrs[a]
+        for j in range(i + 1, len(nbrs)):
+            pq = na.get(nbrs[j])
+            if pq is not None:
+                horizontal.append((cps[i], cps[j], pq[0], pq[1]))
+    return vertical, tuple(horizontal)
+
+
+def horizontal_count(nbrs, v):
+    """The number of edges among v's neighbours in the adjacency ``nbrs``
+    (a ``_nbrs``-shaped list: vertex -> {neighbour: ...}), recounted."""
+    around = nbrs[v].keys()
+    return sum(len(nbrs[w].keys() & around) for w in around) // 2
+
+
+def source_ids(g, v):
+    """The vertices of g behind the local ids of ``ball(g, v)``."""
+    return (v, *g.neighbors(v))
+
+
+def center_edges(b):
+    """A ball's edges at the center as (out_port, far_port, local_neighbour)."""
+    return [(pu, pv, v) for (u, v, pu, pv) in b.edges if u == 0]
+
+
+def horizontal_edges(b):
+    """A ball's edges between neighbours as (i, j, port_at_i, port_at_j)."""
+    return [e for e in b.edges if e[0] != 0]
+
+
+def center_degree(b):
+    return len(center_edges(b))
+
+
+def dest(g, v, port_seq):
+    """Follow a port sequence from v; None once a port is missing."""
+    for p in port_seq:
+        step = g.step(v, p)
+        if step is None:
+            return None
+        v = step[0]
+    return v
+
+
+def port_pair(g, u, v):
+    """(port at u, port at v) of the edge uv, or None."""
+    return g._nbrs[u].get(v)
+
+
+def renamed(g, perm):
+    """A copy of g with vertex ids mapped through ``perm``; ports unchanged."""
+    edges = [(perm[u], perm[v], pu, pv) for (u, v, pu, pv) in g.edges]
+    return PortNumberedGraph(g.n, edges)
+
+
+class NotATreeError(ValueError):
+    """A cluster has more than one predecessor cluster."""
+
+
+def ancestor_cluster(dec, cid):
+    """The unique cluster one sphere closer to the root; errors otherwise."""
+    if cid == dec.root_cluster():
+        raise ValueError("root cluster has no ancestor")
+    preds = dec.predecessors(cid)
+    if len(preds) != 1:
+        raise NotATreeError(
+            f"cluster {cid} has {len(preds)} predecessor clusters; cluster graph is not a tree"
+        )
+    return preds[0]
+
+
+def frontier(emap):
+    """The map vertices not yet explored."""
+    return [n for n in range(emap.n) if emap.explored_in[n] is None]
+
+
+def moves(trace):
+    return [e for e in trace.events if e["kind"] == "move"]
+
+
+def snapshots(trace):
+    """(phase, delta) of every phase_end, in order."""
+    return [(e["phase"], e["delta"]) for e in trace.events if e["kind"] == "phase_end"]

@@ -5,20 +5,25 @@ each map on its own: the sense replay rebuilds its adjacency at every
 phase_end, every sense event is compared with the ground ball by
 ``ball_signature`` (not by ``Ball.matches``), and every phase reconstructs
 phi and re-checks every edge and vertex. The vertices explored after phase k
-are those first sensed in phase k or before. Quadratic in the number of
-phases, so only for small test graphs; ``first_sensed_map``,
-``verify_phase_invariants`` and ``reconstruct_final_phi`` must agree with it.
+are those first sensed in phase k or before. Coverage walks the moves over
+the ground alone (``replay_ground``). Quadratic in the number of phases, so
+only for small test graphs; the replay's ``first`` and
+``replay_problems()``, ``results``, ``final_phi()`` and ``coverage()``
+must agree with ``first_sensed_map``, ``phase_invariants``,
+``reconstruct_final_phi`` and ``coverage``.
 """
 
-from binox.graph import PortNumberedGraph, ball, ball_signature
+from binox.graph import PortNumberedGraph, ball
 from binox.verify import CheckResult
+
+from conftest import ball_signature, snapshots
 
 
 def folded_maps(trace):
     """(phase, whole map after that phase) for every phase_end."""
     edges = []
     out = []
-    for phase, delta in trace.snapshots():
+    for phase, delta in snapshots(trace):
         edges = sorted(edges + [tuple(e) for e in delta["edges"]])
         out.append((phase, {"n": delta["n"], "edges": edges}))
     return out
@@ -49,14 +54,15 @@ def is_ground_ball(b, g, u):
 def sense_log(trace, g):
     """(senses, stop, mismatched): the (phase, map vertex, ground vertex) of
     every sense up to where the walk stopped; [(phase, problem)] of that
-    stop, if any; and (phase, problem) for every sense event so far that
-    differs from the ground truth."""
+    stop, if any; and (phase, problem) for every move and sense event so
+    far that differs from the ground truth."""
     maps = iter(folded_maps(trace))
     ground = trace.header()["root"]
     map_pos = 0
     arrival = None
     adj = {0: {}}
     phase = 0
+    moves = 0
     senses = []
     mismatched = []
     for ev in trace.events:
@@ -64,6 +70,7 @@ def sense_log(trace, g):
         if kind == "phase_start":
             phase = ev["phase"]
         elif kind == "move":
+            moves += 1
             got = adj.get(map_pos, {}).get(ev["out"])
             if got is None:
                 return senses, [(phase, (
@@ -76,6 +83,8 @@ def sense_log(trace, g):
                 return senses, [(phase, f"ground walk broke at {ground}")], mismatched
             ground = step[0]
             arrival = ev["in"]
+            if step[1] != arrival:
+                mismatched.append((phase, f"move {moves}: arrived on port {step[1]}, trace says {arrival}"))
         elif kind == "sense":
             senses.append((phase, map_pos, ground))
             where = f"sense at map vertex {map_pos} (ground {ground})"
@@ -236,3 +245,38 @@ def reconstruct_final_phi(trace, g):
     if phi is None or problems:
         return None, problems
     return [phi[n] for n in range(snap["n"])], []
+
+
+def replay_ground(trace, g):
+    """Fold the move events over the ground truth.
+
+    Returns (positions, problems): positions[i] is where the agent stands
+    after i moves (positions[0] is the homebase). In-port disagreements with
+    the trace are reported.
+    """
+    pos = trace.header()["root"]
+    positions = [pos]
+    problems = []
+    for ev in trace.events:
+        if ev["kind"] != "move":
+            continue
+        step = g.step(pos, ev["out"])
+        if step is None:
+            problems.append(f"move {len(positions)}: no port {ev['out']} at ground {pos}")
+            break
+        pos, in_port = step
+        if in_port != ev["in"]:
+            problems.append(
+                f"move {len(positions)}: arrived on port {in_port}, trace says {ev['in']}"
+            )
+        positions.append(pos)
+    return positions, problems
+
+
+def coverage(trace, g):
+    """Replaying the moves must visit every ground vertex at least once."""
+    positions, problems = replay_ground(trace, g)
+    unvisited = sorted(set(range(g.n)) - set(positions))
+    if unvisited:
+        problems.append(f"unvisited ground vertices: {unvisited}")
+    return CheckResult(not problems, problems)

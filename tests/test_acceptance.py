@@ -13,11 +13,11 @@ import pytest
 
 from binox.explorer import explore
 from binox.families import generate, is_weetman, parse_spec
-from binox.homotopy import is_simply_connected, unfold_tree_cover
 from binox.runtime import Environment
 from binox.suite import run_one
 
 from conftest import rooted_embedding, to_nx
+from homotopy_oracles import is_simply_connected, unfold_tree_cover
 
 CHORDAL_SIZES = (10, 25, 50, 100, 200)
 CHORDAL_SEEDS = tuple(range(1, 8))

@@ -10,12 +10,12 @@ from functools import cache
 from hypothesis import given, settings, strategies as st
 
 from binox.explorer import ExplorationMap, PhaseLedger, check_local_iso, explore
-from binox.graph import Ball, ball, ball_signature, horizontal_count
+from binox.graph import Ball, ball
 from binox.homotopy import verify_simplicial_covering
 from binox.runtime import Environment, RunTrace
-from binox.verify import reconstruct_final_phi, verify_phase_invariants
+from binox.verify import TraceReplay
 
-from conftest import gen
+from conftest import ball_signature, gen, horizontal_count, port_pair
 
 SPECS = [
     "chordal:n=12,rate=0.5,seed=1",
@@ -31,7 +31,7 @@ def halted(spec, ports):
     """(ground graph, final map, phi) of a halted run from vertex 0."""
     g = gen(spec, ports)
     out = explore(Environment(g, 0, 50 * g.n))
-    phi, problems = reconstruct_final_phi(out.trace, g)
+    phi, problems = TraceReplay(out.trace, g).final_phi()
     assert out.status == "halted" and not problems
     return g, out.final_map, phi
 
@@ -92,7 +92,7 @@ def covering_reference(h, g, phi, exclude=()):
 def _remove(emap, a, b):
     """``emap`` without its edge a-b (rebuilt from the other edges, in
     their order), and the edge's ports at a and at b."""
-    pa, pb = emap.port_pair(a, b)
+    pa, pb = port_pair(emap, a, b)
     gone = (a, b, pa, pb) if a < b else (b, a, pb, pa)
     rest = ExplorationMap()
     for _ in range(emap.n):
@@ -218,7 +218,7 @@ def test_sense_check_agrees_with_signatures(case, ball_damage, data):
     damaged = Ball(sensed.size, edges)
     trace.events[i] = dict(trace.events[i], ball=damaged)
     phase = max(ev["phase"] for ev in trace.events[:i] if ev["kind"] == "phase_start")
-    bad = [ph for ph, r in verify_phase_invariants(trace, g) if not r.ok]
+    bad = [ph for ph, r in TraceReplay(trace, g).results if not r.ok]
     assert bad == ([phase] if damaged.signature() != sensed.signature() else [])
 
 

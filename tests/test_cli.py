@@ -20,7 +20,7 @@ from binox.cli import main
 from binox.graph import load_graph
 from binox.runtime import RunTrace
 from binox.suite import DEFAULT_CHECKS
-from binox.verify import first_sensed_map
+from binox.verify import TraceReplay
 
 
 def invoke(*args):
@@ -330,6 +330,22 @@ class TestCheckInputs:
         assert "  phase 4: trace walks port 77 at map vertex 5 which is not in the map\n" in out
         assert "phase 1:" not in out
 
+    @pytest.mark.parametrize("checks", [[], ["--checks", "phase_invariants,cluster_tree"]])
+    @pytest.mark.parametrize("terminal", [
+        '{"kind":"halt"}', '{"kind":"budget_exhausted"}', '{"kind":"error_detected","reason":"x"}',
+    ])
+    def test_trace_with_no_phase_is_an_error(self, tmp_path, capsys, checks, terminal):
+        # no map to check: neither a traceback nor a pass
+        g, trace = self.explored(tmp_path, "complete:4")
+        trace.write_text('{"kind":"header","version":5,"root":0,"budget":100}\n' + terminal + "\n")
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(g), "--trace", str(trace), *checks) == 1
+        captured = capsys.readouterr()
+        kind = terminal.split('"')[3]
+        assert captured.err.endswith(f"line 2: {kind} before the first phase_start\n")
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert "pass" not in captured.out
+
     def test_trace_from_another_graph_is_an_error(self, tmp_path, capsys):
         _g8, trace = self.explored(tmp_path, "path:8")
         lines = trace.read_text().splitlines()
@@ -506,7 +522,7 @@ def as_v2(text, g):
     vertices, in order of their smallest id, after the homebase's cluster
     0."""
     trace = RunTrace.from_jsonl(text)
-    first, _problems = first_sensed_map(trace, g)
+    first = TraceReplay(trace, g).first
     clusters, old_n = 0, 0
     lines = []
     for ev in trace.events:
@@ -769,3 +785,30 @@ def test_console_entry_point_runs():
     )
     assert r.returncode == 0
     assert json.loads(r.stdout)["n"] == 3
+
+
+def test_public_surface_is_pinned():
+    # A name added to or dropped from ``binox`` must show up here.
+    assert set(binox.__all__) == {
+        # modules
+        "explorer", "families", "graph", "homotopy", "runtime", "suite", "verify",
+        # binox.explorer
+        "ClusterExplorer", "ClusterStack", "ExplorationMap", "ExplorerInvariantError",
+        "MapUpdateError", "PhaseLedger", "PortCollisionError", "explore",
+        # binox.families
+        "ConditionReport", "GeneratorSpec", "check_interval_condition",
+        "check_triangle_condition", "generate", "is_chordal", "is_weetman", "parse_spec",
+        # binox.graph
+        "Ball", "ClusterDecomposition", "GraphFormatError", "Layering", "PortNumberedGraph",
+        "ball", "cluster_decomposition", "component", "layering", "load_graph", "save_graph",
+        "validate",
+        # binox.homotopy
+        "verify_simplicial_covering",
+        # binox.runtime
+        "BudgetExhaustedError", "Environment", "ExplorationError", "NoSuchPortError",
+        "Observation", "RunOutcome", "RunTrace", "TraceFormatError", "run_agent",
+        # binox.suite
+        "ExperimentConfig", "RunReport", "run_one", "run_suite",
+        # binox.verify
+        "CheckResult", "verify_rooted_isomorphism",
+    }

@@ -25,13 +25,21 @@ from binox.explorer import (
     plan_cluster_tour,
     record_ball,
 )
-from binox.graph import PortNumberedGraph, ball, ball_signature, validate
-from binox.homotopy import unfold_tree_cover
+from binox.graph import PortNumberedGraph, ball, validate
 from binox.runtime import Environment, RunTrace, run_agent
 from binox.suite import DEFAULT_CHECKS, evaluate_trace
-from binox.verify import reconstruct_final_phi, verify_rooted_isomorphism
+from binox.verify import TraceReplay, verify_rooted_isomorphism
 
-from conftest import gen, rooted_embedding
+from conftest import (
+    ball_signature,
+    center_edges,
+    frontier,
+    gen,
+    horizontal_edges,
+    rooted_embedding,
+    snapshots,
+)
+from homotopy_oracles import unfold_tree_cover
 
 
 def run(spec_or_graph, root=0, factor=50):
@@ -45,7 +53,7 @@ class TestReferenceTraces:
         g, out = run("path:3")
         assert out.status == "halted"
         assert out.moves == 2
-        phases = [p for p, _ in out.trace.snapshots()]
+        phases = [p for p, _ in snapshots(out.trace)]
         assert phases == [1, 2, 3]
         assert verify_rooted_isomorphism(out.final_map, g, 0).ok
 
@@ -54,7 +62,7 @@ class TestReferenceTraces:
         assert out.status == "halted"
         assert out.moves == 2
         # after phase 1 the map is already the whole ball: K3 itself
-        first = out.trace.snapshots()[0][1]
+        first = snapshots(out.trace)[0][1]
         assert set(first) == {"n", "edges"} and first["n"] == 3 and len(first["edges"]) == 3
         assert out.final_map.explored_in == {0: 1, 1: 2, 2: 2}
         assert verify_rooted_isomorphism(out.final_map, g, 0).ok
@@ -242,14 +250,14 @@ def full_scan_harvest(emap, ledger, n):
     every ball is looked at."""
     b = ledger.balls[n]
     center = {}
-    for (p, q, j) in b.center_edges():
+    for (p, q, j) in center_edges(b):
         got = emap.step(n, p)
         if got is not None and got[1] == q:
             center[j] = (p, got[0])
         else:
             center[j] = (p, None)
             ledger.pre_vertices[(n, p)] = q
-    for (i, j, r, s) in b.horizontal_edges():
+    for (i, j, r, s) in horizontal_edges(b):
         pi, mi = center[i]
         pj, mj = center[j]
         if mi is not None:
@@ -274,7 +282,7 @@ def test_harvest_skip_yields_the_full_scan_ledger(spec, ports, data):
     """On a map holding a random part of the halted map's edges, balls
     with some center edges mapped and some not give the same ledger."""
     g, out = run(gen(spec, ports))
-    phi, problems = reconstruct_final_phi(out.trace, g)
+    phi, problems = TraceReplay(out.trace, g).final_phi()
     assert not problems
     full = out.final_map
     keep = data.draw(st.lists(st.booleans(), min_size=len(full.edges),
@@ -475,7 +483,8 @@ class TestMapExport:
 
 class TestMapBalls:
     """The map's balls come from the same builder as the ground graph's, and
-    ball_signature reads them off the map's adjacency."""
+    their signatures agree with the tests' reference read off the map's
+    adjacency."""
 
     @pytest.mark.parametrize("spec,ports", [
         ("complete:8", "random:2"),
@@ -498,6 +507,6 @@ class TestMapBalls:
         out = run_agent(explorer, Environment(g, 0, 10 * g.n))
         assert out.status == "budget_exhausted"
         emap = explorer.partial_result()
-        assert emap.frontier()  # the cut-off map still has unexplored vertices
+        assert frontier(emap)  # the cut-off map still has unexplored vertices
         for n in range(emap.n):
             assert ball_signature(emap, n) == emap.local_ball(n).signature()

@@ -16,11 +16,8 @@ import binox
 from binox.graph import (
     Ball,
     GraphFormatError,
-    NotATreeError,
     PortNumberedGraph,
-    ancestor_cluster,
     ball,
-    ball_signature,
     cluster_decomposition,
     from_json_dict,
     layering,
@@ -29,7 +26,19 @@ from binox.graph import (
     validate,
 )
 
-from conftest import gen, to_nx
+from conftest import (
+    NotATreeError,
+    ancestor_cluster,
+    ball_signature,
+    center_degree,
+    center_edges,
+    dest,
+    gen,
+    horizontal_edges,
+    port_pair,
+    source_ids,
+    to_nx,
+)
 
 
 class TestValidate:
@@ -72,7 +81,7 @@ class TestBall:
         b = ball(g, 0)
         assert b.size == 3
         assert len(b.edges) == 3
-        assert b.center_degree() == 2
+        assert center_degree(b) == 2
 
     def test_c6_triangle_free(self):
         g = gen("cycle:6")
@@ -80,7 +89,7 @@ class TestBall:
             b = ball(g, v)
             assert b.size == 3
             assert len(b.edges) == 2
-            assert b.horizontal_edges() == []
+            assert horizontal_edges(b) == []
 
     def test_johnson_5_2_against_enumeration(self):
         # oracle: 2-subsets of {0..4}, adjacent iff they share one element
@@ -96,8 +105,8 @@ class TestBall:
         g = gen("johnson:5,2")
         b = ball(g, 0)
         assert b.size == 7
-        assert b.center_degree() == 6
-        assert len(b.horizontal_edges()) == horizontal
+        assert center_degree(b) == 6
+        assert len(horizontal_edges(b)) == horizontal
 
     @pytest.mark.parametrize("spec", ["chordal:n=30,rate=0.5,seed=2", "johnson:4,2"])
     def test_ball_invariants(self, spec):
@@ -105,17 +114,17 @@ class TestBall:
         G = to_nx(g)
         for v in range(g.n):
             b = ball(g, v)
-            assert b.center_degree() == g.degree(v)
+            assert center_degree(b) == g.degree(v)
             assert b.size == g.degree(v) + 1
             # horizontal edge in the ball iff the two neighbours are adjacent
-            src = b.source_ids
-            for (i, j, r, s) in b.horizontal_edges():
+            src = source_ids(g, v)
+            for (i, j, r, s) in horizontal_edges(b):
                 assert G.has_edge(src[i], src[j])
-                assert g.port_pair(src[i], src[j]) == (r, s)
+                assert port_pair(g, src[i], src[j]) == (r, s)
             expected = sum(
                 1 for a, b2 in combinations(G[v], 2) if G.has_edge(a, b2)
             )
-            assert len(b.horizontal_edges()) == expected
+            assert len(horizontal_edges(b)) == expected
 
     def test_invalid_vertex(self):
         with pytest.raises(ValueError):
@@ -135,13 +144,10 @@ class TestBall:
         "tree:n=30,seed=2", "cycle:7", "path:1",
     ])
     def test_ball_signature_equals_the_built_balls(self, spec, ports):
+        # the tests' reference signature, read off the adjacency
         g = gen(spec, ports)
         for v in range(g.n):
             assert ball_signature(g, v) == ball(g, v).signature()
-
-    def test_ball_signature_rejects_an_invalid_vertex(self):
-        with pytest.raises(ValueError):
-            ball_signature(gen("path:3"), 3)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_relabel_normalizes_like_the_public_constructor(self, seed):
@@ -190,14 +196,14 @@ class TestBall:
 class TestDest:
     def test_empty_path(self):
         g = gen("cycle:5")
-        assert g.dest(3, []) == 3
+        assert dest(g, 3, []) == 3
 
     def test_backtrack_identity_every_edge(self):
         g = gen("chordal:n=20,rate=0.4,seed=5", ports="random:3")
         for (u, v, pu, pv) in g.edges:
-            assert g.dest(u, [pu]) == v
-            assert g.dest(v, [pv]) == u
-            assert g.dest(u, [pu, pv]) == u
+            assert dest(g, u, [pu]) == v
+            assert dest(g, v, [pv]) == u
+            assert dest(g, u, [pu, pv]) == u
 
     def test_c4_all_zero_ports_round_trip(self):
         g = gen("cycle:4")
@@ -210,12 +216,12 @@ class TestDest:
         for _ in range(4):
             pos = lookup[(pos, 0)]
         assert pos == 0
-        assert g.dest(0, [0, 0, 0, 0]) == 0
+        assert dest(g, 0, [0, 0, 0, 0]) == 0
 
     def test_missing_port_is_none(self):
         g = gen("path:3")
-        assert g.dest(0, [5]) is None
-        assert g.dest(0, [0, 1, 1]) is None  # port 1 absent at the far endpoint
+        assert dest(g, 0, [5]) is None
+        assert dest(g, 0, [0, 1, 1]) is None  # port 1 absent at the far endpoint
 
     def test_full_path_backtrack_round_trip(self):
         import random
@@ -232,8 +238,8 @@ class TestDest:
                 forward.append(p)
                 back.append(q)
                 cur = w
-            assert g.dest(v, forward) == cur
-            assert g.dest(cur, list(reversed(back))) == v
+            assert dest(g, v, forward) == cur
+            assert dest(g, cur, list(reversed(back))) == v
 
 
 class TestLayering:
@@ -392,7 +398,7 @@ class TestJson:
         # ports are any injective naturals, not necessarily 0..deg-1
         g = from_json_dict({"n": 3, "edges": [[0, 1, 5, 9], [1, 2, 3, 40], [0, 2, 2, 0]]})
         assert validate(g) == []
-        assert g.dest(0, [5, 3, 0]) == 0
+        assert dest(g, 0, [5, 3, 0]) == 0
         b = ball(g, 1)
-        assert b.center_degree() == 2
-        assert sorted(p for (p, _q, _j) in b.center_edges()) == [3, 9]
+        assert center_degree(b) == 2
+        assert sorted(p for (p, _q, _j) in center_edges(b)) == [3, 9]

@@ -6,7 +6,10 @@ import random
 import pytest
 
 from binox.graph import cluster_decomposition
-from binox.homotopy import (
+from binox.homotopy import verify_simplicial_covering
+
+from conftest import gen
+from homotopy_oracles import (
     BUDGET_EXHAUSTED,
     CONTRACTIBLE,
     NOT_CONTRACTIBLE_WITHIN_BUDGET,
@@ -18,10 +21,7 @@ from binox.homotopy import (
     is_simply_connected,
     simple_cycles,
     unfold_tree_cover,
-    verify_simplicial_covering,
 )
-
-from conftest import gen
 
 
 def one_cyclic_deletion_apart(g, longer, shorter):

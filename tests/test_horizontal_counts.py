@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binox.explorer import ExplorationMap, PortCollisionError, explore
-from binox.graph import PortNumberedGraph, horizontal_count, horizontal_counts
+from binox.graph import PortNumberedGraph, horizontal_counts
 from binox.runtime import Environment, RunTrace
 from binox.verify import TraceReplay
 
 import phase_reference
-from conftest import gen
+from conftest import gen, horizontal_count, snapshots
 from test_incremental_verify import CORRUPTIONS, WALK_CORRUPTIONS, explored, runs
 
 
@@ -112,7 +112,7 @@ def test_replay_counts_follow_corrupted_deltas(run, corruptions, data):
     g, out = explored(*run)
     trace = RunTrace()
     trace.events = copy.deepcopy(out.trace.events)
-    deltas = [d for _ph, d in trace.snapshots()]
+    deltas = [d for _ph, d in snapshots(trace)]
     for corrupt in corruptions:
         corrupt(deltas, data, trace, g)
     assert_counts_and_results(trace, g)

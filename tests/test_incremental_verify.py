@@ -1,6 +1,6 @@
 """The checker's one replay against a from-scratch check of every folded
-map, on honest traces and on traces with corrupted deltas, moves and
-senses."""
+map and a walk of the moves over the ground, on honest traces and on traces
+with corrupted deltas, moves and senses."""
 
 import copy
 
@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from binox.explorer import explore
 from binox.graph import Ball
 from binox.runtime import Environment, RunTrace
-from binox.verify import TraceReplay, first_sensed_map, reconstruct_final_phi, verify_phase_invariants
+from binox.verify import TraceReplay
 
 import phase_reference
-from conftest import gen
+from conftest import gen, snapshots
 
 SPECS = (
     [f"chordal:n={n},rate={r},seed={s}" for n in (6, 15, 30) for r in (0.0, 0.4, 0.8) for s in (1, 2)]
@@ -40,20 +40,24 @@ def as_data(results):
 
 
 def assert_agrees(trace, g):
-    assert first_sensed_map(trace, g) == phase_reference.first_sensed_map(trace, g)
-    got = verify_phase_invariants(trace, g)
-    assert as_data(got) == as_data(phase_reference.phase_invariants(trace, g))
-    return got
+    """The replay's sense record, phase results and coverage are the
+    reference's; returns the replay."""
+    replay = TraceReplay(trace, g)
+    assert (replay.first, replay.replay_problems()) == phase_reference.first_sensed_map(trace, g)
+    assert as_data(replay.results) == as_data(phase_reference.phase_invariants(trace, g))
+    assert replay.coverage() == phase_reference.coverage(trace, g)
+    return replay
 
 
 @settings(max_examples=40, deadline=None)
 @given(runs)
 def test_honest_runs_agree_and_pass(run):
     g, out = explored(*run)
-    results = assert_agrees(out.trace, g)
-    assert results and all(r.ok for _ph, r in results)
+    replay = assert_agrees(out.trace, g)
+    assert replay.results and all(r.ok for _ph, r in replay.results)
     if out.status == "halted":
-        assert TraceReplay(out.trace, g).graph().to_json_dict() == out.final_map.to_json_dict()
+        assert replay.coverage().ok
+        assert replay.graph().to_json_dict() == out.final_map.to_json_dict()
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,7 +76,8 @@ def test_explored_from_the_sense_replay_is_what_the_explorer_marked(spec, ports,
     # small budgets cut runs off mid-phase; cycles never halt
     g = gen(spec, f"random:{ports}")
     out = explore(Environment(g, root_seed % g.n, max(1, int(factor * g.n))))
-    first, problems = first_sensed_map(out.trace, g)
+    replay = TraceReplay(out.trace, g)
+    first, problems = replay.first, replay.replay_problems()
     assert problems == []
     marked = {v: ph for v, ph in out.final_map.explored_in.items() if ph is not None}
     assert {v: ph for v, (ph, _u) in first.items()} == marked
@@ -151,7 +156,7 @@ def test_corrupted_deltas_agree_with_the_reference(run, corruptions, data):
     g, out = explored(*run)
     trace = RunTrace()
     trace.events = copy.deepcopy(out.trace.events)
-    deltas = [d for _ph, d in trace.snapshots()]
+    deltas = [d for _ph, d in snapshots(trace)]
     for corrupt in corruptions:
         corrupt(deltas, data, trace, g)
     assert_agrees(trace, g)
@@ -240,8 +245,8 @@ def test_corrupted_moves_and_senses_agree_with_the_reference(run, factor, corrup
     trace.events = copy.deepcopy(out.trace.events)
     for corrupt in corruptions:
         corrupt(trace, data)
-    assert_agrees(trace, g)
-    assert reconstruct_final_phi(trace, g) == phase_reference.reconstruct_final_phi(trace, g)
+    replay = assert_agrees(trace, g)
+    assert replay.final_phi() == phase_reference.reconstruct_final_phi(trace, g)
 
 
 def test_checks_postponed_while_phi_is_partial_are_caught_up():
@@ -251,22 +256,71 @@ def test_checks_postponed_while_phi_is_partial_are_caught_up():
     g, out = explored("chordal:n=6,rate=0.0,seed=1", "random:41", 0)
     trace = RunTrace()
     trace.events = copy.deepcopy(out.trace.events)
-    d1, d2, d3 = [d for _ph, d in trace.snapshots()][:3]
+    d1, d2, d3 = [d for _ph, d in snapshots(trace)][:3]
     assert d1["edges"][0][:2] == (0, 1) and d2["edges"][0][:2] == (2, 3) and not d3["edges"]
     d3["edges"].append(d1["edges"].pop(0))
     a, b, pa, pb = d2["edges"][0]
     d2["edges"][0] = (a, b, pa, pb + 1)
-    results = assert_agrees(trace, g)
+    results = assert_agrees(trace, g).results
     assert [r.problems[-1] for _ph, r in results[:2]] == ["frontier vertex 1 has no explored neighbour"] * 2
     assert any(p.startswith("edge 2-3") for p in results[2][1].problems)
+
+
+def copied(trace):
+    out = RunTrace()
+    out.events = copy.deepcopy(trace.events)
+    return out
+
+
+def test_coverage_walk_goes_on_where_the_map_walk_stops():
+    # The phase-1 delta loses the edge the first move crosses: the map walk
+    # stops there, the ground walk visits every vertex.
+    g, out = explored("chordal:n=15,rate=0.4,seed=1", "random:5", 0)
+    trace = copied(out.trace)
+    first_move = next(ev for ev in trace.events if ev["kind"] == "move")
+    d1 = snapshots(trace)[0][1]
+    d1["edges"] = [e for e in d1["edges"] if (0, first_move["out"]) not in ((e[0], e[2]), (e[1], e[3]))]
+    replay = assert_agrees(trace, g)
+    assert replay.walk_problem == (2, f"trace walks port {first_move['out']} at map vertex 0 "
+                                      "which is not in the map")
+    assert replay.coverage().ok
+
+
+def test_coverage_walk_that_breaks_on_the_ground():
+    # a move in the middle takes a port no vertex has: both walks stop
+    g, out = explored("chordal:n=15,rate=0.4,seed=1", "random:5", 0)
+    trace = copied(out.trace)
+    moves = [ev for ev in trace.events if ev["kind"] == "move"]
+    k = len(moves) // 2
+    moves[k]["out"] += 1000
+    replay = assert_agrees(trace, g)
+    problems = replay.coverage().problems
+    assert problems[0].startswith(f"move {k + 1}: no port {moves[k]['out']} at ground ")
+    assert problems[1:] and problems[-1].startswith("unvisited ground vertices: ")
+
+
+def test_wrong_in_port_fails_the_phase_of_its_move():
+    # the move's in-port and the next sense's arrival agree, the ground not
+    g, out = explored("chordal:n=15,rate=0.4,seed=1", "canonical", 0)
+    trace = copied(out.trace)
+    i = next(i for i, ev in enumerate(trace.events) if ev["kind"] == "move")
+    j = next(j for j in range(i, len(trace.events)) if trace.events[j]["kind"] == "sense")
+    true_in = trace.events[i]["in"]
+    trace.events[i]["in"] = trace.events[j]["arrival"] = 100
+    problem = f"move 1: arrived on port {true_in}, trace says 100"
+    replay = assert_agrees(trace, g)
+    assert [(ph, r.problems) for ph, r in replay.results if not r.ok] == [(2, [problem])]
+    assert replay.coverage().problems == [problem]
 
 
 @pytest.mark.parametrize("spec", ["chordal:n=30,rate=0.4,seed=3", "cycle:7"])
 def test_reloaded_trace_verifies_the_same(spec):
     g, out = explored(spec, "random:5", 0)
     loaded = RunTrace.from_jsonl(out.trace.to_jsonl())
-    assert as_data(verify_phase_invariants(loaded, g)) == as_data(verify_phase_invariants(out.trace, g))
-    assert TraceReplay(loaded, g).graph().edges == TraceReplay(out.trace, g).graph().edges
+    replay, loaded_replay = TraceReplay(out.trace, g), TraceReplay(loaded, g)
+    assert as_data(loaded_replay.results) == as_data(replay.results)
+    assert loaded_replay.coverage() == replay.coverage()
+    assert loaded_replay.graph().edges == replay.graph().edges
 
 
 def test_trace_grows_linearly_on_a_tree():

@@ -17,7 +17,7 @@ from binox.runtime import (
     run_agent,
 )
 
-from conftest import gen
+from conftest import gen, moves, renamed, snapshots
 
 
 class HaltImmediately:
@@ -61,7 +61,7 @@ class TestEnvironment:
         assert obs.arrival_port is None
         assert obs.ball.size == 3
         assert len(obs.ball.edges) == 2
-        assert obs.ball.source_ids is None  # no ground ids cross the firewall
+        assert obs.ball.__slots__ == ("size", "flat")  # no ground ids cross the firewall
 
     def test_move_returns_arrival_port(self):
         g = gen("complete:3")
@@ -116,7 +116,7 @@ class TestAnonymity:
         g = gen("chordal:n=14,rate=0.5,seed=6", ports="random:8")
         perm = list(range(g.n))
         random.Random(99).shuffle(perm)
-        h = g.renamed(perm)
+        h = renamed(g, perm)
         out_g = explore(Environment(g, 3, 50 * g.n))
         out_h = explore(Environment(h, perm[3], 50 * g.n))
         assert out_g.status == out_h.status == "halted"
@@ -137,14 +137,14 @@ class TestTrace:
     def test_move_events_match_move_count(self):
         g = gen("chordal:n=12,rate=0.4,seed=2")
         out = explore(Environment(g, 0, 600))
-        assert len(out.trace.moves()) == out.moves
+        assert len(moves(out.trace)) == out.moves
 
     def test_replay_reaches_environment_position(self):
         g = gen("tree:n=18,seed=7")
         env = Environment(g, 4, 900)
         explore(env)
         pos = 4
-        for ev in env.trace.moves():
+        for ev in moves(env.trace):
             pos, in_port = g.step(pos, ev["out"])
             assert in_port == ev["in"]
         assert pos == env.ground_position()
@@ -157,7 +157,7 @@ class TestTrace:
         loaded = RunTrace.load(path)
         assert loaded.to_jsonl() == out.trace.to_jsonl()
         assert loaded.header()["root"] == 1
-        assert [p for p, _s in loaded.snapshots()] == [p for p, _s in out.trace.snapshots()]
+        assert [p for p, _s in snapshots(loaded)] == [p for p, _s in snapshots(out.trace)]
 
 
 class TestTraceFormat:

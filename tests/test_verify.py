@@ -9,18 +9,10 @@ from binox.explorer import explore
 from binox.graph import Ball, PortNumberedGraph, ball
 from binox.homotopy import verify_simplicial_covering
 from binox.runtime import Environment, RunTrace
-from binox.verify import (
-    TraceReplay,
-    first_sensed_map,
-    reconstruct_final_phi,
-    replay_ground,
-    verify_coverage,
-    verify_phase_invariants,
-    verify_rooted_isomorphism,
-)
+from binox.verify import TraceReplay, verify_rooted_isomorphism
 
 import phase_reference
-from conftest import gen
+from conftest import gen, moves, renamed, snapshots
 
 
 def run(spec_or_graph, root=0, factor=50):
@@ -52,7 +44,7 @@ class TestRootedIsomorphism:
         g, out = run("chordal:n=18,rate=0.4,seed=3")
         perm = list(range(g.n))
         random.Random(1).shuffle(perm)
-        h = g.renamed(perm)
+        h = renamed(g, perm)
         assert verify_rooted_isomorphism(out.final_map, h, perm[0]).ok
 
     def test_label_mismatch_detected(self):
@@ -67,7 +59,7 @@ class TestCoverage:
         for spec in ("complete:5", "chordal:n=22,rate=0.5,seed=5", "tree:n=16,seed=2"):
             g, out = run(spec)
             assert out.status == "halted"
-            assert verify_coverage(out.trace, g).ok
+            assert TraceReplay(out.trace, g).coverage().ok
 
     def test_truncated_trace_leaves_vertices_unvisited(self):
         g, out = run("path:6")
@@ -75,14 +67,14 @@ class TestCoverage:
         cut.events = [
             ev for ev in out.trace.events[:-6]
         ]
-        res = verify_coverage(cut, g)
+        res = TraceReplay(cut, g).coverage()
         assert not res.ok
         assert any("unvisited" in p for p in res.problems)
 
     def test_single_vertex_zero_moves(self):
         g, out = run("path:1")
         assert out.moves == 0
-        assert verify_coverage(out.trace, g).ok
+        assert TraceReplay(out.trace, g).coverage().ok
 
     def test_replay_validates_in_ports(self):
         g, out = run("complete:4")
@@ -92,8 +84,7 @@ class TestCoverage:
             if ev["kind"] == "move":
                 ev["in"] = ev["in"] + 40
                 break
-        _, problems = replay_ground(bad, g)
-        assert problems
+        assert TraceReplay(bad, g).coverage().problems[0].startswith("move ")
 
 
 class TestPhaseInvariants:
@@ -105,7 +96,7 @@ class TestPhaseInvariants:
     ])
     def test_pass_on_weetman_runs(self, spec, root):
         g, out = run(spec, root=root)
-        results = verify_phase_invariants(out.trace, g)
+        results = TraceReplay(out.trace, g).results
         assert results, "no phases recorded"
         assert all(r.ok for _ph, r in results), [
             (ph, r.problems[:2]) for ph, r in results if not r.ok
@@ -114,7 +105,7 @@ class TestPhaseInvariants:
     def test_hold_per_phase_even_on_non_halting_runs(self):
         # the per-phase map invariants hold on every graph until an error
         g, out = run("cycle:6")
-        results = verify_phase_invariants(out.trace, g)
+        results = TraceReplay(out.trace, g).results
         assert all(r.ok for _ph, r in results)
 
     def test_corrupted_snapshot_breaks_surjectivity(self):
@@ -130,18 +121,19 @@ class TestPhaseInvariants:
             adj.setdefault(a, {})[pa] = b
             adj.setdefault(b, {})[pb] = a
         pos, walked = 0, set()
-        for ev in trace.moves():
+        for ev in moves(trace):
             nxt = adj[pos][ev["out"]]
             walked.add(frozenset((pos, nxt)))
             pos = nxt
-        final_phase = trace.snapshots()[-1][0]
-        horizontal = [(d, e) for _ph, d in trace.snapshots() for e in d["edges"]
+        final_phase = snapshots(trace)[-1][0]
+        horizontal = [(d, e) for _ph, d in snapshots(trace) for e in d["edges"]
                       if 0 not in e[:2] and frozenset(e[:2]) not in walked]
         assert horizontal
         delta, edge = horizontal[0]
         delta["edges"].remove(edge)
-        assert first_sensed_map(trace, g)[1] == []
-        results = dict(verify_phase_invariants(trace, g))
+        replay = TraceReplay(trace, g)
+        assert replay.replay_problems() == []
+        results = dict(replay.results)
         assert not results[final_phase].ok
         assert any("surjectivity" in p for p in results[final_phase].problems)
 
@@ -152,13 +144,13 @@ class TestPhaseInvariants:
         assert out.status == "budget_exhausted"
         trace = RunTrace()
         trace.events = list(out.trace.events)
-        ended = trace.snapshots()[-1][0]
+        ended = snapshots(trace)[-1][0]
         i = max(k for k, ev in enumerate(trace.events) if ev["kind"] == "sense")
         b = trace.events[i]["ball"]
         assert max(ev["phase"] for ev in trace.events[:i] if ev["kind"] == "phase_start") == ended + 1
-        assert [ph for ph, r in verify_phase_invariants(trace, g)] == list(range(1, ended + 1))
+        assert [ph for ph, r in TraceReplay(trace, g).results] == list(range(1, ended + 1))
         trace.events[i] = dict(trace.events[i], ball=Ball(b.size, [(0, 1, 0, 0), (0, 2, 1, 9)]))
-        results = verify_phase_invariants(trace, g)
+        results = TraceReplay(trace, g).results
         assert [ph for ph, r in results] == list(range(1, ended + 2))
         assert all(r.ok for ph, r in results[:-1])
         assert not results[-1][1].ok
@@ -170,10 +162,10 @@ class TestPhaseInvariants:
         out = explore(Environment(g, 0, 1))
         trace = RunTrace()
         trace.events = copy.deepcopy(out.trace.events)
-        ended = trace.snapshots()[-1][0]
-        move = trace.moves()[-1]
+        ended = snapshots(trace)[-1][0]
+        move = moves(trace)[-1]
         move["out"] += 1000
-        results = verify_phase_invariants(trace, g)
+        results = TraceReplay(trace, g).results
         assert [ph for ph, r in results] == list(range(1, ended + 2))
         assert all(r.ok for ph, r in results[:-1])
         assert results[-1][1].problems == [
@@ -182,19 +174,18 @@ class TestPhaseInvariants:
 
     def test_phase1_map_is_the_homebase_ball(self):
         g, out = run("johnson:5,2")
-        _, snap1 = out.trace.snapshots()[0]
+        _, snap1 = snapshots(out.trace)[0]
         pg = PortNumberedGraph(snap1["n"], snap1["edges"])
         assert ball(pg, 0).signature() == ball(g, 0).signature()
 
     def test_single_phase_sensing_asserted(self):
         g, out = run("chordal:n=20,rate=0.4,seed=1")
-        _first, problems = first_sensed_map(out.trace, g)
-        assert problems == []
+        assert TraceReplay(out.trace, g).replay_problems() == []
 
     def test_phi_is_path_independent(self):
         # recompute phi from scratch along a different edge order and compare
         g, out = run("chordal:n=25,rate=0.5,seed=2")
-        phi, problems = reconstruct_final_phi(out.trace, g)
+        phi, problems = TraceReplay(out.trace, g).final_phi()
         assert problems == [] and phi is not None
         snap = phase_reference.final_map(out.trace)
         adj = {n: [] for n in range(snap["n"])}
@@ -223,6 +214,6 @@ class TestCoveringAtHalt:
     def test_reconstructed_phi_is_a_simplicial_covering(self, spec):
         g, out = run(spec)
         assert out.status == "halted"
-        phi, problems = reconstruct_final_phi(out.trace, g)
+        phi, problems = TraceReplay(out.trace, g).final_phi()
         assert problems == []
         assert verify_simplicial_covering(out.final_map, g, phi) == []
