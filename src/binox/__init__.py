@@ -8,7 +8,6 @@ from .explorer import (
     PhaseLedger,
     ExplorerInvariantError,
     MapUpdateError,
-    PortCollisionError,
     explore,
 )
 from .families import (
@@ -26,6 +25,7 @@ from .graph import (
     ClusterDecomposition,
     GraphFormatError,
     Layering,
+    PortCollisionError,
     PortNumberedGraph,
     ball,
     cluster_decomposition,

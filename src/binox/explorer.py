@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import islice
 
-from .graph import PortNumberedGraph, ball, component, count_new_pair
+from .graph import PortCollisionError, PortNumberedGraph, ball, component
 from .runtime import run_agent
 
 
@@ -38,61 +38,24 @@ class MapUpdateError(RuntimeError):
     error path."""
 
 
-class PortCollisionError(MapUpdateError):
-    """A map insertion would give a vertex two edges on one port."""
-
-
 class ExplorationMap(PortNumberedGraph):
     """The agent's growing map: a port-numbered graph plus bookkeeping.
 
     ``cluster_of`` tags every vertex with the cluster it was discovered in;
     ``explored_in`` holds the phase a vertex was sensed in, or None while it
     is still frontier. Vertex ids are allocation-ordered naturals, the
-    homebase is always 0. ``edges`` lists the edges (a < b) in insertion
-    order. ``add_edge`` keeps every vertex's ``horizontal_count`` in the
-    table a fixed graph builds once.
+    homebase is always 0.
     """
 
     def __init__(self):
         super().__init__(0, [])
         self.cluster_of = {}
         self.explored_in = {}
-        self._horizontal_counts = []
 
     def add_vertex(self):
-        self._ports.append({})
-        self._nbrs.append({})
-        self._horizontal_counts.append(0)
-        self.n += 1
-        self.explored_in[self.n - 1] = None
-        return self.n - 1
-
-    def add_edge(self, a, pa, b, pb):
-        """Insert edge a-b labelled (pa, pb); returns False if the exact
-        edge is already present, raises PortCollisionError on any clash."""
-        if a == b:
-            raise PortCollisionError(f"self edge at map vertex {a}")
-        eda = self._ports[a].get(pa)
-        edb = self._ports[b].get(pb)
-        if eda == (b, pb) and edb == (a, pa):
-            return False
-        if eda is not None or edb is not None:
-            raise PortCollisionError(
-                f"port clash inserting {a}-{b} labelled ({pa},{pb}): "
-                f"port {pa}@{a} -> {eda}, port {pb}@{b} -> {edb}"
-            )
-        if b in self._nbrs[a]:
-            raise PortCollisionError(
-                f"second edge between map vertices {a} and {b} "
-                f"(existing labels {self._nbrs[a][b]}, new ({pa},{pb}))"
-            )
-        count_new_pair(self._nbrs, self._horizontal_counts, a, b)
-        self._ports[a][pa] = (b, pb)
-        self._ports[b][pb] = (a, pa)
-        self._nbrs[a][b] = (pa, pb)
-        self._nbrs[b][a] = (pb, pa)
-        self.edges.append((a, b, pa, pb) if a < b else (b, a, pb, pa))
-        return True
+        v = super().add_vertex()
+        self.explored_in[v] = None
+        return v
 
     def local_ball(self, n):
         """The map's radius-1 ball at n in the same local form a sensed
@@ -259,9 +222,9 @@ def apply_ledger(emap, ledger):
     edges actually inserted are appended to ``emap.edges``.
 
     Duplicate insertions (same edge, same labels, e.g. one horizontal edge
-    witnessed from both endpoints' triangles) are skipped; a label clash or
-    an equivalence naming an unknown pre-vertex raises MapUpdateError, which
-    the caller turns into the error path.
+    witnessed from both endpoints' triangles) are skipped; a label clash
+    raises PortCollisionError and an equivalence naming an unknown
+    pre-vertex MapUpdateError, which the caller turns into the error path.
     """
     parent = {k: k for k in ledger.pre_vertices}
 
@@ -356,7 +319,7 @@ class ClusterExplorer:
             known = emap.m  # the edges before this phase's
             try:
                 new_ids = apply_ledger(emap, ledger)
-            except MapUpdateError as e:
+            except (MapUpdateError, PortCollisionError) as e:
                 env.declare_error(f"map update impossible: {e}")
             bad = check_local_iso(emap, ledger, cluster)
             if bad is not None:

@@ -24,6 +24,11 @@ class GraphFormatError(ValueError):
     """A graph file or dict failed structural validation."""
 
 
+class PortCollisionError(ValueError):
+    """An inserted edge does not fit a port-numbered graph: a self edge, a
+    port already taken, or a second edge between two vertices."""
+
+
 class Ball:
     """Radius-1 view: the subgraph induced by a vertex and its neighbours.
 
@@ -263,8 +268,10 @@ class PortNumberedGraph:
 
     Construction is lenient so that ``validate`` can report problems instead
     of the constructor throwing; navigation methods assume a valid graph.
-    Instances are immutable after construction and safe to share, except
-    the explorer's ``ExplorationMap``, the subclass that grows.
+    A ground graph is never grown, so it is safe to share. A map grows
+    through ``add_vertex`` and ``add_edge``, which refuse what a
+    port-numbered graph cannot hold: the explorer's ``ExplorationMap`` and
+    the checker's replay (``verify.TraceReplay``) build theirs this way.
     """
 
     def __init__(self, n, edges, labels=None):
@@ -280,6 +287,9 @@ class PortNumberedGraph:
                 self._ports[v][pv] = (u, pu)
                 self._nbrs[u][v] = (pu, pv)
                 self._nbrs[v][u] = (pv, pu)
+        # A plain attribute, not a cached_property: filling one writes to
+        # the instance __dict__, which slows every later attribute read.
+        self._horizontal_counts = None
 
     @property
     def m(self):
@@ -308,15 +318,62 @@ class PortNumberedGraph:
         return got is not None and got[1] == q
 
     def horizontal_count(self, v):
-        """The number of edges among v's neighbours, read from a table of
-        every vertex's count: the first call builds it, since the graph
-        never changes and the checks ask again for the same vertices (the
-        explorer's map keeps its table as it grows)."""
-        return self._horizontal_counts[v]
+        """The number of edges among v's neighbours."""
+        return self._counts()[v]
 
-    @cached_property
-    def _horizontal_counts(self):
-        return horizontal_counts(self._nbrs)
+    def _counts(self):
+        """Every vertex's horizontal count: the first call lists the
+        triangles, since the checks ask again for the same vertices; a
+        growing map keeps the table up to date."""
+        if self._horizontal_counts is None:
+            self._horizontal_counts = horizontal_counts(self._nbrs)
+        return self._horizontal_counts
+
+    def add_vertex(self):
+        """Append an isolated vertex; returns its id."""
+        counts = self._counts()  # built before the vertex exists
+        self._ports.append({})
+        self._nbrs.append({})
+        counts.append(0)
+        self.n += 1
+        return self.n - 1
+
+    def add_edge(self, a, pa, b, pb):
+        """Insert edge a-b labelled (pa, pb), keeping every horizontal
+        count; returns False if the exact edge is already present, raises
+        PortCollisionError for a self edge, a port already taken or a
+        second edge between a and b. ``edges`` lists the edges (a < b) in
+        insertion order."""
+        if a == b:
+            raise PortCollisionError(f"self edge at map vertex {a}")
+        eda = self._ports[a].get(pa)
+        edb = self._ports[b].get(pb)
+        if eda == (b, pb) and edb == (a, pa):
+            return False
+        if eda is not None or edb is not None:
+            raise PortCollisionError(
+                f"port clash inserting {a}-{b} labelled ({pa},{pb}): "
+                f"port {pa}@{a} -> {eda}, port {pb}@{b} -> {edb}"
+            )
+        if b in self._nbrs[a]:
+            raise PortCollisionError(
+                f"second edge between map vertices {a} and {b} "
+                f"(existing labels {self._nbrs[a][b]}, new ({pa},{pb}))"
+            )
+        # The edge closes one triangle with each common neighbour: one more
+        # edge among the neighbours of each, and as many at a and at b.
+        common = self._nbrs[a].keys() & self._nbrs[b].keys()
+        counts = self._counts()
+        counts[a] += len(common)
+        counts[b] += len(common)
+        for w in common:
+            counts[w] += 1
+        self._ports[a][pa] = (b, pb)
+        self._ports[b][pb] = (a, pa)
+        self._nbrs[a][b] = (pa, pb)
+        self._nbrs[b][a] = (pb, pa)
+        self.edges.append((a, b, pa, pb) if a < b else (b, a, pb, pa))
+        return True
 
     def to_json_dict(self):
         d = {
@@ -450,19 +507,6 @@ def horizontal_counts(nbrs):
             counts[u] += k
             counts[w] += k + len(up & below[w])
     return counts
-
-
-def count_new_pair(nbrs, counts, a, b):
-    """Keep ``counts`` (vertex -> horizontal count in ``nbrs``) as the
-    distinct neighbours a and b, not yet adjacent in ``nbrs``, become
-    adjacent; call it before the pair enters ``nbrs``. The edge closes one
-    triangle with each common neighbour: one more edge among the
-    neighbours of each, and as many as there are at a and at b."""
-    common = nbrs[a].keys() & nbrs[b].keys()
-    counts[a] += len(common)
-    counts[b] += len(common)
-    for w in common:
-        counts[w] += 1
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,12 @@ from __future__ import annotations
 from .graph import ball
 
 
-def verify_simplicial_covering(h, g, phi, exclude=()):
+def verify_simplicial_covering(h, g, phi):
     """Check that ``phi`` is a ball-preserving covering from h onto its image.
 
     Checks: total map, edge homomorphism with port preservation, local
-    injectivity everywhere, and degree + rooted ball isomorphism at every
-    vertex not in ``exclude`` (boundary vertices of a truncated cover are the
-    intended exclusions). Returns a list of violations; empty means ok.
+    injectivity, degree and rooted ball isomorphism at every vertex.
+    Returns a list of violations; empty means ok.
     """
     problems = []
     if len(phi) != h.n:
@@ -25,7 +24,6 @@ def verify_simplicial_covering(h, g, phi, exclude=()):
             problems.append(f"phi({u})={fu} out of range")
     if problems:
         return problems
-    excluded = set(exclude)
     for (u, v, pu, pv) in h.edges:
         got = g.step(phi[u], pu)
         if got != (phi[v], pv):
@@ -44,8 +42,6 @@ def verify_simplicial_covering(h, g, phi, exclude=()):
                 )
                 injective = False
             images[fw] = w
-        if u in excluded:
-            continue
         if h.degree(u) != g.degree(phi[u]):
             problems.append(
                 f"degree at {u}: {h.degree(u)} vs {g.degree(phi[u])} at phi({u})={phi[u]}"

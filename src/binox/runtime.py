@@ -302,18 +302,19 @@ def _parse_delta(delta, map_n):
     """The delta ``{"n", "edges"}`` with tuple edges; ValueError unless
     ``n`` is at least ``map_n`` (the vertex count after the previous
     delta), every edge is four integers with both ends among the ``n``
-    vertices, the map grows by at most the delta's edge count (plus the
-    homebase in the first delta: each new vertex comes with a new edge to
-    an explored one), and the first delta holds the homebase. The growth
-    bound keeps a forged ``n`` from making the checker allocate per
-    vertex."""
+    vertices and both ports >= 0, the map grows by at most the delta's
+    edge count (plus the homebase in the first delta: each new vertex comes
+    with a new edge to an explored one), and the first delta holds the
+    homebase. The growth bound keeps a forged ``n`` from making the checker
+    allocate per vertex."""
     n = delta["n"]
     if n < map_n:
         raise ValueError(f"n={n} is below the {map_n} vertices of the map so far")
     edges = [(a, b, pa, pb) for (a, b, pa, pb) in delta["edges"]]
     for e in edges:
-        if not (all(type(x) is int for x in e) and 0 <= e[0] < n and 0 <= e[1] < n):
-            raise ValueError(f"edge {list(e)} is not [a, b, portAtA, portAtB] in a map of {n} vertices")
+        if not (all(type(x) is int for x in e) and min(e) >= 0 and e[0] < n and e[1] < n):
+            raise ValueError(f"edge {list(e)} is not [a, b, portAtA, portAtB] in a map of {n} "
+                             "vertices, with ports >= 0")
     grown = len(edges) + (map_n == 0)
     if n - map_n > grown:
         raise ValueError(
@@ -381,10 +382,6 @@ class Environment:
         """The algorithm found its map inconsistent; end the run."""
         raise ExplorationError(reason)
 
-    # harness-side accessor; algorithms must not touch this
-    def ground_position(self):
-        return self._position
-
 
 @dataclass
 class RunOutcome:
@@ -403,14 +400,9 @@ def run_agent(algorithm, env):
     try:
         payload = algorithm.run(env)
     except BudgetExhaustedError:
-        return RunOutcome("budget_exhausted", env.move_count, _partial(algorithm), env.trace)
+        return RunOutcome("budget_exhausted", env.move_count, algorithm.partial_result(), env.trace)
     except ExplorationError as e:
         env.trace.log("error_detected", reason=str(e))
-        return RunOutcome("error_detected", env.move_count, _partial(algorithm), env.trace)
+        return RunOutcome("error_detected", env.move_count, algorithm.partial_result(), env.trace)
     env.trace.log("halt")
     return RunOutcome("halted", env.move_count, payload, env.trace)
-
-
-def _partial(algorithm):
-    getter = getattr(algorithm, "partial_result", None)
-    return getter() if callable(getter) else None

@@ -15,7 +15,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .explorer import explore
@@ -97,14 +97,7 @@ class ExperimentConfig:
         )
 
     def to_json_dict(self):
-        return {
-            "generators": self.generators,
-            "roots": self.roots,
-            "port_schemes": self.port_schemes,
-            "budget_factor": self.budget_factor,
-            "checks": self.checks,
-            "out": self.out,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -124,25 +117,11 @@ class RunReport:
         return not any(v is False for v in self.checks.values())
 
     def to_json_dict(self):
-        return {
-            "spec": self.spec,
-            "port_scheme": self.port_scheme,
-            "root": self.root,
-            "status": self.status,
-            "moves": self.moves,
-            "n": self.n,
-            "m": self.m,
-            "moves_per_vertex": self.moves_per_vertex,
-            "checks": self.checks,
-            "problems": self.problems,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(**{k: d[k] for k in (
-            "spec", "port_scheme", "root", "status", "moves", "n", "m",
-            "moves_per_vertex", "checks", "problems",
-        )})
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _natural(x):

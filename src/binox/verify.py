@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import PortNumberedGraph, ball, count_new_pair
+from .graph import PortCollisionError, PortNumberedGraph, ball
 
 
 @dataclass
@@ -85,27 +85,28 @@ class TraceReplay:
     end, a phase that never ended but has a problem. Once the map walk
     stops, the ground walk goes on alone for ``coverage``.
 
+    The deltas grow ``map`` through ``add_vertex`` and ``add_edge``, as the
+    explorer grows its own. A delta edge that does not fit (a self edge, a
+    taken port, a second edge between two vertices, or an edge already in
+    the map: the explorer logs none of them) is left out of the map and
+    filed once in ``refused``.
+
     Deltas only add vertices and edges, so a check's inputs change only
     around the dirty set D: new vertices, endpoints of new edges, vertices
     explored or whose phi changed in the phase. Frontier phi is recomputed
     next to the first three, edge checks at the edges touching D, vertex
     checks (injectivity, surjectivity, triangles) at D and its neighbours.
     Every phase reports all problems so far in the order a check of the
-    whole map gives: edges in sorted order, then vertices ascending.
-    Each vertex's horizontal count is kept as the edges arrive (a self-loop
-    or a second edge between two neighbours adds none).
+    whole map gives: the refused delta edges, the edges in sorted order,
+    then the vertices ascending.
     """
 
     def __init__(self, trace, g):
         self.g = g
         self.first = {}
         self.explored = set()
-        self.n = 0
-        self.ports = []  # vertex -> {port: the edge on it}
-        self.nbrs = []  # vertex -> {neighbour: smallest edge joining them}
-        self.horizontal_counts = []  # vertex -> edges among its other neighbours
-        self.edges_at = []  # vertex -> incident edges
-        self.edge_count = {}  # edge -> occurrences in the map
+        self.map = PortNumberedGraph(0, [])
+        self.refused = []  # the problem of each delta edge left out of the map
         self.phi = {}  # vertex -> ground vertex, where defined
         self.phi_fail = {}  # frontier vertex -> why its phi is undefined
         self.edge_bad = {}  # edge -> problem
@@ -121,7 +122,7 @@ class TraceReplay:
         self._replay(trace)
 
     def _replay(self, trace):
-        g, ports, first, visited = self.g, self.ports, self.first, self.visited
+        g, m, first, visited = self.g, self.map, self.first, self.visited
         root = ground = trace.header()["root"]
         visited.add(root)
         pos = 0  # the agent's map vertex
@@ -139,7 +140,7 @@ class TraceReplay:
                 moves += 1
                 step = g.step(ground, out)
                 if walking:
-                    e = ports[pos].get(out) if pos < len(ports) else None
+                    e = m.step(pos, out) if pos < m.n else None
                     if e is None or step is None:
                         walking = False
                         self.walk_problem = (phase, (
@@ -147,7 +148,7 @@ class TraceReplay:
                             if e is None else f"ground walk broke at {ground}"
                         ))
                     else:
-                        pos = e[1] if e[0] == pos else e[0]
+                        pos = e[0]
                 if step is None:
                     self.ground_problems.append(f"move {moves}: no port {out} at ground {ground}")
                     ground = None
@@ -189,7 +190,7 @@ class TraceReplay:
                 problems += self.apply(ev["delta"], newly)
                 newly = []
                 if ended == 1 and self.phi_problem() is None:
-                    if not ball(PortNumberedGraph(self.n, self.edges()), 0).matches(g, root):
+                    if not ball(m, 0).matches(g, root):
                         problems.append("phase 1 map is not the ball around the homebase")
                 self.results.append((ended, CheckResult(not problems, problems)))
                 self.ended.add(ended)
@@ -216,37 +217,20 @@ class TraceReplay:
         """Fold in one phase: its delta, and the vertices ``newly`` first
         sensed in it become explored. Returns every problem of the map so
         far."""
-        n = delta["n"]
-        dirty = set(range(self.n, n))
-        for _ in range(self.n, n):
-            self.ports.append({})
-            self.nbrs.append({})
-            self.horizontal_counts.append(0)
-            self.edges_at.append([])
-        self.n = n
-        ports, nbrs, edges_at, edge_count = self.ports, self.nbrs, self.edges_at, self.edge_count
-        for e in delta["edges"]:
-            a, b, pa, pb = e
-            edge_count[e] = edge_count.get(e, 0) + 1
-            if a != b and b not in nbrs[a]:
-                count_new_pair(nbrs, self.horizontal_counts, a, b)
-            # A port held by two edges (only in a corrupt trace) leads the
-            # walk along the edge that sorts last, as writing the whole map
-            # in sorted edge order would; the checks join two vertices by
-            # their smallest edge.
-            if ports[a].get(pa, e) <= e:
-                ports[a][pa] = e
-            if ports[b].get(pb, e) <= e:
-                ports[b][pb] = e
-            if nbrs[a].get(b, e) >= e:
-                nbrs[a][b] = e
-            if nbrs[b].get(a, e) >= e:
-                nbrs[b][a] = e
-            edges_at[a].append(e)
-            if b != a:
-                edges_at[b].append(e)
-            dirty.add(a)
-            dirty.add(b)
+        m = self.map
+        dirty = set(range(m.n, delta["n"]))
+        for _ in range(m.n, delta["n"]):
+            m.add_vertex()
+        for (a, b, pa, pb) in delta["edges"]:
+            try:
+                why = None if m.add_edge(a, pa, b, pb) else "already in the map"
+            except PortCollisionError as e:
+                why = str(e)
+            if why is None:
+                dirty.add(a)
+                dirty.add(b)
+            else:
+                self.refused.append(f"delta edge {a}-{b} ({pa},{pb}) refused: {why}")
         self.explored.update(newly)
         dirty.update(newly)
         for v in self._with_neighbours(dirty):
@@ -255,10 +239,12 @@ class TraceReplay:
         partial = self.phi_problem()
         if partial is not None:
             self.stale |= dirty
-            return [partial]
+            return self.refused + [partial]
         dirty |= self.stale
         self.stale = set()
-        for e in {e for v in dirty for e in edges_at[v]}:
+        nbrs = m._nbrs
+        for e in {(v, w, pv, pw) if v < w else (w, v, pw, pv)
+                  for v in dirty for w, (pv, pw) in nbrs[v].items()}:
             self._check_edge(e)
         for v in self._with_neighbours(dirty):
             found = self._vertex_problems(v)
@@ -266,25 +252,18 @@ class TraceReplay:
                 self.vertex_bad[v] = found
             else:
                 self.vertex_bad.pop(v, None)
-        problems = []
-        for e in sorted(self.edge_bad):
-            problems += [self.edge_bad[e]] * edge_count[e]
+        problems = self.refused + [self.edge_bad[e] for e in sorted(self.edge_bad)]
         for v in sorted(self.vertex_bad):
             problems += self.vertex_bad[v]
         return problems
 
-    def edges(self):
-        return [e for e in sorted(self.edge_count) for _ in range(self.edge_count[e])]
-
     def graph(self):
-        """The map after the last phase_end, or None when no phase ended;
-        its horizontal counts are the ones kept here (it drops self-loops
-        and keeps one edge per pair, which no kept count includes)."""
+        """The map after the last phase_end, its edges sorted, or None when
+        no phase ended."""
         if not self.ended:
             return None
-        pg = PortNumberedGraph(self.n, self.edges())
-        pg._horizontal_counts = list(self.horizontal_counts)
-        return pg
+        self.map.edges.sort()
+        return self.map
 
     def final_phi(self):
         """phi for the final map (total on a halted run), as a list, and [];
@@ -297,7 +276,7 @@ class TraceReplay:
             problems.append(partial)
         if problems:
             return None, problems
-        return [self.phi[v] for v in range(self.n)], []
+        return [self.phi[v] for v in range(self.map.n)], []
 
     def coverage(self):
         """The ground walk of every move visits every ground vertex, with
@@ -312,7 +291,7 @@ class TraceReplay:
     def _with_neighbours(self, vertices):
         out = set(vertices)
         for v in vertices:
-            out.update(self.nbrs[v])
+            out.update(self.map._nbrs[v])
         return out
 
     def _update_phi(self, v):
@@ -325,12 +304,7 @@ class TraceReplay:
         if v in explored:
             self.phi[v] = self.first[v][1]
             return self.phi[v] != old
-        incident = []
-        for (a, b, pa, pb) in self.edges_at[v]:
-            if b == v and a != v and a in explored:
-                incident.append((a, pa))
-            elif a == v and b != v and b in explored:
-                incident.append((b, pb))
+        incident = [(w, pw) for w, (_pv, pw) in self.map._nbrs[v].items() if w in explored]
         if not incident:
             self.phi_fail[v] = f"frontier vertex {v} has no explored neighbour"
             return old is not None
@@ -360,10 +334,10 @@ class TraceReplay:
             self.edge_bad.pop(e, None)
 
     def _vertex_problems(self, n):
-        g, phi, nbrs = self.g, self.phi, self.nbrs
+        g, phi, nbrs = self.g, self.phi, self.map._nbrs
         problems = []
         images = {}
-        for m in sorted(nbrs[n], key=nbrs[n].__getitem__):
+        for m in sorted(nbrs[n]):
             fm = phi[m]
             if fm in images:
                 problems.append(
@@ -384,9 +358,8 @@ class TraceReplay:
         # With every edge mapped and phi a bijection from n's neighbours
         # onto fn's, each map pair (a, b) maps to a ground edge: the pairs
         # agree iff both sides have as many edges among the neighbours.
-        # With no bad edge the map is simple, so the kept count is exact.
         if not self.edge_bad and not problems and (
-            self.horizontal_counts[n] == g.horizontal_count(fn)
+            self.map.horizontal_count(n) == g.horizontal_count(fn)
         ):
             return problems
         mlist = sorted(nbrs[n])

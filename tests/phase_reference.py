@@ -1,7 +1,10 @@
 """From-scratch reference for the checker's replay (``verify.TraceReplay``).
 
 Folds a trace's phase deltas into the whole map of every phase and checks
-each map on its own: the sense replay rebuilds its adjacency at every
+each map on its own. A delta edge that a port-numbered map cannot take (a
+self edge, a taken port, a second edge between two vertices, or an edge
+already in the map) is left out and filed, first among the problems of
+that phase and of every later one. The sense replay rebuilds its adjacency at every
 phase_end, every sense event is compared with the ground ball by
 ``ball_signature`` (not by ``Ball.matches``), and every phase reconstructs
 phi and re-checks every edge and vertex. The vertices explored after phase k
@@ -19,13 +22,43 @@ from binox.verify import CheckResult
 from conftest import ball_signature, snapshots
 
 
+def refusal(at, joined, a, b, pa, pb):
+    """Why a map with the ports ``at`` ((vertex, port) -> (far vertex, far
+    port)) and the vertex pairs ``joined`` ((u, v) -> (port at u, port at
+    v)) cannot take the edge a-b labelled (pa, pb); None when it can."""
+    if a == b:
+        return f"self edge at map vertex {a}"
+    ea, eb = at.get((a, pa)), at.get((b, pb))
+    if ea == (b, pb) and eb == (a, pa):
+        return "already in the map"
+    if ea is not None or eb is not None:
+        return (f"port clash inserting {a}-{b} labelled ({pa},{pb}): "
+                f"port {pa}@{a} -> {ea}, port {pb}@{b} -> {eb}")
+    if (a, b) in joined:
+        return (f"second edge between map vertices {a} and {b} "
+                f"(existing labels {joined[(a, b)]}, new ({pa},{pb}))")
+    return None
+
+
 def folded_maps(trace):
-    """(phase, whole map after that phase) for every phase_end."""
+    """(phase, whole map after that phase) for every phase_end; each map
+    also lists every delta edge refused so far, as a problem text."""
     edges = []
+    refused = []
+    at = {}
+    joined = {}
     out = []
     for phase, delta in snapshots(trace):
-        edges = sorted(edges + [tuple(e) for e in delta["edges"]])
-        out.append((phase, {"n": delta["n"], "edges": edges}))
+        for (a, b, pa, pb) in delta["edges"]:
+            why = refusal(at, joined, a, b, pa, pb)
+            if why is not None:
+                refused.append(f"delta edge {a}-{b} ({pa},{pb}) refused: {why}")
+                continue
+            at[(a, pa)], at[(b, pb)] = (b, pb), (a, pa)
+            joined[(a, b)], joined[(b, a)] = (pa, pb), (pb, pa)
+            edges.append((a, b, pa, pb) if a < b else (b, a, pb, pa))
+        edges.sort()
+        out.append((phase, {"n": delta["n"], "edges": list(edges), "refused": list(refused)}))
     return out
 
 
@@ -218,7 +251,7 @@ def phase_invariants(trace, g):
     results = []
     root = trace.header()["root"]
     for (phase, snap) in folded_maps(trace):
-        problems = replay_problems(phase)
+        problems = replay_problems(phase) + snap["refused"]
         phi = _phi_for_snapshot(snap, first, g, problems, phase)
         if phi is not None:
             explored = {n for n, (ph, _u) in first.items() if ph <= phase}

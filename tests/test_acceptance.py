@@ -7,12 +7,21 @@ once per session and shared by the criteria that quantify over it.
 
 import json
 import time
+from collections import Counter
 
 import networkx as nx
 import pytest
 
 from binox.explorer import explore
-from binox.families import generate, is_weetman, parse_spec
+from binox.families import (
+    _assign_ports,
+    check_interval_condition,
+    check_triangle_condition,
+    generate,
+    is_weetman,
+    parse_spec,
+)
+from binox.graph import PortNumberedGraph
 from binox.runtime import Environment
 from binox.suite import run_one
 
@@ -256,6 +265,32 @@ def test_criterion_8_determinism():
         not problems,
         "3 configurations re-run" if not problems else "; ".join(problems),
     )
+
+
+def test_small_graphs_halt_exactly_where_both_conditions_hold():
+    """The paper's dichotomy on every connected graph of 2 to 5 vertices
+    (the networkx atlas), from every root, under three port schemes: a run
+    halts exactly when the triangle and interval conditions hold at its
+    root, and every halted run passes every check."""
+    tally = Counter()
+    for G in nx.graph_atlas_g():
+        n = G.number_of_nodes()
+        if not (2 <= n <= 5 and nx.is_connected(G)):
+            continue
+        tally["graphs"] += 1
+        pairs = sorted(tuple(sorted(e)) for e in G.edges())
+        for scheme in ("canonical", "random:1", "random:2"):
+            g = PortNumberedGraph(n, _assign_ports(n, pairs, scheme))
+            for root in range(n):
+                report, _ = run_one(g, f"atlas:{pairs}", scheme, root, BUDGET_FACTOR, ALL_CHECKS)
+                conditions = (check_triangle_condition(g, root).holds
+                              and check_interval_condition(g, root).holds)
+                where = (pairs, scheme, root, report.status, report.problems)
+                assert (report.status == "halted") == conditions, where
+                if conditions:
+                    assert all(report.checks.values()), where
+                tally[report.status] += 1
+    assert tally == {"graphs": 30, "halted": 324, "budget_exhausted": 87}
 
 
 @pytest.mark.slow

@@ -243,6 +243,9 @@ class TestCheckInputs:
         (lambda lines: lines[:7] + [add_delta_edge(lines[7], [0, 40, 0, 0])] + lines[8:],
          "line 8: malformed phase_end event: edge [0, 40, 0, 0] is not [a, b, portAtA, portAtB] "
          "in a map of 3 vertices"),
+        (lambda lines: lines[:7] + [add_delta_edge(lines[7], [0, 1, -3, 7])] + lines[8:],
+         "line 8: malformed phase_end event: edge [0, 1, -3, 7] is not [a, b, portAtA, portAtB] "
+         "in a map of 3 vertices, with ports >= 0"),
         # phase 1 senses the homebase and ends with an empty map
         (lambda lines: lines[:3] + ['{"delta":{"edges":[],"n":0},"kind":"phase_end","phase":1}',
                                     lines[-1]],
@@ -295,6 +298,26 @@ class TestCheckInputs:
             assert f"{name}: pass" in out
         assert "phase 2: sense at map vertex 1 (ground 1): arrival port 5, " in out
         assert "phase 2: sense at map vertex 3 (ground 3): the ball is not the ground ball" in out
+
+    def test_delta_edge_repeated_in_a_later_phase_fails_phase_invariants(self, tmp_path, capsys):
+        # The explorer logs each edge once; phase 2 logs phase 1's first edge again.
+        g, trace = tmp_path / "g.json", tmp_path / "t.jsonl"
+        invoke("gen", "--spec", "johnson:10,3", "--ports", "random:1", "--out", str(g))
+        invoke("explore", "--graph", str(g), "--trace", str(trace))
+        lines = trace.read_text().splitlines()
+        ends = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "phase_end"]
+        edge = json.loads(lines[ends[0]])["delta"]["edges"][0]
+        lines[ends[1]] = add_delta_edge(lines[ends[1]], edge)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(g), "--trace", str(trace),
+                      "--checks", ",".join(DEFAULT_CHECKS)) == 1
+        out = capsys.readouterr().out
+        assert "status=halted" in out and "phase_invariants: FAIL" in out
+        for name in ("final_isomorphism", "coverage", "cluster_tree", "covering"):
+            assert f"{name}: pass" in out
+        a, b, pa, pb = edge
+        assert f"phase 2: delta edge {a}-{b} ({pa},{pb}) refused: already in the map" in out
 
     def test_repeated_edge_in_a_sense_ball_is_an_error(self, tmp_path, capsys):
         # complete:4: the last ball lists edge (2, 3) twice, (1, 3) not at all,

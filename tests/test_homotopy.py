@@ -22,6 +22,7 @@ from homotopy_oracles import (
     simple_cycles,
     unfold_tree_cover,
 )
+from test_ball_checks import covering_reference
 
 
 def one_cyclic_deletion_apart(g, longer, shorter):
@@ -191,7 +192,10 @@ class TestTreeCover:
         assert cover.n == 9 and cover.m == 8
         assert sorted(cover.degree(v) for v in range(9)) == [1, 1] + [2] * 7
         assert proj[0] == 0 and len(boundary) == 2
-        assert verify_simplicial_covering(cover, g, proj, exclude=boundary) == []
+        assert covering_reference(cover, g, proj, exclude=boundary) == []
+        # the cut-off boundary vertices lack degree, nothing else is wrong
+        problems = verify_simplicial_covering(cover, g, proj)
+        assert sorted(p.split(":")[0] for p in problems) == sorted(f"degree at {u}" for u in boundary)
 
     def test_path5_is_its_own_cover(self):
         g = gen("path:5")

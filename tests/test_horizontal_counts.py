@@ -77,22 +77,16 @@ def test_halted_map_counts_are_the_ground_counts():
     g = gen("complete:30", "random:3")
     out = explore(Environment(g, 0, 50 * g.n))
     assert out.status == "halted"
-    assert out.final_map._horizontal_counts == [29 * 28 // 2] * 30 == g._horizontal_counts
+    assert out.final_map._horizontal_counts == [29 * 28 // 2] * 30 == g._counts()
 
 
 class CountedReplay(TraceReplay):
-    """A replay that compares its kept counts with recounts after every
-    phase: always with the simple graph of its edges (no self-loops, one
-    edge per pair, as ``graph()`` builds it), and with its own adjacency
-    whenever phi is total and no edge is bad, the state in which
-    ``_vertex_problems`` reads a count."""
+    """A replay that compares its map's kept counts with recounts after
+    every phase, refused delta edges or not."""
 
     def apply(self, delta, newly):
         problems = super().apply(delta, newly)
-        simple = PortNumberedGraph(self.n, self.edges())
-        assert self.horizontal_counts == recount(simple._nbrs)
-        if self.phi_problem() is None and not self.edge_bad:
-            assert self.horizontal_counts == recount(self.nbrs)
+        assert self.map._horizontal_counts == recount(self.map._nbrs)
         return problems
 
 

@@ -252,7 +252,9 @@ def test_corrupted_moves_and_senses_agree_with_the_reference(run, factor, corrup
 def test_checks_postponed_while_phi_is_partial_are_caught_up():
     # Vertex 1 loses its only edge to an explored vertex until phase 3, so
     # phi is partial in phases 1 and 2 and their checks wait; the wrong far
-    # port logged in phase 2 must be reported once phi is total again.
+    # port logged in phase 2 must be reported once phi is total again. The
+    # wrong port is one no vertex of the graph has, so no later edge of
+    # vertex 3 is refused for it.
     g, out = explored("chordal:n=6,rate=0.0,seed=1", "random:41", 0)
     trace = RunTrace()
     trace.events = copy.deepcopy(out.trace.events)
@@ -260,10 +262,11 @@ def test_checks_postponed_while_phi_is_partial_are_caught_up():
     assert d1["edges"][0][:2] == (0, 1) and d2["edges"][0][:2] == (2, 3) and not d3["edges"]
     d3["edges"].append(d1["edges"].pop(0))
     a, b, pa, pb = d2["edges"][0]
-    d2["edges"][0] = (a, b, pa, pb + 1)
+    d2["edges"][0] = (a, b, pa, pb + g.n)
     results = assert_agrees(trace, g).results
     assert [r.problems[-1] for _ph, r in results[:2]] == ["frontier vertex 1 has no explored neighbour"] * 2
     assert any(p.startswith("edge 2-3") for p in results[2][1].problems)
+    assert not any("refused" in p for _ph, r in results for p in r.problems)
 
 
 def copied(trace):

@@ -41,11 +41,11 @@ class TestEnvironment:
     def test_fresh_environment(self):
         env = Environment(gen("complete:3"), 0, 100)
         assert env.move_count == 0
-        assert env.ground_position() == 0
+        assert env._position == 0
 
     def test_any_homebase_is_legal(self):
         env = Environment(gen("cycle:6"), 3, 10)
-        assert env.ground_position() == 3
+        assert env._position == 3
 
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ class TestEnvironment:
         obs = env.sense()
         assert obs.arrival_port == in_port
         env.move(in_port)  # backtrack
-        assert env.ground_position() == 0
+        assert env._position == 0
         assert env.move_count == 2
 
     def test_cycle_walk_comes_home(self):
@@ -80,7 +80,7 @@ class TestEnvironment:
         for _ in range(5):
             port = next(p for p in (0, 1) if p != arrived)
             arrived = env.move(port)
-        assert env.ground_position() == 0
+        assert env._position == 0
 
     def test_no_such_port(self):
         env = Environment(gen("path:3"), 0, 10)
@@ -147,7 +147,7 @@ class TestTrace:
         for ev in moves(env.trace):
             pos, in_port = g.step(pos, ev["out"])
             assert in_port == ev["in"]
-        assert pos == env.ground_position()
+        assert pos == env._position
 
     def test_jsonl_round_trip(self, tmp_path):
         g = gen("complete:4")
