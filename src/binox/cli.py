@@ -5,6 +5,11 @@
     binox check --graph g.json --trace run.jsonl
     binox suite --config suite.json --out results/
 
+The trace streams: ``explore`` writes it as the run goes on, a chunk of
+events at a time, so a killed run leaves a prefix of it; ``check`` reads and
+checks it a chunk at a time, and prints its verdicts once the last line has
+been read. Neither holds the whole trace.
+
 Exit codes: ``check`` and ``suite`` exit 0 iff every requested check passed
 (``check`` also needs a trace that ends in a terminal event);
 ``explore`` exits 0 iff the run halted (2 otherwise); any usage or input
@@ -14,6 +19,8 @@ error, or an output file that cannot be written, exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -21,9 +28,9 @@ from pathlib import Path
 from .explorer import explore
 from .families import generate, parse_spec
 from .graph import GraphFormatError, load_graph, save_graph
-from .runtime import Environment, RunTrace, TraceFormatError
+from .runtime import Environment, TraceFormatError, read_events
 from .suite import (DEFAULT_CHECKS, ExperimentConfig, evaluate_trace, format_summary, move_budget,
-                    run_suite, trace_status)
+                    run_suite)
 
 
 def _error(message):
@@ -57,13 +64,12 @@ def _cmd_explore(args):
     if not (0 <= args.root < g.n):
         return _error(f"root {args.root} out of range for n={g.n}")
     try:
-        env = Environment(g, args.root, move_budget(args.budget_factor, g.n))
+        budget = move_budget(args.budget_factor, g.n)
     except ValueError as e:
         return _error(e)
-    outcome = explore(env)
     try:
-        if args.trace:
-            outcome.trace.save(args.trace)
+        with open(args.trace, "w") if args.trace else contextlib.nullcontext() as out:
+            outcome = explore(Environment(g, args.root, budget, out))
         if args.map and outcome.final_map is not None:
             Path(args.map).write_text(
                 json.dumps(outcome.final_map.snapshot(), sort_keys=True) + "\n"
@@ -82,14 +88,6 @@ def _cmd_check(args):
         g = load_graph(args.graph)
     except GraphFormatError as e:
         return _error(e)
-    try:
-        trace = RunTrace.load(args.trace)
-    except (OSError, TraceFormatError) as e:
-        return _error(f"{args.trace}: {e}")
-    root = trace.header()["root"]
-    if not (0 <= root < g.n):
-        return _error(f"{args.trace}: root {root} out of range for n={g.n} "
-                      f"(trace recorded on another graph?)")
     if args.checks is not None:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
         unknown = [c for c in names if c not in DEFAULT_CHECKS]
@@ -100,8 +98,20 @@ def _cmd_check(args):
         checks = {name: True for name in names}
     else:
         checks = {name: True for name in DEFAULT_CHECKS}
-    results, problems = evaluate_trace(trace, g, checks)
-    status = trace_status(trace)
+    # The trace is read as it is checked; nothing is printed before its last
+    # line has been read, so a malformed line anywhere gives no verdict.
+    try:
+        with open(args.trace, encoding="utf-8", errors="surrogateescape") as f:
+            events = read_events(f)
+            header = next(events)
+            root = header["root"]
+            if not (0 <= root < g.n):
+                return _error(f"{args.trace}: root {root} out of range for n={g.n} "
+                              f"(trace recorded on another graph?)")
+            status, results, problems = evaluate_trace(
+                itertools.chain((header,), events), g, checks)
+    except (OSError, TraceFormatError) as e:
+        return _error(f"{args.trace}: {e}")
     print(f"status={status}")
     for name in sorted(results):
         value = results[name]

@@ -9,11 +9,11 @@ trace, which is what the verification harness consumes afterwards.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .graph import Ball, ball
 
@@ -67,15 +67,23 @@ class RunTrace:
     the events (``verify.TraceReplay``), as it folds the deltas.
     A ``sense`` event's ball is written as a flat edge list
     (``Ball.to_json_dict``).
+
+    With ``out`` (a text file open for writing), ``events`` is a buffer: every
+    ``TRACE_CHUNK`` events and at ``flush`` the buffered events are written
+    to ``out`` as lines and dropped, so the whole run is never held. Without
+    it, ``events`` keeps every event of the run.
     """
 
-    def __init__(self):
+    def __init__(self, out=None):
         self.events = []
+        self._out = out
 
     def log(self, kind, **payload):
         ev = {"kind": kind}
         ev.update(payload)
         self.events.append(ev)
+        if self._out is not None and len(self.events) >= TRACE_CHUNK:
+            self.flush()
 
     def log_phase_start(self, phase):
         self.log("phase_start", phase=phase)
@@ -83,63 +91,94 @@ class RunTrace:
     def log_phase_end(self, phase, delta):
         self.log("phase_end", phase=phase, delta=delta)
 
-    def header(self):
-        return self.events[0]
+    def flush(self):
+        """Write the buffered events to ``out`` and drop them; nothing
+        without ``out``. Each line is written as it is made: the text of a
+        chunk of sense events is several times the size of their balls."""
+        if self._out is not None:
+            write = self._out.write
+            for ev in self.events:
+                write(_event_line(ev) + "\n")
+            self.events = []
 
     def to_jsonl(self):
-        lines = []
-        for ev in self.events:
-            b = ev.get("ball")
-            if isinstance(b, Ball):
-                d = b.to_json_dict()
-                a = ev.get("arrival")
-                if (type(d["edges"]) is str and ev.keys() == _SENSE_KEYS and ev["kind"] == "sense"
-                        and (a is None or type(a) is int) and type(b.size) is int):
-                    lines.append(_sense_line(a, d["edges"], b.size))
-                    continue
-                ev = dict(ev, ball=d)
-            lines.append(_ENCODE(ev))
-        return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        Path(path).write_text(self.to_jsonl())
+        return "\n".join(map(_event_line, self.events)) + "\n"
 
     @classmethod
     def from_jsonl(cls, text):
-        """Parse a trace; raises TraceFormatError unless the first event is
-        a header of this TRACE_VERSION, every line is a JSON object with
-        the fields of its kind (EVENT_FIELDS, NESTED_FIELDS) and valid
-        values, and the events come in order (_EventOrder). A sense line in
-        the writer's exact form is read by ``_read_sense``, with the same
-        result; a line it cannot read takes the general path."""
+        """Parse a whole trace text with ``read_events``."""
         trace = cls()
-        map_n = 0
-        order = _EventOrder()
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            m = _SENSE_LINE.fullmatch(line) if trace.events else None
-            ev = m and _read_sense(m)
-            if not ev:
-                ev = _read_event(lineno, line, not trace.events, map_n)
-                if ev["kind"] == "phase_end":
-                    map_n = ev["delta"]["n"]
-            misplaced = order.advance(ev["kind"], ev)
-            if misplaced:
-                raise TraceFormatError(f"line {lineno}: {misplaced}")
-            trace.events.append(ev)
-        if not trace.events:
-            raise TraceFormatError("empty trace: missing header")
+        trace.events = list(read_events(io.StringIO(text, newline=None)))
         return trace
 
-    @classmethod
-    def load(cls, path):
-        try:
-            text = Path(path).read_text()
-        except UnicodeDecodeError as e:
-            raise TraceFormatError(f"{path}: not a text file: {e}") from e
-        return cls.from_jsonl(text)
+
+# Events a trace buffers before it writes them to its file, and lines the
+# trace reader parses before it hands their events on: big enough that
+# writing, parsing and replaying each run in batches, small enough that a
+# chunk's parsed events (about 12 times their text) stay a few MB.
+TRACE_CHUNK = 1024
+
+
+def _event_line(ev):
+    """The trace line of one event, without its newline."""
+    b = ev.get("ball")
+    if isinstance(b, Ball):
+        d = b.to_json_dict()
+        a = ev.get("arrival")
+        if (type(d["edges"]) is str and ev.keys() == _SENSE_KEYS and ev["kind"] == "sense"
+                and (a is None or type(a) is int) and type(b.size) is int):
+            return _sense_line(a, d["edges"], b.size)
+        ev = dict(ev, ball=d)
+    return _ENCODE(ev)
+
+
+def read_events(lines):
+    """The events of a trace's lines (an iterable of text lines, each read
+    once), parsed ``TRACE_CHUNK`` lines at a time, so a consumer has used
+    the events of the chunks before a bad line when it raises
+    TraceFormatError. It does unless the first event is a header of this
+    TRACE_VERSION, every line is UTF-8 text and a JSON object with the
+    fields of its kind (EVENT_FIELDS, NESTED_FIELDS) and valid values, and
+    the events come in order (_EventOrder). A sense line in the writer's
+    exact form is read by ``_read_sense``, with the same result; a line it
+    cannot read takes the general path."""
+    map_n = 0
+    order = _EventOrder()
+    chunk = []
+    first = True
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        if not line.isascii():
+            _check_text(lineno, line)
+        m = None if first else _SENSE_LINE.fullmatch(line)
+        ev = m and _read_sense(m)
+        if not ev:
+            ev = _read_event(lineno, line, first, map_n)
+            if ev["kind"] == "phase_end":
+                map_n = ev["delta"]["n"]
+        misplaced = order.advance(ev["kind"], ev)
+        if misplaced:
+            raise TraceFormatError(f"line {lineno}: {misplaced}")
+        first = False
+        chunk.append(ev)
+        if len(chunk) == TRACE_CHUNK:
+            yield from chunk
+            chunk = []
+    if first:
+        raise TraceFormatError("empty trace: missing header")
+    yield from chunk
+
+
+def _check_text(lineno, line):
+    """TraceFormatError unless ``line`` is text: a file is read with
+    ``errors="surrogateescape"``, so a byte that is not UTF-8 reaches here
+    as a lone surrogate."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode()
+    except UnicodeError as e:
+        raise TraceFormatError(f"line {lineno}: not a text file: {e}") from e
 
 
 def _read_event(lineno, line, first, map_n):
@@ -330,10 +369,12 @@ class Environment:
     """One agent, one hidden graph, one budgeted run.
 
     A single environment serves exactly one logical run; distinct
-    environments over the same (immutable) graph are independent.
+    environments over the same (immutable) graph are independent. With
+    ``out``, the trace goes to that text file as the run goes on (see
+    ``RunTrace``).
     """
 
-    def __init__(self, graph, v0, budget):
+    def __init__(self, graph, v0, budget, out=None):
         if not (0 <= v0 < graph.n):
             raise ValueError(f"invalid homebase {v0}")
         if budget <= 0:
@@ -343,7 +384,7 @@ class Environment:
         self._arrival = None
         self.move_count = 0
         self.budget = budget
-        self.trace = RunTrace()
+        self.trace = RunTrace(out)
         self.trace.log("header", version=TRACE_VERSION, root=v0, budget=budget)
         self._rng = random.Random("observe:0")
 
@@ -386,7 +427,9 @@ class Environment:
 @dataclass
 class RunOutcome:
     """Terminal state of one run. ``final_map`` is always present for a halt
-    and best-effort (the last committed map) otherwise."""
+    and best-effort (the last committed map) otherwise. ``trace`` holds
+    every event of a run kept in memory, and none of one written to a
+    file."""
 
     status: str  # halted | budget_exhausted | error_detected
     moves: int
@@ -396,13 +439,17 @@ class RunOutcome:
 
 def run_agent(algorithm, env):
     """Drive ``algorithm`` (an object with run(env) and partial_result())
-    until it halts, declares an error, or runs out of moves."""
+    until it halts, declares an error, or runs out of moves; then write what
+    the trace still buffers."""
     try:
         payload = algorithm.run(env)
     except BudgetExhaustedError:
-        return RunOutcome("budget_exhausted", env.move_count, algorithm.partial_result(), env.trace)
+        outcome = RunOutcome("budget_exhausted", env.move_count, algorithm.partial_result(), env.trace)
     except ExplorationError as e:
         env.trace.log("error_detected", reason=str(e))
-        return RunOutcome("error_detected", env.move_count, algorithm.partial_result(), env.trace)
-    env.trace.log("halt")
-    return RunOutcome("halted", env.move_count, payload, env.trace)
+        outcome = RunOutcome("error_detected", env.move_count, algorithm.partial_result(), env.trace)
+    else:
+        env.trace.log("halt")
+        outcome = RunOutcome("halted", env.move_count, payload, env.trace)
+    env.trace.flush()
+    return outcome

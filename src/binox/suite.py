@@ -128,27 +128,37 @@ def _natural(x):
     return type(x) is int and x >= 0
 
 
-def trace_status(trace):
-    for ev in reversed(trace.events):
-        if ev["kind"] in ("halt", "budget_exhausted", "error_detected"):
-            return {"halt": "halted"}.get(ev["kind"], ev["kind"])
-    return "incomplete"
+# The checks that need the replay of the trace (TraceReplay).
+_REPLAYED = ("phase_invariants", "final_isomorphism", "coverage", "covering")
+_STATUS = {"halt": "halted", "budget_exhausted": "budget_exhausted",
+           "error_detected": "error_detected"}
 
 
-def evaluate_trace(trace, g, checks):
-    """Apply the requested checks to a finished trace.
+def evaluate_trace(events, g, checks):
+    """Apply the requested checks to the events of a run: an iterable that
+    starts with the header (``RunTrace.events``, or ``runtime.read_events``
+    of a file), read once and through to its end.
 
-    Returns (results, problems). A check that does not apply to the run's
-    status (e.g. coverage of a non-halting run) is reported as None. One
-    replay of the trace (TraceReplay) gives the phase results, coverage,
-    the final map and its phi.
+    Returns (status, results, problems). The status comes from the last
+    event: a terminal event's, else "incomplete". A check that does not
+    apply to the run's status (e.g. coverage of a non-halting run) is
+    reported as None. One replay of the events (TraceReplay) gives the
+    phase results, coverage, the final map and its phi; with no check
+    that needs it, the events are only read.
     """
-    status = trace_status(trace)
-    root = trace.header()["root"]
+    if any(checks.get(name) for name in _REPLAYED):
+        replay = TraceReplay(events, g)
+        header, last = replay.header, replay.last
+    else:
+        replay = None
+        events = iter(events)
+        header = last = next(events)
+        for last in events:
+            pass
+    status = _STATUS.get(last["kind"], "incomplete")
+    root = header["root"]
     halted = status == "halted"
     needs_map = halted and (checks.get("final_isomorphism") or checks.get("covering"))
-    needs_replay = checks.get("phase_invariants") or needs_map or halted and checks.get("coverage")
-    replay = TraceReplay(trace, g) if needs_replay else None
     results = {}
     problems = []
     if checks.get("phase_invariants"):
@@ -182,7 +192,7 @@ def evaluate_trace(trace, g, checks):
                 viol = verify_simplicial_covering(final_map, g, phi)
                 results["covering"] = not viol
                 problems.extend(f"covering: {p}" for p in viol[:3])
-    return results, problems
+    return status, results, problems
 
 
 def move_budget(budget_factor, n):
@@ -199,7 +209,7 @@ def run_one(g, spec_echo, port_scheme, root, budget_factor, checks):
     ValueError when the budget factor gives no budget (see move_budget)."""
     env = Environment(g, root, move_budget(budget_factor, g.n))
     outcome = explore(env)
-    results, problems = evaluate_trace(outcome.trace, g, checks)
+    _status, results, problems = evaluate_trace(outcome.trace.events, g, checks)
     report = RunReport(
         spec=spec_echo,
         port_scheme=port_scheme,

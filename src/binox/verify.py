@@ -75,9 +75,11 @@ def verify_rooted_isomorphism(pg, g, v0):
 
 class TraceReplay:
     """The checker's one pass over a trace's events, against the ground
-    graph. A move is walked over the map folded from the deltas so far
-    (phase i moves only use edges in the map at the end of phase i-1) and
-    over the ground, its in-port compared with the ground's; a sense is
+    graph. The events are any iterable that starts with the header
+    (``RunTrace.events``, or ``runtime.read_events`` of a file), read once;
+    ``header`` and ``last`` keep its first and last event. A move is walked
+    over the map folded from the deltas so far (phase i moves only use
+    edges in the map at the end of phase i-1) and over the ground, its in-port compared with the ground's; a sense is
     compared with the ground truth and the first sense of each map vertex
     recorded in ``first`` (vertex -> (phase, ground vertex)); a phase_end
     folds in its delta, makes the vertices first sensed in the phase
@@ -101,7 +103,7 @@ class TraceReplay:
     then the vertices ascending.
     """
 
-    def __init__(self, trace, g):
+    def __init__(self, events, g):
         self.g = g
         self.first = {}
         self.explored = set()
@@ -119,11 +121,12 @@ class TraceReplay:
         self.ground_problems = []  # the ground walk's in-port disagreements and break
         self.ended = set()  # the phases whose phase_end was folded in
         self.results = []
-        self._replay(trace)
+        self._replay(iter(events))
 
-    def _replay(self, trace):
+    def _replay(self, events):
         g, m, first, visited = self.g, self.map, self.first, self.visited
-        root = ground = trace.header()["root"]
+        ev = self.header = next(events)
+        root = ground = ev["root"]
         visited.add(root)
         pos = 0  # the agent's map vertex
         arrival = None  # the in-port of the last move
@@ -131,7 +134,7 @@ class TraceReplay:
         moves = 0
         phase = 0
         newly = []  # the vertices first sensed in this phase
-        for ev in trace.events:
+        for ev in events:
             kind = ev["kind"]
             if kind == "move":
                 if ground is None:  # the ground walk broke
@@ -194,6 +197,7 @@ class TraceReplay:
                         problems.append("phase 1 map is not the ball around the homebase")
                 self.results.append((ended, CheckResult(not problems, problems)))
                 self.ended.add(ended)
+        self.last = ev
         problems = self._sense_problems(phase)  # the last phase, if it never ended
         if problems and phase not in self.ended:
             self.results.append((phase, CheckResult(False, problems)))

@@ -90,7 +90,7 @@ def sense_log(trace, g):
     stop, if any; and (phase, problem) for every move and sense event so
     far that differs from the ground truth."""
     maps = iter(folded_maps(trace))
-    ground = trace.header()["root"]
+    ground = trace.events[0]["root"]
     map_pos = 0
     arrival = None
     adj = {0: {}}
@@ -249,7 +249,7 @@ def phase_invariants(trace, g):
         return [p for ph, p in mismatched + filed if ph == phase]
 
     results = []
-    root = trace.header()["root"]
+    root = trace.events[0]["root"]
     for (phase, snap) in folded_maps(trace):
         problems = replay_problems(phase) + snap["refused"]
         phi = _phi_for_snapshot(snap, first, g, problems, phase)
@@ -287,7 +287,7 @@ def replay_ground(trace, g):
     after i moves (positions[0] is the homebase). In-port disagreements with
     the trace are reported.
     """
-    pos = trace.header()["root"]
+    pos = trace.events[0]["root"]
     positions = [pos]
     problems = []
     for ev in trace.events:

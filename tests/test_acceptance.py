@@ -6,12 +6,17 @@ once per session and shared by the criteria that quantify over it.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import binox
 from binox.explorer import explore
 from binox.families import (
     _assign_ports,
@@ -21,7 +26,7 @@ from binox.families import (
     is_weetman,
     parse_spec,
 )
-from binox.graph import PortNumberedGraph
+from binox.graph import PortNumberedGraph, save_graph
 from binox.runtime import Environment
 from binox.suite import run_one
 
@@ -324,3 +329,36 @@ def test_dense_run_halts_and_passes_every_check_through_the_cli(tmp_path, capsys
     assert "status=halted" in out
     for name in ALL_CHECKS:
         assert f"{name}: pass" in out
+
+
+def _binox_child(args, stdout):
+    """Run ``binox`` with ``args`` in a child process; (exit code, the
+    child's peak RSS in MB, as RUSAGE_CHILDREN counts it for that child)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(binox.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "binox.cli", *args], stdout=stdout, env=env)
+    _pid, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024
+
+
+@pytest.mark.slow
+def test_tree_of_100000_vertices_explores_and_checks_in_bounded_memory(tmp_path):
+    """tree:n=100000 through ``binox explore`` and ``binox check`` child
+    processes: halted at <= 2 moves/vertex, all five checks pass, explore
+    below 300 MB and check below 420 MB peak RSS; each streams the trace
+    instead of holding it (run with ``-m slow``)."""
+    g, trace, out = tmp_path / "g.json", tmp_path / "t.jsonl", tmp_path / "out.txt"
+    save_graph(generate(parse_spec("tree:n=100000,seed=1", port_scheme="random:1")), g)
+    with open(out, "w") as f:
+        rc, explore_mb = _binox_child(["explore", "--graph", str(g), "--root", "0",
+                                       "--trace", str(trace)], f)
+    words = dict(w.split("=", 1) for w in out.read_text().split())
+    assert rc == 0 and words["status"] == "halted"
+    assert float(words["moves_per_vertex"]) <= 2
+    with open(out, "w") as f:
+        rc, check_mb = _binox_child(["check", "--graph", str(g), "--trace", str(trace)], f)
+    assert rc == 0
+    report = out.read_text()
+    assert "status=halted" in report
+    assert all(f"{name}: pass" in report for name in ALL_CHECKS)
+    assert explore_mb < 300 and check_mb < 420, (explore_mb, check_mb)

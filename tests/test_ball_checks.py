@@ -31,7 +31,7 @@ def halted(spec, ports):
     """(ground graph, final map, phi) of a halted run from vertex 0."""
     g = gen(spec, ports)
     out = explore(Environment(g, 0, 50 * g.n))
-    phi, problems = TraceReplay(out.trace, g).final_phi()
+    phi, problems = TraceReplay(out.trace.events, g).final_phi()
     assert out.status == "halted" and not problems
     return g, out.final_map, phi
 
@@ -218,7 +218,7 @@ def test_sense_check_agrees_with_signatures(case, ball_damage, data):
     damaged = Ball(sensed.size, edges)
     trace.events[i] = dict(trace.events[i], ball=damaged)
     phase = max(ev["phase"] for ev in trace.events[:i] if ev["kind"] == "phase_start")
-    bad = [ph for ph, r in TraceReplay(trace, g).results if not r.ok]
+    bad = [ph for ph, r in TraceReplay(trace.events, g).results if not r.ok]
     assert bad == ([phase] if damaged.signature() != sensed.signature() else [])
 
 

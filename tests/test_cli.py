@@ -12,15 +12,20 @@ from base64 import b64decode, b64encode
 from functools import cache
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import binox
 from binox.cli import main
-from binox.graph import load_graph
-from binox.runtime import RunTrace
-from binox.suite import DEFAULT_CHECKS
+from binox.explorer import explore
+from binox.families import _assign_ports
+from binox.graph import PortNumberedGraph, load_graph, save_graph
+from binox.runtime import TRACE_CHUNK, Environment, RunTrace
+from binox.suite import DEFAULT_CHECKS, move_budget
 from binox.verify import TraceReplay
+
+from conftest import gen
 
 
 def invoke(*args):
@@ -217,6 +222,21 @@ class TestHugeVertexCounts:
         assert message in r.stderr
 
 
+class PastFirstChunk:
+    """Damage to a trace of 7,496 lines: ``line`` put in at line ``LINE``,
+    in the reader's second chunk. A lone surrogate in ``line`` is written
+    as the byte it escapes."""
+
+    spec = "tree:n=1500,seed=1"
+    LINE = TRACE_CHUNK + 500
+
+    def __init__(self, line):
+        self.line = line
+
+    def __call__(self, lines):
+        return lines[:self.LINE - 1] + [self.line] + lines[self.LINE - 1:]
+
+
 class TestCheckInputs:
     def explored(self, tmp_path, spec="path:5"):
         g = tmp_path / "g.json"
@@ -250,15 +270,24 @@ class TestCheckInputs:
         (lambda lines: lines[:3] + ['{"delta":{"edges":[],"n":0},"kind":"phase_end","phase":1}',
                                     lines[-1]],
          "line 4: malformed phase_end event: n=0: a map of 0 vertices lacks the homebase"),
+        # past the reader's first chunk, once the checker has replayed it
+        (PastFirstChunk("not json"), f"line {PastFirstChunk.LINE}: not JSON"),
+        (PastFirstChunk('{"in":0,"kind":"move","out":"1"}'),
+         f"line {PastFirstChunk.LINE}: move event field 'out' is str, expected int"),
+        (PastFirstChunk('{"budget":1,"kind":"header","root":0,"version":5}'),
+         f"line {PastFirstChunk.LINE}: second header"),
+        (PastFirstChunk('{"in":0,"kind":"move","out":1}\udcff'),
+         f"line {PastFirstChunk.LINE}: not a text file: 'utf-8' codec can't decode byte 0xff"),
     ])
     def test_malformed_trace_is_an_error_not_a_traceback(self, tmp_path, capsys, damage, message):
-        g, trace = self.explored(tmp_path)
-        trace.write_text("\n".join(damage(trace.read_text().splitlines())) + "\n")
+        g, trace = self.explored(tmp_path, getattr(damage, "spec", "path:5"))
+        trace.write_text("\n".join(damage(trace.read_text().splitlines())) + "\n",
+                         errors="surrogateescape")
         capsys.readouterr()
         assert invoke("check", "--graph", str(g), "--trace", str(trace)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_missing_trace_file_is_an_error(self, tmp_path, capsys):
         g, _trace = self.explored(tmp_path)
@@ -545,7 +574,7 @@ def as_v2(text, g):
     vertices, in order of their smallest id, after the homebase's cluster
     0."""
     trace = RunTrace.from_jsonl(text)
-    first = TraceReplay(trace, g).first
+    first = TraceReplay(trace.events, g).first
     clusters, old_n = 0, 0
     lines = []
     for ev in trace.events:
@@ -624,6 +653,31 @@ def test_unwritable_output_path_is_an_error_not_a_traceback(tmp_path, capsys, ar
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and f"{tmp_path}/{path}" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def atlas_g184():
+    """Graph 184 of the networkx atlas (6 vertices), each vertex's ports
+    numbered in the order of its neighbours, edges in sorted order."""
+    pairs = sorted(tuple(sorted(e)) for e in nx.graph_atlas(184).edges())
+    return PortNumberedGraph(6, _assign_ports(6, pairs, "canonical"))
+
+
+@pytest.mark.parametrize("make,root,status,events", [
+    (lambda: gen("cycle:7"), 0, "budget_exhausted", 1406),
+    (atlas_g184, 4, "error_detected", 18),
+    (lambda: gen("tree:n=1500,seed=1"), 0, "halted", 7496),
+], ids=["cycle:7", "atlas G184", "tree:n=1500"])
+def test_explore_trace_file_is_the_in_memory_trace(tmp_path, capsys, make, root, status, events):
+    # explore writes its trace as the run goes on, TRACE_CHUNK events at a
+    # time; however the run ends, the file is the whole trace
+    g = make()
+    graph, trace = tmp_path / "g.json", tmp_path / "t.jsonl"
+    save_graph(g, graph)
+    rc = invoke("explore", "--graph", str(graph), "--root", str(root), "--trace", str(trace))
+    assert rc == (0 if status == "halted" else 2)
+    out = explore(Environment(g, root, move_budget(50.0, g.n)))
+    assert (out.status, len(out.trace.events)) == (status, events)
+    assert trace.read_text() == out.trace.to_jsonl()
 
 
 BAD_ROOTS = '"roots" must be "all" or {"sample": k, "seed": s}, k and s integers >= 0'

@@ -118,7 +118,7 @@ class TestReferenceTraces:
                               + [(v, v + 1, 2, 1) for v in range(1, n)])
         _, out = run(g, root=root)
         assert out.status == "halted" and out.moves < 1.01 * g.n
-        results, problems = evaluate_trace(out.trace, g, dict.fromkeys(DEFAULT_CHECKS, True))
+        _, results, problems = evaluate_trace(out.trace.events, g, dict.fromkeys(DEFAULT_CHECKS, True))
         assert all(results.values()) and not problems
 
     def test_octahedron_no_duplication_through_equivalence(self):
@@ -282,7 +282,7 @@ def test_harvest_skip_yields_the_full_scan_ledger(spec, ports, data):
     """On a map holding a random part of the halted map's edges, balls
     with some center edges mapped and some not give the same ledger."""
     g, out = run(gen(spec, ports))
-    phi, problems = TraceReplay(out.trace, g).final_phi()
+    phi, problems = TraceReplay(out.trace.events, g).final_phi()
     assert not problems
     full = out.final_map
     keep = data.draw(st.lists(st.booleans(), min_size=len(full.edges),
@@ -337,7 +337,7 @@ def test_sparse_large_ports_explore_like_their_ranks(spec, ports, seed):
     assert sparse.status == ranked.status == "halted"
     assert sparse.moves == ranked.moves
     checks = dict.fromkeys(DEFAULT_CHECKS, True)
-    results, problems = evaluate_trace(sparse.trace, h, checks)
+    _, results, problems = evaluate_trace(sparse.trace.events, h, checks)
     assert results == checks, problems
     text = sparse.trace.to_jsonl()
     assert RunTrace.from_jsonl(text).to_jsonl() == text

@@ -91,7 +91,7 @@ class CountedReplay(TraceReplay):
 
 
 def assert_counts_and_results(trace, g):
-    replay = CountedReplay(trace, g)
+    replay = CountedReplay(trace.events, g)
     got = [(phase, r.ok, r.problems) for phase, r in replay.results]
     want = [(phase, r.ok, r.problems) for phase, r in phase_reference.phase_invariants(trace, g)]
     assert got == want

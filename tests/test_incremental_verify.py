@@ -42,7 +42,7 @@ def as_data(results):
 def assert_agrees(trace, g):
     """The replay's sense record, phase results and coverage are the
     reference's; returns the replay."""
-    replay = TraceReplay(trace, g)
+    replay = TraceReplay(trace.events, g)
     assert (replay.first, replay.replay_problems()) == phase_reference.first_sensed_map(trace, g)
     assert as_data(replay.results) == as_data(phase_reference.phase_invariants(trace, g))
     assert replay.coverage() == phase_reference.coverage(trace, g)
@@ -76,7 +76,7 @@ def test_explored_from_the_sense_replay_is_what_the_explorer_marked(spec, ports,
     # small budgets cut runs off mid-phase; cycles never halt
     g = gen(spec, f"random:{ports}")
     out = explore(Environment(g, root_seed % g.n, max(1, int(factor * g.n))))
-    replay = TraceReplay(out.trace, g)
+    replay = TraceReplay(out.trace.events, g)
     first, problems = replay.first, replay.replay_problems()
     assert problems == []
     marked = {v: ph for v, ph in out.final_map.explored_in.items() if ph is not None}
@@ -320,7 +320,7 @@ def test_wrong_in_port_fails_the_phase_of_its_move():
 def test_reloaded_trace_verifies_the_same(spec):
     g, out = explored(spec, "random:5", 0)
     loaded = RunTrace.from_jsonl(out.trace.to_jsonl())
-    replay, loaded_replay = TraceReplay(out.trace, g), TraceReplay(loaded, g)
+    replay, loaded_replay = TraceReplay(out.trace.events, g), TraceReplay(loaded.events, g)
     assert as_data(loaded_replay.results) == as_data(replay.results)
     assert loaded_replay.coverage() == replay.coverage()
     assert loaded_replay.graph().edges == replay.graph().edges

@@ -9,13 +9,17 @@ import pytest
 from binox.explorer import explore
 from binox.graph import ball
 from binox.runtime import (
+    TRACE_CHUNK,
     TRACE_VERSION,
     Environment,
     NoSuchPortError,
     RunTrace,
     TraceFormatError,
+    read_events,
     run_agent,
 )
+
+from binox.verify import TraceReplay
 
 from conftest import gen, moves, renamed, snapshots
 
@@ -153,10 +157,13 @@ class TestTrace:
         g = gen("complete:4")
         out = explore(Environment(g, 1, 200))
         path = tmp_path / "t.jsonl"
-        out.trace.save(path)
-        loaded = RunTrace.load(path)
-        assert loaded.to_jsonl() == out.trace.to_jsonl()
-        assert loaded.header()["root"] == 1
+        with open(path, "w") as f:
+            explore(Environment(g, 1, 200, f))
+        with open(path) as f:
+            loaded = RunTrace()
+            loaded.events = list(read_events(f))
+        assert loaded.to_jsonl() == out.trace.to_jsonl() == path.read_text()
+        assert loaded.events[0]["root"] == 1
         assert [p for p, _s in snapshots(loaded)] == [p for p, _s in snapshots(out.trace)]
 
 
@@ -353,3 +360,33 @@ class TestEventOrder:
         lines = self.lines()
         cut = lines[:10] + [json.dumps({"kind": "budget_exhausted"})]
         assert RunTrace.from_jsonl("\n".join(cut)).events[-1]["kind"] == "budget_exhausted"
+
+
+def test_reader_hands_on_each_chunk_before_it_reads_the_next():
+    # The checker replays a chunk of events before the reader reads more, so
+    # it never holds the lines or events of a whole trace.
+    g = gen("tree:n=1500,seed=1")
+    lines = explore(Environment(g, 0, 75000)).trace.to_jsonl().splitlines()
+    assert len(lines) > 5 * TRACE_CHUNK
+    pulled = 0
+
+    def counting():
+        nonlocal pulled
+        for line in lines:
+            pulled += 1
+            yield line
+
+    at_phase_end = []
+
+    class Probe(TraceReplay):
+        def apply(self, delta, newly):
+            at_phase_end.append(pulled)
+            return super().apply(delta, newly)
+
+    replay = Probe(read_events(counting()), g)
+    ends = [i + 1 for i, line in enumerate(lines) if '"kind":"phase_end"' in line]
+    assert len(at_phase_end) == len(ends)
+    # at most one chunk read ahead of the phase_end being replayed
+    assert all(end <= got < end + TRACE_CHUNK for end, got in zip(ends, at_phase_end))
+    assert pulled == len(lines) and replay.last == {"kind": "halt"}
+    assert all(r.ok for _, r in replay.results)

@@ -28,7 +28,7 @@ class TestRootedIsomorphism:
 
     def test_map_folded_from_the_trace_matches(self):
         g, out = run("johnson:4,2")
-        assert verify_rooted_isomorphism(TraceReplay(out.trace, g).graph(), g, 0).ok
+        assert verify_rooted_isomorphism(TraceReplay(out.trace.events, g).graph(), g, 0).ok
 
     def test_path_map_against_cycle_ground(self):
         # a 5-path pretending to map a 6-cycle: degree breaks at the far end
@@ -59,7 +59,7 @@ class TestCoverage:
         for spec in ("complete:5", "chordal:n=22,rate=0.5,seed=5", "tree:n=16,seed=2"):
             g, out = run(spec)
             assert out.status == "halted"
-            assert TraceReplay(out.trace, g).coverage().ok
+            assert TraceReplay(out.trace.events, g).coverage().ok
 
     def test_truncated_trace_leaves_vertices_unvisited(self):
         g, out = run("path:6")
@@ -67,14 +67,14 @@ class TestCoverage:
         cut.events = [
             ev for ev in out.trace.events[:-6]
         ]
-        res = TraceReplay(cut, g).coverage()
+        res = TraceReplay(cut.events, g).coverage()
         assert not res.ok
         assert any("unvisited" in p for p in res.problems)
 
     def test_single_vertex_zero_moves(self):
         g, out = run("path:1")
         assert out.moves == 0
-        assert TraceReplay(out.trace, g).coverage().ok
+        assert TraceReplay(out.trace.events, g).coverage().ok
 
     def test_replay_validates_in_ports(self):
         g, out = run("complete:4")
@@ -84,7 +84,7 @@ class TestCoverage:
             if ev["kind"] == "move":
                 ev["in"] = ev["in"] + 40
                 break
-        assert TraceReplay(bad, g).coverage().problems[0].startswith("move ")
+        assert TraceReplay(bad.events, g).coverage().problems[0].startswith("move ")
 
 
 class TestPhaseInvariants:
@@ -96,7 +96,7 @@ class TestPhaseInvariants:
     ])
     def test_pass_on_weetman_runs(self, spec, root):
         g, out = run(spec, root=root)
-        results = TraceReplay(out.trace, g).results
+        results = TraceReplay(out.trace.events, g).results
         assert results, "no phases recorded"
         assert all(r.ok for _ph, r in results), [
             (ph, r.problems[:2]) for ph, r in results if not r.ok
@@ -105,7 +105,7 @@ class TestPhaseInvariants:
     def test_hold_per_phase_even_on_non_halting_runs(self):
         # the per-phase map invariants hold on every graph until an error
         g, out = run("cycle:6")
-        results = TraceReplay(out.trace, g).results
+        results = TraceReplay(out.trace.events, g).results
         assert all(r.ok for _ph, r in results)
 
     def test_corrupted_snapshot_breaks_surjectivity(self):
@@ -131,7 +131,7 @@ class TestPhaseInvariants:
         assert horizontal
         delta, edge = horizontal[0]
         delta["edges"].remove(edge)
-        replay = TraceReplay(trace, g)
+        replay = TraceReplay(trace.events, g)
         assert replay.replay_problems() == []
         results = dict(replay.results)
         assert not results[final_phase].ok
@@ -148,9 +148,9 @@ class TestPhaseInvariants:
         i = max(k for k, ev in enumerate(trace.events) if ev["kind"] == "sense")
         b = trace.events[i]["ball"]
         assert max(ev["phase"] for ev in trace.events[:i] if ev["kind"] == "phase_start") == ended + 1
-        assert [ph for ph, r in TraceReplay(trace, g).results] == list(range(1, ended + 1))
+        assert [ph for ph, r in TraceReplay(trace.events, g).results] == list(range(1, ended + 1))
         trace.events[i] = dict(trace.events[i], ball=Ball(b.size, [(0, 1, 0, 0), (0, 2, 1, 9)]))
-        results = TraceReplay(trace, g).results
+        results = TraceReplay(trace.events, g).results
         assert [ph for ph, r in results] == list(range(1, ended + 2))
         assert all(r.ok for ph, r in results[:-1])
         assert not results[-1][1].ok
@@ -165,7 +165,7 @@ class TestPhaseInvariants:
         ended = snapshots(trace)[-1][0]
         move = moves(trace)[-1]
         move["out"] += 1000
-        results = TraceReplay(trace, g).results
+        results = TraceReplay(trace.events, g).results
         assert [ph for ph, r in results] == list(range(1, ended + 2))
         assert all(r.ok for ph, r in results[:-1])
         assert results[-1][1].problems == [
@@ -180,12 +180,12 @@ class TestPhaseInvariants:
 
     def test_single_phase_sensing_asserted(self):
         g, out = run("chordal:n=20,rate=0.4,seed=1")
-        assert TraceReplay(out.trace, g).replay_problems() == []
+        assert TraceReplay(out.trace.events, g).replay_problems() == []
 
     def test_phi_is_path_independent(self):
         # recompute phi from scratch along a different edge order and compare
         g, out = run("chordal:n=25,rate=0.5,seed=2")
-        phi, problems = TraceReplay(out.trace, g).final_phi()
+        phi, problems = TraceReplay(out.trace.events, g).final_phi()
         assert problems == [] and phi is not None
         snap = phase_reference.final_map(out.trace)
         adj = {n: [] for n in range(snap["n"])}
@@ -193,7 +193,7 @@ class TestPhaseInvariants:
             adj[a].append((pa, b))
             adj[b].append((pb, a))
         for order in (False, True):
-            image = {0: out.trace.header()["root"]}
+            image = {0: out.trace.events[0]["root"]}
             stack = [0]
             while stack:
                 n = stack.pop()
@@ -214,6 +214,6 @@ class TestCoveringAtHalt:
     def test_reconstructed_phi_is_a_simplicial_covering(self, spec):
         g, out = run(spec)
         assert out.status == "halted"
-        phi, problems = TraceReplay(out.trace, g).final_phi()
+        phi, problems = TraceReplay(out.trace.events, g).final_phi()
         assert problems == []
         assert verify_simplicial_covering(out.final_map, g, phi) == []
