@@ -22,9 +22,7 @@ from .families import (
 )
 from .graph import (
     Ball,
-    ClusterDecomposition,
     GraphFormatError,
-    Layering,
     PortCollisionError,
     PortNumberedGraph,
     ball,

@@ -102,9 +102,6 @@ class ClusterStack:
     def __bool__(self):
         return bool(self._items)
 
-    def __len__(self):
-        return len(self._items)
-
 
 def plan_cluster_tour(emap, start, cluster):
     """Moves that reach ``cluster`` from ``start`` and visit all of it.
@@ -298,7 +295,6 @@ class ClusterExplorer:
         self.emap = emap
         n0 = emap.add_vertex()
         emap.cluster_of[n0] = 0
-        emap.explored_in[n0] = 0
         members = {0: [n0]}  # cluster id -> its vertices, until explored
         stack = ClusterStack()
         stack.push(0)

@@ -200,10 +200,10 @@ class ConditionReport:
     witness: dict | None = None
 
 
-def _pred_sets(g, lay):
+def _pred_sets(g, dist):
     preds = [set() for _ in range(g.n)]
     for (u, v, _pu, _pv) in g.edges:
-        du, dv = lay.sphere_of[u], lay.sphere_of[v]
+        du, dv = dist[u], dist[v]
         if du == dv + 1:
             preds[u].add(v)
         elif dv == du + 1:
@@ -213,10 +213,10 @@ def _pred_sets(g, lay):
 
 def check_triangle_condition(g, v0):
     """Every same-sphere edge needs a common neighbour one sphere closer."""
-    lay = layering(g, v0)
-    preds = _pred_sets(g, lay)
+    dist = layering(g, v0)
+    preds = _pred_sets(g, dist)
     for (u, v, _pu, _pv) in g.edges:
-        if lay.sphere_of[u] == lay.sphere_of[v] and lay.sphere_of[u] >= 1:
+        if dist[u] == dist[v] >= 1:
             if not (preds[u] & preds[v]):
                 return ConditionReport(
                     False,
@@ -227,8 +227,8 @@ def check_triangle_condition(g, v0):
 
 def check_interval_condition(g, v0):
     """Every vertex's predecessor set must induce a connected subgraph."""
-    lay = layering(g, v0)
-    preds = _pred_sets(g, lay)
+    dist = layering(g, v0)
+    preds = _pred_sets(g, dist)
     for v in range(g.n):
         if v == v0 or len(preds[v]) <= 1:
             continue

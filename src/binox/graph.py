@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import json
 from binascii import a2b_base64, b2a_base64
-from collections import Counter, deque
-from dataclasses import dataclass
-from functools import cached_property
+from collections import Counter
 from itertools import islice
 from operator import eq, lt
 from pathlib import Path
@@ -509,109 +507,65 @@ def horizontal_counts(nbrs):
     return counts
 
 
-@dataclass(frozen=True)
-class Layering:
-    """Partition of the vertices into spheres by BFS distance from a root."""
-
-    root: int
-    sphere_of: tuple
-    spheres: tuple
-
-
 def layering(g, v0):
+    """Each vertex's BFS distance from ``v0`` (the index of its sphere), as
+    a list; ValueError for a root out of range or a disconnected graph."""
     if not (0 <= v0 < g.n):
         raise ValueError(f"invalid root {v0}")
     dist = [-1] * g.n
     dist[v0] = 0
-    queue = deque([v0])
-    while queue:
-        x = queue.popleft()
+    queue = [v0]
+    for x in queue:  # the loop reaches what it appends
         for y in g._nbrs[x]:
             if dist[y] < 0:
                 dist[y] = dist[x] + 1
                 queue.append(y)
-    if min(dist) < 0:
+    if len(queue) < g.n:
         raise ValueError("layering requires a connected graph")
-    spheres = [[] for _ in range(max(dist) + 1)]
-    for v in range(g.n):
-        spheres[dist[v]].append(v)
-    return Layering(v0, tuple(dist), tuple(tuple(sorted(s)) for s in spheres))
+    return dist
 
 
-@dataclass(frozen=True)
-class Cluster:
-    cid: int
-    sphere: int
-    vertices: tuple
-
-
-@dataclass(frozen=True)
-class ClusterDecomposition:
-    """Connected components of each sphere, plus the graph between them.
-
-    Cluster-graph edges can only join clusters at consecutive sphere indices:
-    same-sphere adjacency would have merged the clusters, which the
-    construction asserts rather than models.
-    """
-
-    root: int
-    layering: Layering
-    clusters: tuple
-    cluster_of: tuple
-    edges: frozenset
-
-    def root_cluster(self):
-        return self.cluster_of[self.root]
-
-    @cached_property
-    def _predecessors(self):
-        """Each cluster's neighbour clusters one sphere closer to the root,
-        indexed once."""
-        preds = [set() for _ in self.clusters]
-        for (a, b) in self.edges:
-            for x, y in ((a, b), (b, a)):
-                if self.clusters[y].sphere == self.clusters[x].sphere - 1:
-                    preds[x].add(y)
-        return [sorted(s) for s in preds]
-
-    def predecessors(self, cid):
-        return list(self._predecessors[cid])
-
-    def is_tree(self):
-        return all(
-            len(self.predecessors(c.cid)) == 1
-            for c in self.clusters
-            if c.cid != self.root_cluster()
-        )
+# ``parent`` markers of ``cluster_decomposition``.
+ROOT_CLUSTER = -1
+SEVERAL_PARENTS = -2
 
 
 def cluster_decomposition(g, v0):
-    lay = layering(g, v0)
+    """The clusters around ``v0``, the connected pieces of each sphere, as
+    three lists: ``dist`` (from ``layering``), ``cluster_of`` (vertex ->
+    cluster id, numbered sphere by sphere and within a sphere by smallest
+    vertex, so v0's cluster is 0) and ``parent`` (cluster -> its adjacent
+    cluster one sphere closer: ROOT_CLUSTER for cluster 0, SEVERAL_PARENTS
+    for a cluster with more than one). The clusters form a tree exactly when
+    no cluster has SEVERAL_PARENTS."""
+    dist = layering(g, v0)
+    spheres = [[] for _ in range(max(dist) + 1)]
+    for v, d in enumerate(dist):
+        spheres[d].append(v)
     cluster_of = [-1] * g.n
-    clusters = []
-    for i, sphere in enumerate(lay.spheres):
+    parent = []
+    for sphere in spheres:
         members = set(sphere)
         for start in sphere:
-            if cluster_of[start] >= 0:
-                continue
-            comp = component(g, start, members)
-            for x in comp:
-                cluster_of[x] = len(clusters)
-            clusters.append(Cluster(len(clusters), i, tuple(sorted(comp))))
-    cedges = set()
+            if cluster_of[start] < 0:
+                for x in component(g, start, members):
+                    cluster_of[x] = len(parent)
+                parent.append(ROOT_CLUSTER)  # until an edge one sphere closer
     for (u, v, _pu, _pv) in g.edges:
         cu, cv = cluster_of[u], cluster_of[v]
         if cu == cv:
             continue
-        su, sv = clusters[cu].sphere, clusters[cv].sphere
+        su, sv = dist[u], dist[v]
         # same-sphere adjacency between different clusters is impossible by
         # the component construction; a hit here means the decomposition broke
         if abs(su - sv) != 1:
             raise AssertionError(f"cluster edge {cu}-{cv} between spheres {su} and {sv}")
-        cedges.add((cu, cv) if cu < cv else (cv, cu))
-    return ClusterDecomposition(
-        v0, lay, tuple(clusters), tuple(cluster_of), frozenset(cedges)
-    )
+        near, far = (cu, cv) if su < sv else (cv, cu)
+        if parent[far] == ROOT_CLUSTER:
+            parent[far] = near
+        elif parent[far] != near:
+            parent[far] = SEVERAL_PARENTS
+    return dist, cluster_of, parent
 
 
 def from_json_dict(d):

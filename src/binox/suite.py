@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .explorer import explore
 from .families import generate, parse_spec
-from .graph import cluster_decomposition
+from .graph import SEVERAL_PARENTS, cluster_decomposition
 from .homotopy import verify_simplicial_covering
 from .runtime import Environment
 from .verify import TraceReplay, verify_rooted_isomorphism
@@ -167,7 +167,8 @@ def evaluate_trace(events, g, checks):
         for ph, r in bad[:3]:
             problems.extend(f"phase {ph}: {p}" for p in r.problems[:3])
     if checks.get("cluster_tree"):
-        results["cluster_tree"] = cluster_decomposition(g, root).is_tree()
+        _dist, _cluster_of, parent = cluster_decomposition(g, root)
+        results["cluster_tree"] = SEVERAL_PARENTS not in parent
         if not results["cluster_tree"]:
             problems.append(f"clusters of (g, {root}) do not form a tree")
     for name in ("final_isomorphism", "coverage", "covering"):

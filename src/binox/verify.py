@@ -119,7 +119,7 @@ class TraceReplay:
         self.walk_problem = None  # (phase, where the walk left the map or the ground)
         self.visited = set()  # the ground vertices the ground walk reached
         self.ground_problems = []  # the ground walk's in-port disagreements and break
-        self.ended = set()  # the phases whose phase_end was folded in
+        self.ended = 0  # the last phase whose phase_end was folded in (phases end in order)
         self.results = []
         self._replay(iter(events))
 
@@ -196,10 +196,10 @@ class TraceReplay:
                     if not ball(m, 0).matches(g, root):
                         problems.append("phase 1 map is not the ball around the homebase")
                 self.results.append((ended, CheckResult(not problems, problems)))
-                self.ended.add(ended)
+                self.ended = ended
         self.last = ev
         problems = self._sense_problems(phase)  # the last phase, if it never ended
-        if problems and phase not in self.ended:
+        if problems and phase != self.ended:
             self.results.append((phase, CheckResult(False, problems)))
 
     def _sense_problems(self, phase):

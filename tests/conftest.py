@@ -92,22 +92,6 @@ def renamed(g, perm):
     return PortNumberedGraph(g.n, edges)
 
 
-class NotATreeError(ValueError):
-    """A cluster has more than one predecessor cluster."""
-
-
-def ancestor_cluster(dec, cid):
-    """The unique cluster one sphere closer to the root; errors otherwise."""
-    if cid == dec.root_cluster():
-        raise ValueError("root cluster has no ancestor")
-    preds = dec.predecessors(cid)
-    if len(preds) != 1:
-        raise NotATreeError(
-            f"cluster {cid} has {len(preds)} predecessor clusters; cluster graph is not a tree"
-        )
-    return preds[0]
-
-
 def frontier(emap):
     """The map vertices not yet explored."""
     return [n for n in range(emap.n) if emap.explored_in[n] is None]

@@ -345,8 +345,8 @@ def _binox_child(args, stdout):
 def test_tree_of_100000_vertices_explores_and_checks_in_bounded_memory(tmp_path):
     """tree:n=100000 through ``binox explore`` and ``binox check`` child
     processes: halted at <= 2 moves/vertex, all five checks pass, explore
-    below 300 MB and check below 420 MB peak RSS; each streams the trace
-    instead of holding it (run with ``-m slow``)."""
+    and check each below 300 MB peak RSS; each streams the trace instead of
+    holding it (run with ``-m slow``)."""
     g, trace, out = tmp_path / "g.json", tmp_path / "t.jsonl", tmp_path / "out.txt"
     save_graph(generate(parse_spec("tree:n=100000,seed=1", port_scheme="random:1")), g)
     with open(out, "w") as f:
@@ -361,4 +361,4 @@ def test_tree_of_100000_vertices_explores_and_checks_in_bounded_memory(tmp_path)
     report = out.read_text()
     assert "status=halted" in report
     assert all(f"{name}: pass" in report for name in ALL_CHECKS)
-    assert explore_mb < 300 and check_mb < 420, (explore_mb, check_mb)
+    assert explore_mb < 300 and check_mb < 300, (explore_mb, check_mb)

@@ -876,9 +876,8 @@ def test_public_surface_is_pinned():
         "ConditionReport", "GeneratorSpec", "check_interval_condition",
         "check_triangle_condition", "generate", "is_chordal", "is_weetman", "parse_spec",
         # binox.graph
-        "Ball", "ClusterDecomposition", "GraphFormatError", "Layering", "PortNumberedGraph",
-        "ball", "cluster_decomposition", "component", "layering", "load_graph", "save_graph",
-        "validate",
+        "Ball", "GraphFormatError", "PortNumberedGraph", "ball", "cluster_decomposition",
+        "component", "layering", "load_graph", "save_graph", "validate",
         # binox.homotopy
         "verify_simplicial_covering",
         # binox.runtime

@@ -129,8 +129,8 @@ class TestTriangleCondition:
         rep = check_triangle_condition(g, 0)
         assert not rep.holds
         u, v = rep.witness["edge"]
-        lay = layering(g, 0)
-        assert lay.sphere_of[u] == lay.sphere_of[v] == 2
+        dist = layering(g, 0)
+        assert dist[u] == dist[v] == 2
         recheck_witness(g, rep)
 
     def test_trees_hold_vacuously(self):
@@ -179,13 +179,14 @@ class TestWeetman:
         assert is_weetman(gen(spec)).holds
 
     def test_weetman_implies_cluster_tree_for_every_root(self):
-        from binox.graph import cluster_decomposition
+        from binox.graph import SEVERAL_PARENTS, cluster_decomposition
 
         for spec in ("chordal:n=20,rate=0.5,seed=5", "johnson:5,2", "complete:6"):
             g = gen(spec)
             assert is_weetman(g).holds
             for v0 in range(g.n):
-                assert cluster_decomposition(g, v0).is_tree(), (spec, v0)
+                _dist, _cluster_of, parent = cluster_decomposition(g, v0)
+                assert SEVERAL_PARENTS not in parent, (spec, v0)
 
     def test_chordal_subset_of_weetman_over_many_seeds(self):
         # the containment is verified empirically, not assumed

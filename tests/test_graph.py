@@ -13,7 +13,10 @@ import networkx as nx
 import pytest
 
 import binox
+from binox.families import _assign_ports
 from binox.graph import (
+    ROOT_CLUSTER,
+    SEVERAL_PARENTS,
     Ball,
     GraphFormatError,
     PortNumberedGraph,
@@ -27,8 +30,6 @@ from binox.graph import (
 )
 
 from conftest import (
-    NotATreeError,
-    ancestor_cluster,
     ball_signature,
     center_degree,
     center_edges,
@@ -244,12 +245,10 @@ class TestDest:
 
 class TestLayering:
     def test_k3(self):
-        lay = layering(gen("complete:3"), 0)
-        assert lay.spheres == ((0,), (1, 2))
+        assert layering(gen("complete:3"), 0) == [0, 1, 1]
 
     def test_p5_from_endpoint(self):
-        lay = layering(gen("path:5"), 0)
-        assert [len(s) for s in lay.spheres] == [1, 1, 1, 1, 1]
+        assert layering(gen("path:5"), 0) == [0, 1, 2, 3, 4]
 
     def test_c6_sphere_sizes(self):
         g = gen("cycle:6")
@@ -258,9 +257,9 @@ class TestLayering:
         for d in dist.values():
             sizes[d] += 1
         assert sizes == [1, 2, 2, 1]
-        lay = layering(g, 0)
-        assert [len(s) for s in lay.spheres] == sizes
-        assert all(lay.sphere_of[v] == dist[v] for v in range(g.n))
+        got = layering(g, 0)
+        assert [got.count(d) for d in range(len(sizes))] == sizes
+        assert got == [dist[v] for v in range(g.n)]
 
     @pytest.mark.parametrize("spec,root", [
         ("chordal:n=35,rate=0.4,seed=9", 4),
@@ -269,19 +268,62 @@ class TestLayering:
     ])
     def test_adjacent_spheres_differ_by_at_most_one(self, spec, root):
         g = gen(spec)
-        lay = layering(g, root)
-        assert lay.sphere_of[root] == 0
+        dist = layering(g, root)
+        assert dist[root] == 0
         for (u, v, _pu, _pv) in g.edges:
-            assert abs(lay.sphere_of[u] - lay.sphere_of[v]) <= 1
-        # spheres partition V
-        assert sorted(v for s in lay.spheres for v in s) == list(range(g.n))
+            assert abs(dist[u] - dist[v]) <= 1
+        # every vertex is in one sphere
+        assert len(dist) == g.n and min(dist) == 0
+
+    def test_rejects_a_bad_root_and_a_disconnected_graph(self):
+        with pytest.raises(ValueError, match="invalid root"):
+            layering(gen("path:3"), 3)
+        with pytest.raises(ValueError, match="connected"):
+            layering(PortNumberedGraph(3, [(0, 1, 0, 0)]), 0)
+
+
+def connected_atlas(max_n):
+    """Every connected graph of the networkx atlas with 1 to ``max_n``
+    vertices, canonical ports, keyed by atlas index."""
+    out = {}
+    for i, G in enumerate(nx.graph_atlas_g()):
+        n = G.number_of_nodes()
+        if n > max_n:
+            break
+        if n and nx.is_connected(G):
+            pairs = sorted(tuple(sorted(e)) for e in G.edges())
+            out[i] = PortNumberedGraph(n, _assign_ports(n, pairs, "canonical"))
+    return out
+
+
+ATLAS_6 = connected_atlas(6)
+
+
+def cluster_oracle(g, root):
+    """networkx's (dist, cluster_of, unique predecessor cluster or None per
+    cluster, is the cluster graph a tree): the components of each sphere's
+    induced subgraph, numbered sphere by sphere and by smallest vertex."""
+    G = to_nx(g)
+    dist = nx.single_source_shortest_path_length(G, root)
+    comps = []
+    for d in range(max(dist.values()) + 1):
+        sphere = G.subgraph(v for v in G if dist[v] == d)
+        comps += sorted((sorted(c) for c in nx.connected_components(sphere)), key=min)
+    cluster_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    preds = [{cluster_of[y] for x in comp for y in G[x] if dist[y] == dist[x] - 1}
+             for comp in comps]
+    unique = [next(iter(p)) if len(p) == 1 else None for p in preds]
+    Q = nx.quotient_graph(G, [set(c) for c in comps])
+    return ([dist[v] for v in range(g.n)], [cluster_of[v] for v in range(g.n)],
+            unique, nx.is_tree(Q))
 
 
 class TestClusters:
     def test_k3(self):
-        dec = cluster_decomposition(gen("complete:3"), 0)
-        assert [c.vertices for c in dec.clusters] == [(0,), (1, 2)]
-        assert dec.is_tree()
+        dist, cluster_of, parent = cluster_decomposition(gen("complete:3"), 0)
+        assert dist == [0, 1, 1]
+        assert cluster_of == [0, 1, 1]
+        assert parent == [ROOT_CLUSTER, 0]
 
     def test_cluster_edge_guard_holds_under_python_O(self):
         # component() stubbed to return only its start vertex: the adjacent
@@ -307,59 +349,69 @@ class TestClusters:
             sphere = [v for v in G if dist[v] == d]
             comps.extend(nx.connected_components(G.subgraph(sphere)))
         assert len(comps) == 6
-        dec = cluster_decomposition(g, 0)
-        assert len(dec.clusters) == 6
-        assert all(len(c.vertices) == 1 for c in dec.clusters)
-        assert not dec.is_tree()
+        _dist, cluster_of, parent = cluster_decomposition(g, 0)
+        assert len(parent) == 6
+        assert sorted(cluster_of) == list(range(6))  # every cluster a singleton
+        assert SEVERAL_PARENTS in parent
 
     def test_j42_cluster_path(self):
         g = gen("johnson:4,2")
         for root in range(g.n):
-            dec = cluster_decomposition(g, root)
-            shapes = [(c.sphere, len(c.vertices)) for c in dec.clusters]
+            dist, cluster_of, parent = cluster_decomposition(g, root)
+            shapes = [(dist[cluster_of.index(c)], cluster_of.count(c))
+                      for c in range(len(parent))]
             assert shapes == [(0, 1), (1, 4), (2, 1)]
-            assert dec.is_tree()
+            assert parent == [ROOT_CLUSTER, 0, 1]
 
     @pytest.mark.parametrize("spec,root", [
         ("chordal:n=40,rate=0.5,seed=2", 0),
         ("chordal:n=40,rate=0.5,seed=2", 17),
         ("johnson:5,2", 3),
         ("cycle:9", 2),
-    ])
+    ] + [pytest.param(i, None, id=f"atlas-G{i}") for i in ATLAS_6])
     def test_clusters_refine_spheres(self, spec, root):
-        g = gen(spec)
-        dec = cluster_decomposition(g, root)
-        lay = dec.layering
-        for i, sphere in enumerate(lay.spheres):
-            members = sorted(
-                v for c in dec.clusters if c.sphere == i for v in c.vertices
-            )
-            assert members == list(sphere)
-        for (a, b) in dec.edges:
-            assert abs(dec.clusters[a].sphere - dec.clusters[b].sphere) == 1
+        """Against networkx, from ``root`` or, for an atlas graph (``spec``
+        its index), from every root: the spheres, the clusters and their
+        numbering, each cluster's unique predecessor cluster, and the tree
+        verdict (the graph of clusters, each contracted to a vertex, is a
+        tree); a cycle of four or more vertices is never a tree."""
+        g = ATLAS_6[spec] if root is None else gen(spec)
+        cycle = g.n >= 4 and all(g.degree(v) == 2 for v in range(g.n))
+        for r in range(g.n) if root is None else [root]:
+            dist, cluster_of, parent = cluster_decomposition(g, r)
+            want_dist, want_cluster_of, unique, tree = cluster_oracle(g, r)
+            assert (dist, cluster_of) == (want_dist, want_cluster_of), r
+            assert len(parent) == len(unique)
+            assert parent[0] == ROOT_CLUSTER
+            for c in range(1, len(parent)):
+                assert parent[c] == (SEVERAL_PARENTS if unique[c] is None else unique[c]), (r, c)
+            assert (SEVERAL_PARENTS not in parent) == tree, r
+            if cycle:
+                assert SEVERAL_PARENTS in parent, r
 
 
 class TestAncestor:
     def test_k3(self):
-        dec = cluster_decomposition(gen("complete:3"), 0)
-        assert ancestor_cluster(dec, 1) == 0
+        _dist, _cluster_of, parent = cluster_decomposition(gen("complete:3"), 0)
+        assert parent[1] == 0
 
     def test_p5_chain(self):
-        dec = cluster_decomposition(gen("path:5"), 0)
+        _dist, _cluster_of, parent = cluster_decomposition(gen("path:5"), 0)
         for cid in range(1, 5):
-            assert ancestor_cluster(dec, cid) == cid - 1
+            assert parent[cid] == cid - 1
 
     def test_c6_not_a_tree_at_antipode(self):
         g = gen("cycle:6")
-        dec = cluster_decomposition(g, 0)
-        far = dec.cluster_of[3]  # the sphere-3 singleton
-        with pytest.raises(NotATreeError):
-            ancestor_cluster(dec, far)
+        _dist, cluster_of, parent = cluster_decomposition(g, 0)
+        far = cluster_of[3]  # the sphere-3 singleton
+        assert parent[far] == SEVERAL_PARENTS
+        assert parent.count(SEVERAL_PARENTS) == 1
 
     def test_root_cluster_has_no_ancestor(self):
-        dec = cluster_decomposition(gen("path:5"), 0)
-        with pytest.raises(ValueError):
-            ancestor_cluster(dec, dec.root_cluster())
+        _dist, cluster_of, parent = cluster_decomposition(gen("path:5"), 0)
+        assert cluster_of[0] == 0
+        assert parent[0] == ROOT_CLUSTER
+        assert parent.count(ROOT_CLUSTER) == 1
 
 
 class TestJson:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from binox.graph import cluster_decomposition
+from binox.graph import SEVERAL_PARENTS, cluster_decomposition
 from binox.homotopy import verify_simplicial_covering
 
 from conftest import gen
@@ -182,7 +182,8 @@ class TestSimpleConnectivity:
     def test_simply_connected_implies_cluster_tree(self, spec, root):
         g = gen(spec)
         assert is_simply_connected(g) == "yes"
-        assert cluster_decomposition(g, root).is_tree()
+        _dist, _cluster_of, parent = cluster_decomposition(g, root)
+        assert SEVERAL_PARENTS not in parent
 
 
 class TestTreeCover:

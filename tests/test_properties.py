@@ -58,9 +58,10 @@ def test_ball_center_matches_graph_degree(spec, data):
 def test_layering_spheres_partition_and_edges_stay_close(spec, data):
     g = generate(spec)
     v0 = data.draw(st.integers(min_value=0, max_value=g.n - 1))
-    lay = layering(g, v0)
-    assert sorted(v for s in lay.spheres for v in s) == list(range(g.n))
-    assert all(abs(lay.sphere_of[u] - lay.sphere_of[v]) <= 1 for (u, v, _p, _q) in g.edges)
+    dist = layering(g, v0)
+    assert len(dist) == g.n and dist[v0] == 0 and min(dist) == 0
+    assert sorted(set(dist)) == list(range(max(dist) + 1))  # no sphere is empty
+    assert all(abs(dist[u] - dist[v]) <= 1 for (u, v, _p, _q) in g.edges)
 
 
 @settings(max_examples=20, deadline=None)
