@@ -3,7 +3,6 @@ agent whose only sensing is the radius-1 ball around its location."""
 
 from .explorer import (
     ClusterExplorer,
-    ClusterStack,
     ExplorationMap,
     PhaseLedger,
     ExplorerInvariantError,

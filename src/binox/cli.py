@@ -71,9 +71,7 @@ def _cmd_explore(args):
         with open(args.trace, "w") if args.trace else contextlib.nullcontext() as out:
             outcome = explore(Environment(g, args.root, budget, out))
         if args.map and outcome.final_map is not None:
-            Path(args.map).write_text(
-                json.dumps(outcome.final_map.snapshot(), sort_keys=True) + "\n"
-            )
+            save_graph(outcome.final_map, args.map)
     except OSError as e:
         return _error(e)
     print(
@@ -157,7 +155,7 @@ def main(argv=None):
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--budget-factor", type=float, default=50.0)
     p.add_argument("--trace", help="write the run trace (JSON lines)")
-    p.add_argument("--map", help="write the final map (graph JSON + cir/vis)")
+    p.add_argument("--map", help="write the final map (graph JSON, as gen writes)")
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("check", help="verify a trace against its graph")

@@ -39,23 +39,11 @@ class MapUpdateError(RuntimeError):
 
 
 class ExplorationMap(PortNumberedGraph):
-    """The agent's growing map: a port-numbered graph plus bookkeeping.
-
-    ``cluster_of`` tags every vertex with the cluster it was discovered in;
-    ``explored_in`` holds the phase a vertex was sensed in, or None while it
-    is still frontier. Vertex ids are allocation-ordered naturals, the
-    homebase is always 0.
-    """
+    """The agent's growing map. Vertex ids are allocation-ordered naturals,
+    the homebase is always 0."""
 
     def __init__(self):
         super().__init__(0, [])
-        self.cluster_of = {}
-        self.explored_in = {}
-
-    def add_vertex(self):
-        v = super().add_vertex()
-        self.explored_in[v] = None
-        return v
 
     def local_ball(self, n):
         """The map's radius-1 ball at n in the same local form a sensed
@@ -63,13 +51,8 @@ class ExplorationMap(PortNumberedGraph):
         return ball(self, n)
 
     def snapshot(self):
-        """JSON-able copy: the shared graph format plus cir/vis tables."""
-        return {
-            **self.to_json_dict(),
-            "cir": dict(self.cluster_of),
-            "vis": dict(self.explored_in),
-            "homebase": 0,
-        }
+        """JSON-able copy in the shared graph format."""
+        return self.to_json_dict()
 
 
 class PhaseLedger:
@@ -80,27 +63,6 @@ class PhaseLedger:
         self.equiv_pairs = []    # ((n, p), (m, p')) both keys in pre_vertices
         self.horizontal = set()  # (n, p1, p2, r, s) with p1 < p2
         self.balls = {}          # map vertex -> sensed Ball (center = 0)
-
-
-class ClusterStack:
-    """LIFO of cluster ids driving the DFS over the cluster tree; every id
-    is pushed at most once."""
-
-    def __init__(self):
-        self._items = []
-        self._pushed = set()
-
-    def push(self, cid):
-        if cid in self._pushed:
-            raise ExplorerInvariantError(f"cluster {cid} pushed twice")
-        self._pushed.add(cid)
-        self._items.append(cid)
-
-    def pop(self):
-        return self._items.pop()
-
-    def __bool__(self):
-        return bool(self._items)
 
 
 def plan_cluster_tour(emap, start, cluster):
@@ -165,12 +127,11 @@ def plan_cluster_tour(emap, start, cluster):
     return moves[:last]
 
 
-def record_ball(emap, ledger, n, sensed, phase):
-    """Store the ball sensed at map vertex n and mark it explored."""
+def record_ball(ledger, n, sensed):
+    """Store the ball sensed at map vertex n."""
     if n in ledger.balls:
         raise ExplorerInvariantError(f"map vertex {n} sensed twice in one phase")
     ledger.balls[n] = sensed
-    emap.explored_in[n] = phase
 
 
 def harvest_ledger(emap, ledger, n):
@@ -293,23 +254,15 @@ class ClusterExplorer:
     def run(self, env):
         emap = ExplorationMap()
         self.emap = emap
-        n0 = emap.add_vertex()
-        emap.cluster_of[n0] = 0
-        members = {0: [n0]}  # cluster id -> its vertices, until explored
-        stack = ClusterStack()
-        stack.push(0)
-        next_cid = 1
-        pos = n0
+        pos = emap.add_vertex()
+        stack = [[pos]]  # the unexplored clusters' vertices, in DFS order
         phase = 0
         while stack:
             phase += 1
             env.trace.log_phase_start(phase)
-            cid = stack.pop()
-            cluster = members.pop(cid, None)
-            if not cluster:
-                raise ExplorerInvariantError(f"cluster {cid} has no members")
+            cluster = stack.pop()
             ledger = PhaseLedger()
-            pos = self._explore_cluster(env, emap, ledger, pos, cluster, phase)
+            pos = self._explore_cluster(env, emap, ledger, pos, cluster)
             for n in cluster:
                 harvest_ledger(emap, ledger, n)
             known = emap.m  # the edges before this phase's
@@ -322,19 +275,14 @@ class ClusterExplorer:
                 env.declare_error(
                     f"ball at map vertex {bad} does not match the updated map"
                 )
-            for comp in discover_new_clusters(emap, new_ids):
-                for v in comp:
-                    emap.cluster_of[v] = next_cid
-                members[next_cid] = comp
-                stack.push(next_cid)
-                next_cid += 1
+            stack += discover_new_clusters(emap, new_ids)
             env.trace.log_phase_end(phase, {"n": emap.n, "edges": sorted(emap.edges[known:])})
         return emap
 
-    def _explore_cluster(self, env, emap, ledger, pos, cluster, phase):
+    def _explore_cluster(self, env, emap, ledger, pos, cluster):
         waiting = set(cluster)
         if pos in waiting:
-            record_ball(emap, ledger, pos, env.sense().ball, phase)
+            record_ball(ledger, pos, env.sense().ball)
             waiting.discard(pos)
         for (p, target) in plan_cluster_tour(emap, pos, cluster):
             in_port = env.move(p)
@@ -350,7 +298,7 @@ class ClusterExplorer:
                 )
             pos = target
             if pos in waiting:
-                record_ball(emap, ledger, pos, env.sense().ball, phase)
+                record_ball(ledger, pos, env.sense().ball)
                 waiting.discard(pos)
         if waiting:
             raise ExplorerInvariantError(f"tour missed cluster vertices {sorted(waiting)}")

@@ -211,48 +211,50 @@ def _pred_sets(g, dist):
     return preds
 
 
+def _triangle_failure(g, v0, dist, preds):
+    """The report of the first same-sphere edge with no common neighbour
+    one sphere closer, or None."""
+    for (u, v, _pu, _pv) in g.edges:
+        if dist[u] == dist[v] >= 1 and not (preds[u] & preds[v]):
+            edge = [min(u, v), max(u, v)]
+            return ConditionReport(False, {"condition": "triangle", "root": v0, "edge": edge})
+    return None
+
+
+def _interval_failure(g, v0, preds):
+    """The report of the first vertex whose predecessor set does not induce
+    a connected subgraph, or None."""
+    for v, pv in enumerate(preds):
+        if v != v0 and len(pv) > 1 and len(component(g, next(iter(pv)), pv)) != len(pv):
+            return ConditionReport(False, {"condition": "interval", "root": v0, "vertex": v})
+    return None
+
+
 def check_triangle_condition(g, v0):
     """Every same-sphere edge needs a common neighbour one sphere closer."""
     dist = layering(g, v0)
-    preds = _pred_sets(g, dist)
-    for (u, v, _pu, _pv) in g.edges:
-        if dist[u] == dist[v] >= 1:
-            if not (preds[u] & preds[v]):
-                return ConditionReport(
-                    False,
-                    {"condition": "triangle", "root": v0, "edge": [min(u, v), max(u, v)]},
-                )
-    return ConditionReport(True)
+    return _triangle_failure(g, v0, dist, _pred_sets(g, dist)) or ConditionReport(True)
 
 
 def check_interval_condition(g, v0):
     """Every vertex's predecessor set must induce a connected subgraph."""
     dist = layering(g, v0)
-    preds = _pred_sets(g, dist)
-    for v in range(g.n):
-        if v == v0 or len(preds[v]) <= 1:
-            continue
-        pv = preds[v]
-        if len(component(g, next(iter(pv)), pv)) != len(pv):
-            return ConditionReport(
-                False, {"condition": "interval", "root": v0, "vertex": v}
-            )
-    return ConditionReport(True)
+    return _interval_failure(g, v0, _pred_sets(g, dist)) or ConditionReport(True)
 
 
 def is_weetman(g):
     """Triangle and interval conditions for every choice of root.
 
     The definition quantifies over all roots, so this is O(n) condition
-    sweeps; fine at desk scale. First failing (root, witness) is reported.
+    sweeps, each on one layering; fine at desk scale. First failing (root,
+    witness) is reported.
     """
     for v0 in range(g.n):
-        tc = check_triangle_condition(g, v0)
-        if not tc.holds:
-            return tc
-        ic = check_interval_condition(g, v0)
-        if not ic.holds:
-            return ic
+        dist = layering(g, v0)
+        preds = _pred_sets(g, dist)
+        failure = _triangle_failure(g, v0, dist, preds) or _interval_failure(g, v0, preds)
+        if failure:
+            return failure
     return ConditionReport(True)
 
 

@@ -143,7 +143,7 @@ def evaluate_trace(events, g, checks):
     event: a terminal event's, else "incomplete". A check that does not
     apply to the run's status (e.g. coverage of a non-halting run) is
     reported as None. One replay of the events (TraceReplay) gives the
-    phase results, coverage, the final map and its phi; with no check
+    failing phases, coverage, the final map and its phi; with no check
     that needs it, the events are only read.
     """
     if any(checks.get(name) for name in _REPLAYED):
@@ -162,10 +162,9 @@ def evaluate_trace(events, g, checks):
     results = {}
     problems = []
     if checks.get("phase_invariants"):
-        bad = [(ph, r) for (ph, r) in replay.results if not r.ok]
-        results["phase_invariants"] = not bad
-        for ph, r in bad[:3]:
-            problems.extend(f"phase {ph}: {p}" for p in r.problems[:3])
+        results["phase_invariants"] = not replay.failed
+        for ph, found in replay.failed[:3]:
+            problems.extend(f"phase {ph}: {p}" for p in found[:3])
     if checks.get("cluster_tree"):
         _dist, _cluster_of, parent = cluster_decomposition(g, root)
         results["cluster_tree"] = SEVERAL_PARENTS not in parent

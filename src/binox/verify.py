@@ -83,9 +83,10 @@ class TraceReplay:
     compared with the ground truth and the first sense of each map vertex
     recorded in ``first`` (vertex -> (phase, ground vertex)); a phase_end
     folds in its delta, makes the vertices first sensed in the phase
-    explored and adds (phase, CheckResult) to ``results``, as does, at the
-    end, a phase that never ended but has a problem. Once the map walk
-    stops, the ground walk goes on alone for ``coverage``.
+    explored and, if the phase has problems, adds (phase, problems) to
+    ``failed``, as does, at the end, a phase that never ended but has a
+    problem. Once the map walk stops, the ground walk goes on alone for
+    ``coverage``.
 
     The deltas grow ``map`` through ``add_vertex`` and ``add_edge``, as the
     explorer grows its own. A delta edge that does not fit (a self edge, a
@@ -120,7 +121,7 @@ class TraceReplay:
         self.visited = set()  # the ground vertices the ground walk reached
         self.ground_problems = []  # the ground walk's in-port disagreements and break
         self.ended = 0  # the last phase whose phase_end was folded in (phases end in order)
-        self.results = []
+        self.failed = []  # (phase, problems) of each phase that has problems
         self._replay(iter(events))
 
     def _replay(self, events):
@@ -195,12 +196,13 @@ class TraceReplay:
                 if ended == 1 and self.phi_problem() is None:
                     if not ball(m, 0).matches(g, root):
                         problems.append("phase 1 map is not the ball around the homebase")
-                self.results.append((ended, CheckResult(not problems, problems)))
+                if problems:
+                    self.failed.append((ended, problems))
                 self.ended = ended
         self.last = ev
         problems = self._sense_problems(phase)  # the last phase, if it never ended
         if problems and phase != self.ended:
-            self.results.append((phase, CheckResult(False, problems)))
+            self.failed.append((phase, problems))
 
     def _sense_problems(self, phase):
         """The replay's problems in ``phase``: its moves and senses that

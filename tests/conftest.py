@@ -1,5 +1,9 @@
+import contextlib
+from unittest import mock
+
 import networkx as nx
 
+from binox import explorer
 from binox.families import generate, parse_spec
 from binox.graph import PortNumberedGraph
 from binox.verify import CheckResult, _forced_image
@@ -92,9 +96,25 @@ def renamed(g, perm):
     return PortNumberedGraph(g.n, edges)
 
 
-def frontier(emap):
-    """The map vertices not yet explored."""
-    return [n for n in range(emap.n) if emap.explored_in[n] is None]
+@contextlib.contextmanager
+def phase_ledgers():
+    """While open, each ``PhaseLedger`` the explorer makes is appended to
+    the list it yields: one per phase, in phase order."""
+    ledgers = []
+
+    class Recorded(explorer.PhaseLedger):
+        def __init__(self):
+            super().__init__()
+            ledgers.append(self)
+
+    with mock.patch.object(explorer, "PhaseLedger", Recorded):
+        yield ledgers
+
+
+def sensed_in(ledgers):
+    """{map vertex: the phase it was sensed in}, read off the keys of each
+    phase's ``ledger.balls``."""
+    return {n: phase for phase, ledger in enumerate(ledgers, 1) for n in ledger.balls}
 
 
 def moves(trace):

@@ -11,8 +11,8 @@ phi and re-checks every edge and vertex. The vertices explored after phase k
 are those first sensed in phase k or before. Coverage walks the moves over
 the ground alone (``replay_ground``). Quadratic in the number of phases, so
 only for small test graphs; the replay's ``first`` and
-``replay_problems()``, ``results``, ``final_phi()`` and ``coverage()``
-must agree with ``first_sensed_map``, ``phase_invariants``,
+``replay_problems()``, ``failed`` and ``ended``, ``final_phi()`` and
+``coverage()`` must agree with ``first_sensed_map``, ``failed_and_ended``,
 ``reconstruct_final_phi`` and ``coverage``.
 """
 
@@ -265,6 +265,14 @@ def phase_invariants(trace, g):
     for phase in sorted({ph for ph, _p in mismatched + filed} - ended):
         results.append((phase, CheckResult(False, replay_problems(phase))))
     return results
+
+
+def failed_and_ended(trace, g):
+    """The (phase, problems) of each phase of ``phase_invariants`` that has
+    problems, and the last phase that ended (0 when none did)."""
+    failed = [(phase, r.problems) for phase, r in phase_invariants(trace, g) if not r.ok]
+    ends = snapshots(trace)
+    return failed, ends[-1][0] if ends else 0
 
 
 def reconstruct_final_phi(trace, g):

@@ -26,9 +26,10 @@ from binox.families import (
     is_weetman,
     parse_spec,
 )
-from binox.graph import PortNumberedGraph, save_graph
+from binox.graph import PortNumberedGraph, load_graph, save_graph
 from binox.runtime import Environment
 from binox.suite import run_one
+from binox.verify import verify_rooted_isomorphism
 
 from conftest import rooted_embedding, to_nx
 from homotopy_oracles import is_simply_connected, unfold_tree_cover
@@ -331,34 +332,51 @@ def test_dense_run_halts_and_passes_every_check_through_the_cli(tmp_path, capsys
         assert f"{name}: pass" in out
 
 
+# Starts ``binox`` with the given arguments, waits for it and prints its exit
+# code and peak RSS (KB) as the last line on stderr.
+_LAUNCHER = """import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "binox.cli", *sys.argv[1:]])
+_pid, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
 def _binox_child(args, stdout):
     """Run ``binox`` with ``args`` in a child process; (exit code, the
-    child's peak RSS in MB, as RUSAGE_CHILDREN counts it for that child)."""
+    child's peak RSS in MB, as wait4 reports it for that child).
+
+    A child that subprocess starts through vfork takes its parent's peak
+    RSS into its own at exec, so binox is started by a small launcher
+    process, not by this one, whose peak grows with the graphs it holds."""
     env = {**os.environ, "PYTHONPATH": str(Path(binox.__file__).resolve().parents[1])}
-    proc = subprocess.Popen([sys.executable, "-m", "binox.cli", *args], stdout=stdout, env=env)
-    _pid, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024
+    proc = subprocess.run([sys.executable, "-c", _LAUNCHER, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, check=True)
+    rc, kb = proc.stderr.splitlines()[-1].split()
+    return int(rc), int(kb) / 1024
 
 
 @pytest.mark.slow
 def test_tree_of_100000_vertices_explores_and_checks_in_bounded_memory(tmp_path):
     """tree:n=100000 through ``binox explore`` and ``binox check`` child
-    processes: halted at <= 2 moves/vertex, all five checks pass, explore
-    and check each below 300 MB peak RSS; each streams the trace instead of
-    holding it (run with ``-m slow``)."""
+    processes: halted at <= 2 moves/vertex, the ``--map`` file reloads as a
+    graph rooted-isomorphic to the tree, all five checks pass, explore
+    (with ``--map``) below 230 MB and check below 270 MB peak RSS; each
+    streams the trace instead of holding it (run with ``-m slow``)."""
     g, trace, out = tmp_path / "g.json", tmp_path / "t.jsonl", tmp_path / "out.txt"
-    save_graph(generate(parse_spec("tree:n=100000,seed=1", port_scheme="random:1")), g)
+    emap = tmp_path / "m.json"
+    ground = generate(parse_spec("tree:n=100000,seed=1", port_scheme="random:1"))
+    save_graph(ground, g)
     with open(out, "w") as f:
         rc, explore_mb = _binox_child(["explore", "--graph", str(g), "--root", "0",
-                                       "--trace", str(trace)], f)
+                                       "--trace", str(trace), "--map", str(emap)], f)
     words = dict(w.split("=", 1) for w in out.read_text().split())
     assert rc == 0 and words["status"] == "halted"
     assert float(words["moves_per_vertex"]) <= 2
+    assert verify_rooted_isomorphism(load_graph(emap), ground, 0).ok
     with open(out, "w") as f:
         rc, check_mb = _binox_child(["check", "--graph", str(g), "--trace", str(trace)], f)
     assert rc == 0
     report = out.read_text()
     assert "status=halted" in report
     assert all(f"{name}: pass" in report for name in ALL_CHECKS)
-    assert explore_mb < 300 and check_mb < 300, (explore_mb, check_mb)
+    assert explore_mb < 230 and check_mb < 270, (explore_mb, check_mb)

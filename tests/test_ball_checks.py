@@ -218,7 +218,7 @@ def test_sense_check_agrees_with_signatures(case, ball_damage, data):
     damaged = Ball(sensed.size, edges)
     trace.events[i] = dict(trace.events[i], ball=damaged)
     phase = max(ev["phase"] for ev in trace.events[:i] if ev["kind"] == "phase_start")
-    bad = [ph for ph, r in TraceReplay(trace.events, g).results if not r.ok]
+    bad = [ph for ph, _found in TraceReplay(trace.events, g).failed]
     assert bad == ([phase] if damaged.signature() != sensed.signature() else [])
 
 

@@ -1,19 +1,13 @@
 """The exploration algorithm: reference traces, ledger operations, cluster
 tours, and the non-halting path on bad inputs."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import binox
 from binox.explorer import (
     ClusterExplorer,
-    ClusterStack,
     ExplorationMap,
     PhaseLedger,
     PortCollisionError,
@@ -25,7 +19,8 @@ from binox.explorer import (
     plan_cluster_tour,
     record_ball,
 )
-from binox.graph import PortNumberedGraph, ball, validate
+from binox.cli import main
+from binox.graph import PortNumberedGraph, ball, load_graph, save_graph, validate
 from binox.runtime import Environment, RunTrace, run_agent
 from binox.suite import DEFAULT_CHECKS, evaluate_trace
 from binox.verify import TraceReplay, verify_rooted_isomorphism
@@ -33,10 +28,11 @@ from binox.verify import TraceReplay, verify_rooted_isomorphism
 from conftest import (
     ball_signature,
     center_edges,
-    frontier,
     gen,
     horizontal_edges,
+    phase_ledgers,
     rooted_embedding,
+    sensed_in,
     snapshots,
 )
 from homotopy_oracles import unfold_tree_cover
@@ -58,13 +54,14 @@ class TestReferenceTraces:
         assert verify_rooted_isomorphism(out.final_map, g, 0).ok
 
     def test_k3_two_moves_and_phase1_full_ball(self):
-        g, out = run("complete:3")
+        with phase_ledgers() as ledgers:
+            g, out = run("complete:3")
         assert out.status == "halted"
         assert out.moves == 2
         # after phase 1 the map is already the whole ball: K3 itself
         first = snapshots(out.trace)[0][1]
         assert set(first) == {"n", "edges"} and first["n"] == 3 and len(first["edges"]) == 3
-        assert out.final_map.explored_in == {0: 1, 1: 2, 2: 2}
+        assert sensed_in(ledgers) == {0: 1, 1: 2, 2: 2}
         assert verify_rooted_isomorphism(out.final_map, g, 0).ok
 
     def test_single_vertex_graph(self):
@@ -133,9 +130,8 @@ class TestLedgerOperations:
         g = gen("complete:3")
         emap = ExplorationMap()
         n0 = emap.add_vertex()
-        emap.cluster_of[n0] = 0
         ledger = PhaseLedger()
-        record_ball(emap, ledger, n0, ball(g, 0).relabel([0, 1, 2]), 1)
+        record_ball(ledger, n0, ball(g, 0).relabel([0, 1, 2]))
         return g, emap, ledger, n0
 
     def test_k3_phase1_harvest(self):
@@ -169,7 +165,7 @@ class TestLedgerOperations:
         emap = ExplorationMap()
         n0 = emap.add_vertex()
         ledger = PhaseLedger()
-        record_ball(emap, ledger, n0, ball(g, 0).relabel([0, 1, 2]), 1)
+        record_ball(ledger, n0, ball(g, 0).relabel([0, 1, 2]))
         harvest_ledger(emap, ledger, n0)
         assert len(ledger.pre_vertices) == 2
         assert ledger.equiv_pairs == [] and ledger.horizontal == set()
@@ -201,10 +197,9 @@ class TestLedgerOperations:
         emap.add_edge(n0, 0, A, 0)
         emap.add_edge(n0, 1, B, 0)
         emap.add_edge(A, 1, B, 1)
-        emap.explored_in[n0] = 1
         ledger = PhaseLedger()
-        record_ball(emap, ledger, A, ball(g, 1).relabel(list(range(4))), 2)
-        record_ball(emap, ledger, B, ball(g, 2).relabel(list(range(4))), 2)
+        record_ball(ledger, A, ball(g, 1).relabel(list(range(4))))
+        record_ball(ledger, B, ball(g, 2).relabel(list(range(4))))
         harvest_ledger(emap, ledger, A)
         harvest_ledger(emap, ledger, B)
         assert sorted(ledger.pre_vertices) == [(A, 2), (B, 2)]
@@ -227,7 +222,6 @@ class TestLedgerOperations:
             emap = ExplorationMap()
             for n in range(4):
                 emap.add_vertex()
-                emap.explored_in[n] = 1
             assert apply_ledger(emap, ledger) == [4]
 
     def test_port_collision_raises(self):
@@ -402,24 +396,6 @@ class TestClusterTour:
             plan_cluster_tour(emap, 0, [1])
 
 
-class TestClusterStack:
-    def test_lifo_and_push_once(self):
-        st = ClusterStack()
-        st.push(0)
-        st.push(1)
-        assert st.pop() == 1
-        with pytest.raises(AssertionError):
-            st.push(0)
-
-    def test_guard_holds_under_python_O(self):
-        code = "from binox.explorer import ClusterStack\nst = ClusterStack()\nst.push(3)\nst.push(3)\n"
-        env = {**os.environ, "PYTHONPATH": str(Path(binox.__file__).resolve().parents[1])}
-        r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                           text=True, env=env, timeout=60)
-        assert r.returncode == 1
-        assert "ExplorerInvariantError: cluster 3 pushed twice" in r.stderr
-
-
 def interval_violation_gadget():
     """v0 with neighbours u, x, v chained u-x-v; w above adjacent to u and v
     only. The predecessors {u, v} of w are not connected: the interval
@@ -464,15 +440,21 @@ class TestNonWeetmanInputs:
 
 
 class TestMapExport:
-    def test_snapshot_carries_cir_vis_homebase(self):
-        g, out = run("complete:3")
-        snap = out.final_map.snapshot()
-        assert snap["homebase"] == 0
-        assert set(snap) == {"n", "edges", "cir", "vis", "homebase"}
-        assert snap["cir"][0] == 0
-        assert all(v is not None for v in snap["vis"].values())
-        # vis of the homebase is overwritten by its phase-1 visit
-        assert snap["vis"][0] == 1
+    @pytest.mark.parametrize("spec,root", [
+        ("tree:n=40,seed=2", 7),
+        ("chordal:n=30,rate=0.4,seed=5", 3),
+        ("johnson:5,2", 4),
+    ])
+    def test_map_file_is_the_final_map_in_the_graph_format(self, tmp_path, capsys, spec, root):
+        g = gen(spec, "random:1")
+        graph, written, expected = tmp_path / "g.json", tmp_path / "m.json", tmp_path / "e.json"
+        save_graph(g, graph)
+        assert main(["explore", "--graph", str(graph), "--root", str(root), "--map", str(written)]) == 0
+        _, out = run(g, root=root)
+        assert out.status == "halted"
+        save_graph(out.final_map, expected)
+        assert written.read_bytes() == expected.read_bytes()
+        assert verify_rooted_isomorphism(load_graph(written), g, root).ok
 
     def test_exported_map_reloads_as_a_valid_graph(self):
         from binox.graph import validate
@@ -504,9 +486,10 @@ class TestMapBalls:
     def test_signature_on_a_budget_exhausted_partial_map(self, k):
         g = gen(f"cycle:{k}", "random:3")
         explorer = ClusterExplorer()
-        out = run_agent(explorer, Environment(g, 0, 10 * g.n))
+        with phase_ledgers() as ledgers:
+            out = run_agent(explorer, Environment(g, 0, 10 * g.n))
         assert out.status == "budget_exhausted"
         emap = explorer.partial_result()
-        assert frontier(emap)  # the cut-off map still has unexplored vertices
+        assert emap.n > len(sensed_in(ledgers))  # the cut-off map still has unexplored vertices
         for n in range(emap.n):
             assert ball_signature(emap, n) == emap.local_ball(n).signature()

@@ -1,11 +1,14 @@
 """Generators and the structural condition checkers."""
 
 from itertools import combinations
+from unittest import mock
 
 import networkx as nx
 import pytest
 
+from binox import families
 from binox.families import (
+    ConditionReport,
     check_interval_condition,
     check_triangle_condition,
     generate,
@@ -177,6 +180,31 @@ class TestWeetman:
     @pytest.mark.parametrize("spec", ["johnson:4,2", "johnson:5,2", "johnson:6,2"])
     def test_johnson_graphs(self, spec):
         assert is_weetman(gen(spec)).holds
+
+    @pytest.mark.parametrize("spec", [
+        "chordal:n=30,rate=0.4,seed=1", "johnson:5,2", "tree:n=20,seed=2", "cycle:4", "cycle:5",
+    ])
+    def test_one_layering_per_root_and_the_verdict_of_both_checks(self, spec):
+        # C4 fails only the interval condition, C5 the triangle condition
+        g = gen(spec)
+        roots = []
+        layered = families.layering
+
+        def counting(graph, v0):
+            roots.append(v0)
+            return layered(graph, v0)
+
+        with mock.patch.object(families, "layering", counting):
+            rep = is_weetman(g)
+        expected = ConditionReport(True)
+        for v0 in range(g.n):
+            failed = [r for r in (check_triangle_condition(g, v0), check_interval_condition(g, v0))
+                      if not r.holds]
+            if failed:
+                expected = failed[0]
+                break
+        assert rep == expected
+        assert roots == list(range(g.n if rep.holds else rep.witness["root"] + 1))
 
     def test_weetman_implies_cluster_tree_for_every_root(self):
         from binox.graph import SEVERAL_PARENTS, cluster_decomposition

@@ -92,9 +92,7 @@ class CountedReplay(TraceReplay):
 
 def assert_counts_and_results(trace, g):
     replay = CountedReplay(trace.events, g)
-    got = [(phase, r.ok, r.problems) for phase, r in replay.results]
-    want = [(phase, r.ok, r.problems) for phase, r in phase_reference.phase_invariants(trace, g)]
-    assert got == want
+    assert (replay.failed, replay.ended) == phase_reference.failed_and_ended(trace, g)
     final = replay.graph()
     if final is not None:
         assert final._horizontal_counts == recount(final._nbrs)

@@ -13,7 +13,7 @@ from binox.runtime import Environment, RunTrace
 from binox.verify import TraceReplay
 
 import phase_reference
-from conftest import gen, snapshots
+from conftest import gen, phase_ledgers, sensed_in, snapshots
 
 SPECS = (
     [f"chordal:n={n},rate={r},seed={s}" for n in (6, 15, 30) for r in (0.0, 0.4, 0.8) for s in (1, 2)]
@@ -35,16 +35,12 @@ def explored(spec, ports, root_seed):
     return g, explore(Environment(g, root, 50 * g.n))
 
 
-def as_data(results):
-    return [(phase, r.ok, r.problems) for phase, r in results]
-
-
 def assert_agrees(trace, g):
-    """The replay's sense record, phase results and coverage are the
-    reference's; returns the replay."""
+    """The replay's sense record, failing phases, last ended phase and
+    coverage are the reference's; returns the replay."""
     replay = TraceReplay(trace.events, g)
     assert (replay.first, replay.replay_problems()) == phase_reference.first_sensed_map(trace, g)
-    assert as_data(replay.results) == as_data(phase_reference.phase_invariants(trace, g))
+    assert (replay.failed, replay.ended) == phase_reference.failed_and_ended(trace, g)
     assert replay.coverage() == phase_reference.coverage(trace, g)
     return replay
 
@@ -54,7 +50,7 @@ def assert_agrees(trace, g):
 def test_honest_runs_agree_and_pass(run):
     g, out = explored(*run)
     replay = assert_agrees(out.trace, g)
-    assert replay.results and all(r.ok for _ph, r in replay.results)
+    assert replay.ended and replay.failed == []
     if out.status == "halted":
         assert replay.coverage().ok
         assert replay.graph().to_json_dict() == out.final_map.to_json_dict()
@@ -75,12 +71,12 @@ def test_honest_runs_agree_and_pass(run):
 def test_explored_from_the_sense_replay_is_what_the_explorer_marked(spec, ports, root_seed, factor):
     # small budgets cut runs off mid-phase; cycles never halt
     g = gen(spec, f"random:{ports}")
-    out = explore(Environment(g, root_seed % g.n, max(1, int(factor * g.n))))
+    with phase_ledgers() as ledgers:
+        out = explore(Environment(g, root_seed % g.n, max(1, int(factor * g.n))))
     replay = TraceReplay(out.trace.events, g)
     first, problems = replay.first, replay.replay_problems()
     assert problems == []
-    marked = {v: ph for v, ph in out.final_map.explored_in.items() if ph is not None}
-    assert {v: ph for v, (ph, _u) in first.items()} == marked
+    assert {v: ph for v, (ph, _u) in first.items()} == sensed_in(ledgers)
 
 
 def _pick_edge(deltas, data):
@@ -263,10 +259,11 @@ def test_checks_postponed_while_phi_is_partial_are_caught_up():
     d3["edges"].append(d1["edges"].pop(0))
     a, b, pa, pb = d2["edges"][0]
     d2["edges"][0] = (a, b, pa, pb + g.n)
-    results = assert_agrees(trace, g).results
-    assert [r.problems[-1] for _ph, r in results[:2]] == ["frontier vertex 1 has no explored neighbour"] * 2
-    assert any(p.startswith("edge 2-3") for p in results[2][1].problems)
-    assert not any("refused" in p for _ph, r in results for p in r.problems)
+    failed = assert_agrees(trace, g).failed
+    assert [ph for ph, _found in failed[:3]] == [1, 2, 3]
+    assert [found[-1] for _ph, found in failed[:2]] == ["frontier vertex 1 has no explored neighbour"] * 2
+    assert any(p.startswith("edge 2-3") for p in failed[2][1])
+    assert not any("refused" in p for _ph, found in failed for p in found)
 
 
 def copied(trace):
@@ -312,7 +309,7 @@ def test_wrong_in_port_fails_the_phase_of_its_move():
     trace.events[i]["in"] = trace.events[j]["arrival"] = 100
     problem = f"move 1: arrived on port {true_in}, trace says 100"
     replay = assert_agrees(trace, g)
-    assert [(ph, r.problems) for ph, r in replay.results if not r.ok] == [(2, [problem])]
+    assert replay.failed == [(2, [problem])]
     assert replay.coverage().problems == [problem]
 
 
@@ -321,7 +318,7 @@ def test_reloaded_trace_verifies_the_same(spec):
     g, out = explored(spec, "random:5", 0)
     loaded = RunTrace.from_jsonl(out.trace.to_jsonl())
     replay, loaded_replay = TraceReplay(out.trace.events, g), TraceReplay(loaded.events, g)
-    assert as_data(loaded_replay.results) == as_data(replay.results)
+    assert (loaded_replay.failed, loaded_replay.ended) == (replay.failed, replay.ended)
     assert loaded_replay.coverage() == replay.coverage()
     assert loaded_replay.graph().edges == replay.graph().edges
 

@@ -389,4 +389,4 @@ def test_reader_hands_on_each_chunk_before_it_reads_the_next():
     # at most one chunk read ahead of the phase_end being replayed
     assert all(end <= got < end + TRACE_CHUNK for end, got in zip(ends, at_phase_end))
     assert pulled == len(lines) and replay.last == {"kind": "halt"}
-    assert all(r.ok for _, r in replay.results)
+    assert replay.ended == len(ends) and replay.failed == []

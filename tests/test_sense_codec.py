@@ -477,8 +477,8 @@ def test_the_ledger_and_the_trace_share_each_sensed_ball():
     recorded = []
     record_ball = explorer.record_ball
 
-    def spy(emap, ledger, n, sensed, phase):
-        record_ball(emap, ledger, n, sensed, phase)
+    def spy(ledger, n, sensed):
+        record_ball(ledger, n, sensed)
         recorded.append(ledger.balls[n])
 
     env = Environment(gen("johnson:6,2", "random:3"), 0, 10_000)

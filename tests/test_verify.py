@@ -96,17 +96,15 @@ class TestPhaseInvariants:
     ])
     def test_pass_on_weetman_runs(self, spec, root):
         g, out = run(spec, root=root)
-        results = TraceReplay(out.trace.events, g).results
-        assert results, "no phases recorded"
-        assert all(r.ok for _ph, r in results), [
-            (ph, r.problems[:2]) for ph, r in results if not r.ok
-        ]
+        replay = TraceReplay(out.trace.events, g)
+        assert replay.ended, "no phases recorded"
+        assert replay.failed == [], [(ph, found[:2]) for ph, found in replay.failed]
 
     def test_hold_per_phase_even_on_non_halting_runs(self):
         # the per-phase map invariants hold on every graph until an error
         g, out = run("cycle:6")
-        results = TraceReplay(out.trace.events, g).results
-        assert all(r.ok for _ph, r in results)
+        replay = TraceReplay(out.trace.events, g)
+        assert replay.ended and replay.failed == []
 
     def test_corrupted_snapshot_breaks_surjectivity(self):
         # A halted run's last phase adds no vertices and so no edges. The
@@ -133,9 +131,9 @@ class TestPhaseInvariants:
         delta["edges"].remove(edge)
         replay = TraceReplay(trace.events, g)
         assert replay.replay_problems() == []
-        results = dict(replay.results)
-        assert not results[final_phase].ok
-        assert any("surjectivity" in p for p in results[final_phase].problems)
+        failed = dict(replay.failed)
+        assert final_phase in failed
+        assert any("surjectivity" in p for p in failed[final_phase])
 
     def test_failed_sense_in_a_phase_that_never_ended_is_reported(self):
         # one move senses a neighbour in phase 2, the second ends the budget
@@ -148,13 +146,13 @@ class TestPhaseInvariants:
         i = max(k for k, ev in enumerate(trace.events) if ev["kind"] == "sense")
         b = trace.events[i]["ball"]
         assert max(ev["phase"] for ev in trace.events[:i] if ev["kind"] == "phase_start") == ended + 1
-        assert [ph for ph, r in TraceReplay(trace.events, g).results] == list(range(1, ended + 1))
+        replay = TraceReplay(trace.events, g)
+        assert (replay.ended, replay.failed) == (ended, [])
         trace.events[i] = dict(trace.events[i], ball=Ball(b.size, [(0, 1, 0, 0), (0, 2, 1, 9)]))
-        results = TraceReplay(trace.events, g).results
-        assert [ph for ph, r in results] == list(range(1, ended + 2))
-        assert all(r.ok for ph, r in results[:-1])
-        assert not results[-1][1].ok
-        assert results[-1][1].problems[0].endswith("the ball is not the ground ball")
+        replay = TraceReplay(trace.events, g)
+        assert replay.ended == ended
+        assert [ph for ph, _found in replay.failed] == [ended + 1]
+        assert replay.failed[0][1][0].endswith("the ball is not the ground ball")
 
     def test_walk_off_the_map_in_a_phase_that_never_ended_is_reported(self):
         # the one move of a budget of 1 lies in phase 2, which never ends
@@ -165,12 +163,11 @@ class TestPhaseInvariants:
         ended = snapshots(trace)[-1][0]
         move = moves(trace)[-1]
         move["out"] += 1000
-        results = TraceReplay(trace.events, g).results
-        assert [ph for ph, r in results] == list(range(1, ended + 2))
-        assert all(r.ok for ph, r in results[:-1])
-        assert results[-1][1].problems == [
+        replay = TraceReplay(trace.events, g)
+        assert replay.ended == ended
+        assert replay.failed == [(ended + 1, [
             f"trace walks port {move['out']} at map vertex 0 which is not in the map"
-        ]
+        ])]
 
     def test_phase1_map_is_the_homebase_ball(self):
         g, out = run("johnson:5,2")
