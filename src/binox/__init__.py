@@ -45,7 +45,7 @@ from .runtime import (
     run_agent,
 )
 from .suite import ExperimentConfig, RunReport, run_one, run_suite
-from .verify import CheckResult, verify_rooted_isomorphism
+from .verify import verify_rooted_isomorphism
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Phase-based exploration that builds a map of an anonymous graph.
 
 The agent explores one cluster per phase (clusters of its own map, tracked by
-a stack in DFS order). During a phase it walks the cluster, senses the
-radius-1 ball at each cluster vertex, and collects a phase-local ledger:
+a stack in DFS order). During a phase it walks to the cluster, tours it by
+a DFS that moves as it goes, senses the radius-1 ball at each cluster vertex
+once, and collects a phase-local ledger:
 
 * pre-vertices (n, p, q): ball edges at an explored map vertex n with no
   matching labelled edge in the map yet; each class of these becomes one new
@@ -65,66 +66,26 @@ class PhaseLedger:
         self.balls = {}          # map vertex -> sensed Ball (center = 0)
 
 
-def plan_cluster_tour(emap, start, cluster):
-    """Moves that reach ``cluster`` from ``start`` and visit all of it.
-
-    Approach: shortest map path to the nearest cluster vertex (BFS expanding
-    ports in ascending order, so ties break toward small ports). Tour: DFS
-    over a smallest-port-first spanning tree of the cluster's induced map
-    subgraph, with the trailing backtracks after the last first-visit
-    trimmed. Returns a list of (out_port, target_map_vertex) steps.
-    """
-    members = set(cluster)
-    moves = []
-    if start in members:
-        entry = start
-    else:
-        prev = {start: None}
-        queue = deque([start])
-        entry = None
-        while queue:
-            x = queue.popleft()
-            if x in members:
-                entry = x
-                break
-            for p in emap.ports(x):
-                y = emap.step(x, p)[0]
-                if y not in prev:
-                    prev[y] = (x, p)
-                    queue.append(y)
-        if entry is None:
-            raise RuntimeError(f"cluster {sorted(members)} unreachable in map")
-        path = []
-        x = entry
-        while prev[x] is not None:
-            x, p = prev[x]
-            path.append(p)
-        path.reverse()
-        x = start
-        for p in path:
+def approach_path(emap, start, members):
+    """The out-ports of a shortest map path from ``start`` to the nearest
+    vertex of ``members``, [] when ``start`` is one. The BFS expands ports
+    in ascending order, so ties break toward small ports."""
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        if x in members:
+            path = []
+            while prev[x] is not None:
+                x, p = prev[x]
+                path.append(p)
+            return path[::-1]
+        for p in emap.ports(x):
             y = emap.step(x, p)[0]
-            moves.append((p, y))
-            x = y
-    visited = {entry}
-    last = len(moves)  # the index after the last first visit; keeps the approach
-    # DFS by an explicit stack of (vertex, its ports left, the move back to
-    # its parent): a cluster's tree can be deeper than Python's call stack.
-    stack = [(entry, iter(emap.ports(entry)), None)]
-    while stack:
-        x, ports, back = stack[-1]
-        for p in ports:
-            y, q = emap.step(x, p)
-            if y in members and y not in visited:
-                visited.add(y)
-                moves.append((p, y))
-                last = len(moves)
-                stack.append((y, iter(emap.ports(y)), (q, x)))
-                break
-        else:
-            stack.pop()
-            if back is not None:
-                moves.append(back)
-    return moves[:last]
+            if y not in prev:
+                prev[y] = (x, p)
+                queue.append(y)
+    raise RuntimeError(f"cluster {sorted(members)} unreachable in map")
 
 
 def record_ball(ledger, n, sensed):
@@ -132,6 +93,48 @@ def record_ball(ledger, n, sensed):
     if n in ledger.balls:
         raise ExplorerInvariantError(f"map vertex {n} sensed twice in one phase")
     ledger.balls[n] = sensed
+
+
+def _cross(env, emap, x, p):
+    """Move the agent from map vertex x through port p; the error path if
+    it arrives through another port than the map edge's far one. Returns
+    the map vertex reached."""
+    y, q = emap.step(x, p)
+    in_port = env.move(p)
+    if in_port != q:
+        env.declare_error(f"arrived through port {in_port}, map expected {q}")
+    return y
+
+
+def walk_cluster(env, emap, ledger, pos, cluster):
+    """Move the agent from map vertex ``pos`` to ``cluster`` along
+    ``approach_path`` and tour it by a DFS that moves as it goes: smallest
+    port first, only into cluster vertices not sensed yet, sensing each into
+    the phase's fresh ``ledger``, up to the last first visit. The explicit
+    stack of (vertex, its ports left, the port back) allows a cluster's tree
+    deeper than Python's call stack. Returns the agent's map vertex."""
+    members = set(cluster)
+    for p in approach_path(emap, pos, members):
+        pos = _cross(env, emap, pos, p)
+    record_ball(ledger, pos, env.sense().ball)
+    stack = [(pos, iter(emap.ports(pos)), None)]
+    while len(ledger.balls) < len(members):
+        if not stack:
+            missed = sorted(members - ledger.balls.keys())
+            raise ExplorerInvariantError(f"tour missed cluster vertices {missed}")
+        x, ports, back = stack[-1]
+        for p in ports:
+            y, q = emap.step(x, p)
+            if y in members and y not in ledger.balls:
+                _cross(env, emap, x, p)
+                record_ball(ledger, y, env.sense().ball)
+                stack.append((y, iter(emap.ports(y)), q))
+                break
+        else:
+            stack.pop()
+            if back is not None:
+                _cross(env, emap, x, back)
+    return stack[-1][0]
 
 
 def harvest_ledger(emap, ledger, n):
@@ -262,7 +265,7 @@ class ClusterExplorer:
             env.trace.log_phase_start(phase)
             cluster = stack.pop()
             ledger = PhaseLedger()
-            pos = self._explore_cluster(env, emap, ledger, pos, cluster)
+            pos = walk_cluster(env, emap, ledger, pos, cluster)
             for n in cluster:
                 harvest_ledger(emap, ledger, n)
             known = emap.m  # the edges before this phase's
@@ -278,31 +281,6 @@ class ClusterExplorer:
             stack += discover_new_clusters(emap, new_ids)
             env.trace.log_phase_end(phase, {"n": emap.n, "edges": sorted(emap.edges[known:])})
         return emap
-
-    def _explore_cluster(self, env, emap, ledger, pos, cluster):
-        waiting = set(cluster)
-        if pos in waiting:
-            record_ball(ledger, pos, env.sense().ball)
-            waiting.discard(pos)
-        for (p, target) in plan_cluster_tour(emap, pos, cluster):
-            in_port = env.move(p)
-            expected = emap.step(pos, p)
-            if expected is None or expected[0] != target:
-                raise ExplorerInvariantError(
-                    f"tour step from map vertex {pos} on port {p} leads to "
-                    f"{expected}, planned {target}"
-                )
-            if expected[1] != in_port:
-                env.declare_error(
-                    f"arrived through port {in_port}, map expected {expected[1]}"
-                )
-            pos = target
-            if pos in waiting:
-                record_ball(ledger, pos, env.sense().ball)
-                waiting.discard(pos)
-        if waiting:
-            raise ExplorerInvariantError(f"tour missed cluster vertices {sorted(waiting)}")
-        return pos
 
 
 def explore(env):

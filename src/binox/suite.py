@@ -176,13 +176,13 @@ def evaluate_trace(events, g, checks):
     if halted:
         final_map = replay.graph() if needs_map else None
         if checks.get("final_isomorphism"):
-            r = verify_rooted_isomorphism(final_map, g, root)
-            results["final_isomorphism"] = r.ok
-            problems.extend(f"isomorphism: {p}" for p in r.problems[:3])
+            found = verify_rooted_isomorphism(final_map, g, root)
+            results["final_isomorphism"] = not found
+            problems.extend(f"isomorphism: {p}" for p in found[:3])
         if checks.get("coverage"):
-            r = replay.coverage()
-            results["coverage"] = r.ok
-            problems.extend(f"coverage: {p}" for p in r.problems[:3])
+            found = replay.coverage()
+            results["coverage"] = not found
+            problems.extend(f"coverage: {p}" for p in found[:3])
         if checks.get("covering"):
             phi, phi_problems = replay.final_phi()
             if phi is None:

@@ -11,18 +11,7 @@ explored vertices), port-preserving homomorphism phase by phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graph import PortCollisionError, PortNumberedGraph, ball
-
-
-@dataclass
-class CheckResult:
-    ok: bool
-    problems: list = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
 
 
 def _forced_image(sub, big, sub_root, big_root, problems):
@@ -60,7 +49,7 @@ def _forced_image(sub, big, sub_root, big_root, problems):
 def verify_rooted_isomorphism(pg, g, v0):
     """The forced traversal of the map ``pg`` (a PortNumberedGraph) from its
     homebase 0 and of g from v0 must be a bijection that keeps every port
-    set: either it is, or a concrete mismatch is reported."""
+    set: returns its concrete mismatches, [] when it is."""
     problems = []
     if pg.n != g.n:
         problems.append(f"vertex count: map has {pg.n}, graph has {g.n}")
@@ -70,7 +59,7 @@ def verify_rooted_isomorphism(pg, g, v0):
             problems.append(f"port set at map vertex {n}: {pg.ports(n)} vs {g.ports(u)} at {u}")
     if not problems and len(image) != g.n:
         problems.append(f"ground vertices unreached: {g.n - len(image)}")
-    return CheckResult(not problems, problems)
+    return problems
 
 
 class TraceReplay:
@@ -82,11 +71,13 @@ class TraceReplay:
     edges in the map at the end of phase i-1) and over the ground, its in-port compared with the ground's; a sense is
     compared with the ground truth and the first sense of each map vertex
     recorded in ``first`` (vertex -> (phase, ground vertex)); a phase_end
-    folds in its delta, makes the vertices first sensed in the phase
-    explored and, if the phase has problems, adds (phase, problems) to
+    folds in its delta and, if the phase has problems, adds (phase, problems) to
     ``failed``, as does, at the end, a phase that never ended but has a
     problem. Once the map walk stops, the ground walk goes on alone for
     ``coverage``.
+
+    The explored map vertices are the keys of ``first``: the checks read
+    them only while a phase_end is folded in, when all are explored.
 
     The deltas grow ``map`` through ``add_vertex`` and ``add_edge``, as the
     explorer grows its own. A delta edge that does not fit (a self edge, a
@@ -107,7 +98,6 @@ class TraceReplay:
     def __init__(self, events, g):
         self.g = g
         self.first = {}
-        self.explored = set()
         self.map = PortNumberedGraph(0, [])
         self.refused = []  # the problem of each delta edge left out of the map
         self.phi = {}  # vertex -> ground vertex, where defined
@@ -221,8 +211,8 @@ class TraceReplay:
 
     def apply(self, delta, newly):
         """Fold in one phase: its delta, and the vertices ``newly`` first
-        sensed in it become explored. Returns every problem of the map so
-        far."""
+        sensed in it, explored from now on, are dirty. Returns every problem
+        of the map so far."""
         m = self.map
         dirty = set(range(m.n, delta["n"]))
         for _ in range(m.n, delta["n"]):
@@ -237,7 +227,6 @@ class TraceReplay:
                 dirty.add(b)
             else:
                 self.refused.append(f"delta edge {a}-{b} ({pa},{pb}) refused: {why}")
-        self.explored.update(newly)
         dirty.update(newly)
         for v in self._with_neighbours(dirty):
             if self._update_phi(v):
@@ -292,7 +281,7 @@ class TraceReplay:
         unvisited = [v for v in range(self.g.n) if v not in self.visited]
         if unvisited:
             problems.append(f"unvisited ground vertices: {unvisited}")
-        return CheckResult(not problems, problems)
+        return problems
 
     def _with_neighbours(self, vertices):
         out = set(vertices)
@@ -306,16 +295,16 @@ class TraceReplay:
         (explored end, port); the edge checks test path independence."""
         old = self.phi.pop(v, None)
         self.phi_fail.pop(v, None)
-        explored = self.explored
-        if v in explored:
-            self.phi[v] = self.first[v][1]
+        first = self.first
+        if v in first:
+            self.phi[v] = first[v][1]
             return self.phi[v] != old
-        incident = [(w, pw) for w, (_pv, pw) in self.map._nbrs[v].items() if w in explored]
+        incident = [(w, pw) for w, (_pv, pw) in self.map._nbrs[v].items() if w in first]
         if not incident:
             self.phi_fail[v] = f"frontier vertex {v} has no explored neighbour"
             return old is not None
         m, p = min(incident)
-        u = self.first[m][1]
+        u = first[m][1]
         step = self.g.step(u, p)
         if step is None:
             self.phi_fail[v] = f"frontier vertex {v}: ground has no port {p} at {u}"
@@ -351,7 +340,7 @@ class TraceReplay:
                     f"both map to ground {fm}"
                 )
             images[fm] = m
-        if n not in self.explored:
+        if n not in self.first:
             return problems
         fn = phi[n]
         if len(images) != g.degree(fn) or not all(g.has_edge(fn, x) for x in images):

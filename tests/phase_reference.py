@@ -17,7 +17,6 @@ only for small test graphs; the replay's ``first`` and
 """
 
 from binox.graph import PortNumberedGraph, ball
-from binox.verify import CheckResult
 
 from conftest import ball_signature, snapshots
 
@@ -240,9 +239,10 @@ def check_snapshot(snap, phi, g, explored):
 
 
 def phase_invariants(trace, g):
-    """Per phase_end: the phase's sense mismatches, where the walk stopped
-    and its vertices sensed again, then the checks of the whole map. A phase
-    that never ended comes last, if its replay has a problem."""
+    """(phase, problems) per phase_end: the phase's sense mismatches, where
+    the walk stopped and its vertices sensed again, then the checks of the
+    whole map. A phase that never ended comes last, if its replay has a
+    problem."""
     first, filed, mismatched = filed_problems(trace, g)
 
     def replay_problems(phase):
@@ -260,17 +260,17 @@ def phase_invariants(trace, g):
                 pg = PortNumberedGraph(snap["n"], snap["edges"])
                 if ball(pg, 0).signature() != ball(g, root).signature():
                     problems.append("phase 1 map is not the ball around the homebase")
-        results.append((phase, CheckResult(not problems, problems)))
+        results.append((phase, problems))
     ended = {phase for phase, _r in results}
     for phase in sorted({ph for ph, _p in mismatched + filed} - ended):
-        results.append((phase, CheckResult(False, replay_problems(phase))))
+        results.append((phase, replay_problems(phase)))
     return results
 
 
 def failed_and_ended(trace, g):
     """The (phase, problems) of each phase of ``phase_invariants`` that has
     problems, and the last phase that ended (0 when none did)."""
-    failed = [(phase, r.problems) for phase, r in phase_invariants(trace, g) if not r.ok]
+    failed = [(phase, problems) for phase, problems in phase_invariants(trace, g) if problems]
     ends = snapshots(trace)
     return failed, ends[-1][0] if ends else 0
 
@@ -315,9 +315,10 @@ def replay_ground(trace, g):
 
 
 def coverage(trace, g):
-    """Replaying the moves must visit every ground vertex at least once."""
+    """Replaying the moves must visit every ground vertex at least once:
+    the problems, [] when it does."""
     positions, problems = replay_ground(trace, g)
     unvisited = sorted(set(range(g.n)) - set(positions))
     if unvisited:
         problems.append(f"unvisited ground vertices: {unvisited}")
-    return CheckResult(not problems, problems)
+    return problems

@@ -1,5 +1,6 @@
 """Command line surface: gen / explore / check / suite."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -886,5 +887,14 @@ def test_public_surface_is_pinned():
         # binox.suite
         "ExperimentConfig", "RunReport", "run_one", "run_suite",
         # binox.verify
-        "CheckResult", "verify_rooted_isomorphism",
+        "verify_rooted_isomorphism",
     }
+
+
+def test_package_has_no_assert_statements():
+    # Consistency checks must hold under ``python -O``, which strips asserts.
+    found = []
+    for path in sorted(Path(binox.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -9,19 +9,21 @@ from hypothesis import given, settings, strategies as st
 from binox.explorer import (
     ClusterExplorer,
     ExplorationMap,
+    ExplorerInvariantError,
     PhaseLedger,
     PortCollisionError,
     apply_ledger,
+    approach_path,
     check_local_iso,
     discover_new_clusters,
     explore,
     harvest_ledger,
-    plan_cluster_tour,
     record_ball,
+    walk_cluster,
 )
 from binox.cli import main
 from binox.graph import PortNumberedGraph, ball, load_graph, save_graph, validate
-from binox.runtime import Environment, RunTrace, run_agent
+from binox.runtime import Environment, ExplorationError, RunTrace, run_agent
 from binox.suite import DEFAULT_CHECKS, evaluate_trace
 from binox.verify import TraceReplay, verify_rooted_isomorphism
 
@@ -51,7 +53,7 @@ class TestReferenceTraces:
         assert out.moves == 2
         phases = [p for p, _ in snapshots(out.trace)]
         assert phases == [1, 2, 3]
-        assert verify_rooted_isomorphism(out.final_map, g, 0).ok
+        assert verify_rooted_isomorphism(out.final_map, g, 0) == []
 
     def test_k3_two_moves_and_phase1_full_ball(self):
         with phase_ledgers() as ledgers:
@@ -62,7 +64,7 @@ class TestReferenceTraces:
         first = snapshots(out.trace)[0][1]
         assert set(first) == {"n", "edges"} and first["n"] == 3 and len(first["edges"]) == 3
         assert sensed_in(ledgers) == {0: 1, 1: 2, 2: 2}
-        assert verify_rooted_isomorphism(out.final_map, g, 0).ok
+        assert verify_rooted_isomorphism(out.final_map, g, 0) == []
 
     def test_single_vertex_graph(self):
         g, out = run("path:1")
@@ -75,7 +77,7 @@ class TestReferenceTraces:
         emap = out.final_map
         assert max(emap.degree(n) for n in range(emap.n)) <= 2
         cover, _proj, _b = unfold_tree_cover(g, 0, emap.n)
-        assert rooted_embedding(emap, cover, 0, 0).ok
+        assert rooted_embedding(emap, cover, 0, 0) == []
 
     @pytest.mark.parametrize("spec,root", [
         ("johnson:4,2", 0),
@@ -89,14 +91,14 @@ class TestReferenceTraces:
     def test_weetman_inputs_halt_with_isomorphic_map(self, spec, root):
         g, out = run(spec, root=root)
         assert out.status == "halted"
-        assert verify_rooted_isomorphism(out.final_map, g, root).ok
+        assert verify_rooted_isomorphism(out.final_map, g, root) == []
 
     def test_arbitrary_port_numbers_explored_fine(self):
         # ports need not be 0..deg-1; the agent never assumes contiguity
         g = PortNumberedGraph(3, [(0, 1, 5, 9), (1, 2, 3, 40), (0, 2, 2, 0)])
         _, out = run(g, root=1)
         assert out.status == "halted"
-        assert verify_rooted_isomorphism(out.final_map, g, 1).ok
+        assert verify_rooted_isomorphism(out.final_map, g, 1) == []
 
     def test_each_vertex_sensed_exactly_once_on_halting_runs(self):
         # approach walks through explored vertices never re-record
@@ -337,6 +339,29 @@ def test_sparse_large_ports_explore_like_their_ranks(spec, ports, seed):
     assert RunTrace.from_jsonl(text).to_jsonl() == text
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["tree:n=30,seed=1", "tree:n=60,seed=8", "chordal:n=30,rate=0.5,seed=4",
+                     "chordal:n=40,rate=0.2,seed=7", "johnson:5,2", "johnson:6,3"]),
+    st.sampled_from(["canonical", "random:3", "random:29"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([0.5, 1, 1.5, 3, 50]),
+)
+def test_no_move_between_a_phase_last_sense_and_its_end(spec, ports, root_seed, factor):
+    """A tour stops at its last first visit: in every phase that ends, no
+    move comes after the phase's last sense."""
+    g = gen(spec, ports)
+    _, out = run(g, root=root_seed % g.n, factor=factor)
+    last = None  # the kind of the phase's last sense or move
+    for ev in out.trace.events:
+        if ev["kind"] in ("sense", "move"):
+            last = ev["kind"]
+        elif ev["kind"] == "phase_start":
+            last = None
+        elif ev["kind"] == "phase_end":
+            assert last == "sense", f"phase {ev['phase']} ends after a {last}"
+
+
 class TestClusterTour:
     def build_map(self, g):
         emap = ExplorationMap()
@@ -346,21 +371,28 @@ class TestClusterTour:
             emap.add_edge(u, pu, v, pv)
         return emap
 
+    def walk(self, g, start, cluster, emap=None):
+        """Walk ``cluster`` from ``start`` over a map of g, the agent in g
+        itself; returns the phase ledger, the environment and the end."""
+        env = Environment(g, start, 50 * g.n)
+        ledger = PhaseLedger()
+        if emap is None:
+            emap = self.build_map(g)
+        end = walk_cluster(env, emap, ledger, start, cluster)
+        return ledger, env, end
+
     def test_singleton_adjacent_cluster_is_one_move(self):
         emap = self.build_map(gen("path:3"))
-        plan = plan_cluster_tour(emap, 0, [1])
-        assert plan == [(0, 1)]
+        assert approach_path(emap, 0, {1}) == [0]
 
     def test_cluster_containing_start_has_no_approach(self):
         emap = self.build_map(gen("complete:4"))
-        plan = plan_cluster_tour(emap, 1, [1])
-        assert plan == []
+        assert approach_path(emap, 1, {1}) == []
 
     def test_k3_sibling_pair_costs_two_moves(self):
-        emap = self.build_map(gen("complete:3"))
-        plan = plan_cluster_tour(emap, 0, [1, 2])
-        assert len(plan) == 2
-        assert {t for _p, t in plan} == {1, 2}
+        ledger, env, end = self.walk(gen("complete:3"), 0, [1, 2])
+        assert env.move_count == 2
+        assert set(ledger.balls) == {1, 2} and end in (1, 2)
 
     def test_tour_visits_every_cluster_vertex(self):
         g = gen("chordal:n=40,rate=0.5,seed=13")
@@ -378,22 +410,46 @@ class TestClusterTour:
                         chunk.add(v)
                         grew = True
             start = rng.randrange(g.n)
-            plan = plan_cluster_tour(emap, start, sorted(chunk))
-            seen = {start} | {t for _p, t in plan}
-            assert chunk <= seen
-            # every step is a real map edge
+            ledger, env, end = self.walk(g, start, sorted(chunk), emap)
+            senses = [e for e in env.trace.events if e["kind"] == "sense"]
+            assert set(ledger.balls) == chunk and len(senses) == len(chunk)
             pos = start
-            for (p, target) in plan:
-                stepped = emap.step(pos, p)
-                assert stepped is not None and stepped[0] == target
-                pos = target
+            for ev in env.trace.events:
+                if ev["kind"] == "move":
+                    step = emap.step(pos, ev["out"])
+                    assert step is not None and step[1] == ev["in"]
+                    pos = step[0]
+            assert pos == end
 
     def test_unreachable_cluster_is_an_error(self):
         emap = ExplorationMap()
         emap.add_vertex()
         emap.add_vertex()  # isolated
         with pytest.raises(RuntimeError, match="unreachable"):
-            plan_cluster_tour(emap, 0, [1])
+            approach_path(emap, 0, {1})
+
+    def test_tour_missed_vertices_guard(self):
+        # 0 and 2 are not joined through cluster vertices: the DFS from 0
+        # cannot reach 2 without leaving the cluster
+        with pytest.raises(ExplorerInvariantError, match=r"missed cluster vertices \[2\]"):
+            self.walk(gen("path:3"), 0, [0, 2])
+
+    def test_arriving_through_another_port_is_the_error_path(self):
+        g = gen("path:3")
+        emap = ExplorationMap()
+        for _ in range(3):
+            emap.add_vertex()
+        emap.add_edge(0, 0, 1, 0)
+        emap.add_edge(1, 1, 2, 7)  # the ground's far port at 2 is 0
+        with pytest.raises(ExplorationError, match="arrived through port .*, map expected 7"):
+            self.walk(g, 0, [2], emap)
+
+    def test_record_ball_refuses_a_second_ball_in_one_phase(self):
+        ledger = PhaseLedger()
+        sensed = ball(gen("path:3"), 1)
+        record_ball(ledger, 4, sensed)
+        with pytest.raises(ExplorerInvariantError, match="map vertex 4 sensed twice in one phase"):
+            record_ball(ledger, 4, sensed)
 
 
 def interval_violation_gadget():
@@ -429,9 +485,8 @@ class TestNonWeetmanInputs:
     def test_gadget_map_duplicates_the_top_vertex(self):
         g = interval_violation_gadget()
         _, out = run(g)
-        mismatch = verify_rooted_isomorphism(out.final_map, g, 0)
-        assert not mismatch.ok
-        assert any("vertex count" in p for p in mismatch.problems)
+        problems = verify_rooted_isomorphism(out.final_map, g, 0)
+        assert any("vertex count" in p for p in problems)
 
     @pytest.mark.parametrize("k", range(4, 9))
     def test_cycles_never_halt(self, k):
@@ -454,7 +509,7 @@ class TestMapExport:
         assert out.status == "halted"
         save_graph(out.final_map, expected)
         assert written.read_bytes() == expected.read_bytes()
-        assert verify_rooted_isomorphism(load_graph(written), g, root).ok
+        assert verify_rooted_isomorphism(load_graph(written), g, root) == []
 
     def test_exported_map_reloads_as_a_valid_graph(self):
         from binox.graph import validate

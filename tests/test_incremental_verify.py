@@ -52,7 +52,7 @@ def test_honest_runs_agree_and_pass(run):
     replay = assert_agrees(out.trace, g)
     assert replay.ended and replay.failed == []
     if out.status == "halted":
-        assert replay.coverage().ok
+        assert replay.coverage() == []
         assert replay.graph().to_json_dict() == out.final_map.to_json_dict()
 
 
@@ -283,7 +283,7 @@ def test_coverage_walk_goes_on_where_the_map_walk_stops():
     replay = assert_agrees(trace, g)
     assert replay.walk_problem == (2, f"trace walks port {first_move['out']} at map vertex 0 "
                                       "which is not in the map")
-    assert replay.coverage().ok
+    assert replay.coverage() == []
 
 
 def test_coverage_walk_that_breaks_on_the_ground():
@@ -294,7 +294,7 @@ def test_coverage_walk_that_breaks_on_the_ground():
     k = len(moves) // 2
     moves[k]["out"] += 1000
     replay = assert_agrees(trace, g)
-    problems = replay.coverage().problems
+    problems = replay.coverage()
     assert problems[0].startswith(f"move {k + 1}: no port {moves[k]['out']} at ground ")
     assert problems[1:] and problems[-1].startswith("unvisited ground vertices: ")
 
@@ -310,7 +310,7 @@ def test_wrong_in_port_fails_the_phase_of_its_move():
     problem = f"move 1: arrived on port {true_in}, trace says 100"
     replay = assert_agrees(trace, g)
     assert replay.failed == [(2, [problem])]
-    assert replay.coverage().problems == [problem]
+    assert replay.coverage() == [problem]
 
 
 @pytest.mark.parametrize("spec", ["chordal:n=30,rate=0.4,seed=3", "cycle:7"])
