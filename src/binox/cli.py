@@ -124,7 +124,7 @@ def _cmd_check(args):
 def _cmd_suite(args):
     try:
         config = ExperimentConfig.from_json_dict(json.loads(Path(args.config).read_text()))
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, RecursionError) as e:  # RecursionError: deep nesting
         return _error(f"bad config: {e}")
     try:
         reports, summary = run_suite(config, out_dir=args.out)

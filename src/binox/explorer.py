@@ -68,14 +68,23 @@ class PhaseLedger:
 
 def approach_path(emap, start, members):
     """The out-ports of a shortest map path from ``start`` to the nearest
-    vertex of ``members``, [] when ``start`` is one. The BFS expands ports
-    in ascending order, so ties break toward small ports."""
+    vertex of ``members`` (a set), [] when ``start`` is one. The BFS
+    expands ports in ascending order, so ties break toward small ports. It
+    stops at the first member it discovers: in FIFO order that is the first
+    member a BFS would dequeue, and at the vertex x that discovers it, the
+    member on the smallest port of x. Finding it through x's neighbour set
+    spares scanning x's ports, so a hub next to the goal costs at most the
+    goal's size, not its degree."""
+    if start in members:
+        return []
+    nbrs = emap._nbrs
     prev = {start: None}
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        if x in members:
-            path = []
+        near = nbrs[x].keys() & members
+        if near:
+            path = [min(nbrs[x][y][0] for y in near)]
             while prev[x] is not None:
                 x, p = prev[x]
                 path.append(p)

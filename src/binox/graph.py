@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from binascii import a2b_base64, b2a_base64
 from collections import Counter
-from itertools import islice
-from operator import eq, lt
+from itertools import chain, islice
+from operator import eq, itemgetter, lt
 from pathlib import Path
 
 
@@ -274,17 +274,22 @@ class PortNumberedGraph:
 
     def __init__(self, n, edges, labels=None):
         self.n = int(n)
-        self.edges = [tuple(int(x) for x in e) for e in edges]
+        self.edges = list(map(tuple, edges))
+        if not set(map(type, chain.from_iterable(self.edges))) <= {int}:
+            self.edges = [tuple(int(x) for x in e) for e in self.edges]
         self.labels = dict(labels) if labels else {}
-        # out-port -> (neighbour, in-port at neighbour), and the reverse index
-        self._ports = [dict() for _ in range(self.n)]
-        self._nbrs = [dict() for _ in range(self.n)]
-        for (u, v, pu, pv) in self.edges:
-            if 0 <= u < self.n and 0 <= v < self.n and u != v:
-                self._ports[u][pu] = (v, pv)
-                self._ports[v][pv] = (u, pu)
-                self._nbrs[u][v] = (pu, pv)
-                self._nbrs[v][u] = (pv, pu)
+        # out-port -> (neighbour, in-port at neighbour), and the reverse index,
+        # of every edge whose ends are two vertex ids (validate reports any other)
+        ports = self._ports = [dict() for _ in range(self.n)]
+        nbrs = self._nbrs = [dict() for _ in range(self.n)]
+        indexed = self.edges if _ends_ok(self.edges, self.n) else [
+            e for e in self.edges if 0 <= e[0] < self.n and 0 <= e[1] < self.n and e[0] != e[1]
+        ]
+        for (u, v, pu, pv) in indexed:
+            ports[u][pu] = (v, pv)
+            ports[v][pv] = (u, pu)
+            nbrs[u][v] = (pu, pv)
+            nbrs[v][u] = (pv, pu)
         # A plain attribute, not a cached_property: filling one writes to
         # the instance __dict__, which slows every later attribute read.
         self._horizontal_counts = None
@@ -389,12 +394,50 @@ class PortNumberedGraph:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def _ends_ok(edges, n):
+    """Are both ends of every edge (a tuple of ints) vertex ids below ``n``,
+    and distinct? A few passes of builtins, no copy of the list."""
+    us, vs = itemgetter(0), itemgetter(1)
+    return not edges or (
+        min(map(us, edges)) >= 0 and min(map(vs, edges)) >= 0
+        and max(map(us, edges)) < n and max(map(vs, edges)) < n
+        and not any(map(eq, map(us, edges), map(vs, edges)))
+    )
+
+
 def validate(g):
     """Check the model invariants; returns a list of violations (empty = ok).
 
     Violations are reported, not raised, so callers can show all problems in
     a loaded file at once.
     """
+    problems = [] if _index_is_whole(g) else _edge_problems(g)
+    if g.n > 0:
+        seen = component(g, 0)
+        if len(seen) != g.n:
+            problems.append(
+                f"disconnected: {g.n - len(seen)} vertices unreachable from vertex 0"
+            )
+    return problems
+
+
+def _index_is_whole(g):
+    """Does ``_edge_problems`` find nothing? The index holds each edge whose
+    ends are distinct vertex ids once at each end (``__init__`` and
+    ``add_edge`` leave any other out). So when every port is >= 0 and
+    ``_ports`` and ``_nbrs`` each hold exactly two entries per edge, no edge
+    was left out, no (vertex, port) and no vertex pair was taken twice, and
+    no record was overwritten."""
+    m2 = 2 * len(g.edges)
+    return sum(map(len, g._ports)) == m2 == sum(map(len, g._nbrs)) and (
+        not g.edges
+        or min(map(itemgetter(2), g.edges)) >= 0 and min(map(itemgetter(3), g.edges)) >= 0
+    )
+
+
+def _edge_problems(g):
+    """The per-edge violations, in edge order, then the asymmetric records
+    of the index."""
     problems = []
     seen_pairs = set()
     out_ports_used = {}
@@ -423,12 +466,6 @@ def validate(g):
         for p, (w, q) in g._ports[v].items():
             if g._ports[w].get(q) != (v, p):
                 problems.append(f"asymmetric edge record at vertex {v} port {p}")
-    if g.n > 0:
-        seen = component(g, 0)
-        if len(seen) != g.n:
-            problems.append(
-                f"disconnected: {g.n - len(seen)} vertices unreachable from vertex 0"
-            )
     return problems
 
 
@@ -578,26 +615,30 @@ def from_json_dict(d):
     raw = d.get("edges")
     if not isinstance(raw, list):
         raise GraphFormatError('"edges" must be a list of [u, v, portAtU, portAtV]')
-    edges = []
-    for idx, e in enumerate(raw):
-        if (
-            not isinstance(e, list)
-            or len(e) != 4
-            or not all(type(x) is int for x in e)
-        ):
-            problems.append(f"edges[{idx}]: expected 4 integers, got {e!r}")
-            continue
-        edges.append(tuple(e))
-    if problems:
-        raise GraphFormatError("\n".join(problems))
-    if n > len(edges) + 1:
+    # Every item a list of four ints (by type: a JSON true is a bool), tested
+    # on the whole list at once; the per-item walk names the bad items.
+    if not (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {4}
+        and set(map(type, chain.from_iterable(raw))) <= {int}
+    ):
+        for idx, e in enumerate(raw):
+            if (
+                not isinstance(e, list)
+                or len(e) != 4
+                or not all(type(x) is int for x in e)
+            ):
+                problems.append(f"edges[{idx}]: expected 4 integers, got {e!r}")
+        if problems:
+            raise GraphFormatError("\n".join(problems))
+    if n > len(raw) + 1:
         # checked before anything is allocated per vertex
         raise GraphFormatError(
-            f'"n" is {n}, but {len(edges)} edges connect at most {len(edges) + 1} vertices'
+            f'"n" is {n}, but {len(raw)} edges connect at most {len(raw) + 1} vertices'
         )
     if "labels" in d and not isinstance(d["labels"], dict):
         raise GraphFormatError('"labels" must be a JSON object of vertex id -> label')
-    g = PortNumberedGraph(n, edges, d.get("labels"))
+    g = PortNumberedGraph(n, raw, d.get("labels"))
     violations = validate(g)
     if violations:
         raise GraphFormatError("\n".join(violations))
@@ -612,7 +653,9 @@ def load_graph(path):
         d = json.loads(Path(path).read_text())
     except OSError as e:
         raise GraphFormatError(f"{path}: cannot read: {e}") from e
-    except ValueError as e:  # not JSON, not UTF-8, or an int of more digits than int() takes
+    # not JSON, not UTF-8, an int of more digits than int() takes, or nesting
+    # deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as e:
         raise GraphFormatError(f"{path}: not valid JSON: {e}") from e
     try:
         return from_json_dict(d)

@@ -120,16 +120,17 @@ TRACE_CHUNK = 1024
 
 
 def _event_line(ev):
-    """The trace line of one event, without its newline."""
-    b = ev.get("ball")
-    if isinstance(b, Ball):
-        d = b.to_json_dict()
-        a = ev.get("arrival")
-        if (type(d["edges"]) is str and ev.keys() == _SENSE_KEYS and ev["kind"] == "sense"
-                and (a is None or type(a) is int) and type(b.size) is int):
-            return _sense_line(a, d["edges"], b.size)
-        ev = dict(ev, ball=d)
-    return _ENCODE(ev)
+    """The trace line of one event, without its newline: its kind's
+    template (``_WRITERS``) when the event has the template's exact form,
+    else ``_ENCODE``; the two give the same text."""
+    write = _WRITERS.get(ev["kind"])
+    line = write(ev) if write else None
+    if line is None:
+        b = ev.get("ball")
+        if isinstance(b, Ball):
+            ev = dict(ev, ball=b.to_json_dict())
+        line = _ENCODE(ev)
+    return line
 
 
 def read_events(lines):
@@ -139,9 +140,15 @@ def read_events(lines):
     TraceFormatError. It does unless the first event is a header of this
     TRACE_VERSION, every line is UTF-8 text and a JSON object with the
     fields of its kind (EVENT_FIELDS, NESTED_FIELDS) and valid values, and
-    the events come in order (_EventOrder). A sense line in the writer's
-    exact form is read by ``_read_sense``, with the same result; a line it
-    cannot read takes the general path."""
+    the events come in order (_EventOrder).
+
+    A sense, move, phase_start or phase_end line in the writer's exact form
+    is read by its kind's template (``_TEMPLATES``, picked by the line's
+    leading key) without ``json.loads``, with the same result. A line that
+    misses its template, or whose template reader returns None (a number of
+    more digits than ``int()`` takes, a ball or a delta that does not
+    load), takes the general path (``_read_event``), which gives the same
+    event or the same TraceFormatError."""
     map_n = 0
     order = _EventOrder()
     chunk = []
@@ -152,12 +159,15 @@ def read_events(lines):
             continue
         if not line.isascii():
             _check_text(lineno, line)
-        m = None if first else _SENSE_LINE.fullmatch(line)
-        ev = m and _read_sense(m)
+        ev = None
+        if not first:
+            template = _TEMPLATES.get(line[2:line.find('"', 2)])
+            m = template and template[0].fullmatch(line)
+            ev = m and template[1](m, map_n)
         if not ev:
             ev = _read_event(lineno, line, first, map_n)
-            if ev["kind"] == "phase_end":
-                map_n = ev["delta"]["n"]
+        if ev["kind"] == "phase_end":
+            map_n = ev["delta"]["n"]
         misplaced = order.advance(ev["kind"], ev)
         if misplaced:
             raise TraceFormatError(f"line {lineno}: {misplaced}")
@@ -187,7 +197,9 @@ def _read_event(lineno, line, first, map_n):
     after the last phase_end so far."""
     try:
         ev = json.loads(line)
-    except ValueError as e:  # JSONDecodeError, or an int of more digits than int() takes
+    # JSONDecodeError, an int of more digits than int() takes, or nesting
+    # deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as e:
         raise TraceFormatError(f"line {lineno}: not JSON: {e}") from e
     if not isinstance(ev, dict):
         raise TraceFormatError(f"line {lineno}: expected a JSON object")
@@ -211,12 +223,22 @@ def _read_event(lineno, line, first, map_n):
     return ev
 
 
-# A sense line exactly as _sense_line writes it (and _ENCODE would): a
-# packed ball, and ints in canonical decimal, which read as json.loads reads
-# them. No base64 character needs escaping in JSON.
+# The templates: each kind's line exactly as _ENCODE writes an event of that
+# kind with only its fields, ints in canonical decimal (which read as
+# json.loads reads them) and, in a sense line, a packed ball (no base64
+# character needs escaping in JSON).
+_DIGITS = r"(?:0|[1-9][0-9]*)"
+_NAT = rf"({_DIGITS})"
+_EDGE = rf"\[{_DIGITS}(?:,{_DIGITS}){{3}}\]"
 _SENSE_LINE = re.compile(
     r'\{"arrival":(null|0|[1-9][0-9]*),"ball":\{"edges":"([A-Za-z0-9+/=]*)",'
     r'"size":(0|[1-9][0-9]*)\},"kind":"sense"\}'
+)
+_MOVE_LINE = re.compile(rf'\{{"in":{_NAT},"kind":"move","out":{_NAT}\}}')
+_PHASE_START_LINE = re.compile(rf'\{{"kind":"phase_start","phase":{_NAT}\}}')
+_PHASE_END_LINE = re.compile(
+    rf'\{{"delta":\{{"edges":\[((?:{_EDGE}(?:,{_EDGE})*)?)\],"n":{_NAT}\}},'
+    rf'"kind":"phase_end","phase":{_NAT}\}}'
 )
 _SENSE_KEYS = {"arrival", "ball", "kind"}
 
@@ -228,7 +250,46 @@ def _sense_line(arrival, edges, size):
     return f'{{"arrival":{a},"ball":{{"edges":"{edges}","size":{size}}},"kind":"sense"}}'
 
 
-def _read_sense(m):
+def _write_sense(ev):
+    b, a = ev.get("ball"), ev.get("arrival")
+    if (isinstance(b, Ball) and ev.keys() == _SENSE_KEYS and (a is None or type(a) is int)
+            and type(b.size) is int):
+        edges = b.to_json_dict()["edges"]
+        if type(edges) is str:
+            return _sense_line(a, edges, b.size)
+    return None
+
+
+def _write_move(ev):
+    out, in_port = ev.get("out"), ev.get("in")
+    if type(out) is int and type(in_port) is int and len(ev) == 3:
+        return f'{{"in":{in_port},"kind":"move","out":{out}}}'
+    return None
+
+
+def _write_phase_start(ev):
+    phase = ev.get("phase")
+    if type(phase) is int and len(ev) == 2:
+        return f'{{"kind":"phase_start","phase":{phase}}}'
+    return None
+
+
+def _write_phase_end(ev):
+    phase, delta = ev.get("phase"), ev.get("delta")
+    if (type(phase) is int and len(ev) == 3 and type(delta) is dict
+            and delta.keys() == {"n", "edges"} and type(delta["n"]) is int):
+        return (f'{{"delta":{{"edges":{_ENCODE(delta["edges"])},"n":{delta["n"]}}},'
+                f'"kind":"phase_end","phase":{phase}}}')
+    return None
+
+
+# The writer of each kind's template: the line, or None when the event is
+# not in the template's form.
+_WRITERS = {"sense": _write_sense, "move": _write_move, "phase_start": _write_phase_start,
+            "phase_end": _write_phase_end}
+
+
+def _read_sense(m, map_n):
     """The sense event of a ``_SENSE_LINE`` match, or None when its ball
     does not load (the text is not canonical base64, or the structure is
     wrong); such a line takes the general path, which gives the same
@@ -240,6 +301,49 @@ def _read_sense(m):
     except ValueError:
         return None
     return {"arrival": arrival, "ball": b, "kind": "sense"}
+
+
+def _read_move(m, map_n):
+    in_port, out = m.groups()
+    try:
+        return {"in": int(in_port), "kind": "move", "out": int(out)}
+    except ValueError:  # more digits than int() takes
+        return None
+
+
+def _read_phase_start(m, map_n):
+    try:
+        return {"kind": "phase_start", "phase": int(m[1])}
+    except ValueError:
+        return None
+
+
+def _read_phase_end(m, map_n):
+    """The phase_end event of a ``_PHASE_END_LINE`` match, or None when a
+    number does not convert or ``_parse_delta`` would refuse the delta.
+    The template admits only ints >= 0, four per edge."""
+    edges, n, phase = m.groups()
+    try:
+        flat = list(map(int, edges.replace("[", "").replace("]", "").split(","))) if edges else []
+        n, phase = int(n), int(phase)
+    except ValueError:
+        return None
+    if (n < map_n or flat and max(max(flat[0::4]), max(flat[1::4])) >= n
+            or _growth_problem(n, len(flat) // 4, map_n)):
+        return None
+    it = iter(flat)
+    return {"delta": {"n": n, "edges": list(zip(it, it, it, it))}, "kind": "phase_end",
+            "phase": phase}
+
+
+# The template of each kind that has one, by the first key of its line:
+# (pattern, reader of a match and the map's vertex count so far).
+_TEMPLATES = {
+    "arrival": (_SENSE_LINE, _read_sense),
+    "in": (_MOVE_LINE, _read_move),
+    "kind": (_PHASE_START_LINE, _read_phase_start),
+    "delta": (_PHASE_END_LINE, _read_phase_end),
+}
 
 
 def _check_header(ev):
@@ -354,15 +458,22 @@ def _parse_delta(delta, map_n):
         if not (all(type(x) is int for x in e) and min(e) >= 0 and e[0] < n and e[1] < n):
             raise ValueError(f"edge {list(e)} is not [a, b, portAtA, portAtB] in a map of {n} "
                              "vertices, with ports >= 0")
-    grown = len(edges) + (map_n == 0)
-    if n - map_n > grown:
-        raise ValueError(
-            f"n={n} adds {n - map_n} vertices to the {map_n} of the map so far, "
-            f"but at most {grown} come with the delta's edges"
-        )
-    if n < 1:
-        raise ValueError("n=0: a map of 0 vertices lacks the homebase")
+    problem = _growth_problem(n, len(edges), map_n)
+    if problem:
+        raise ValueError(problem)
     return {"n": n, "edges": edges}
+
+
+def _growth_problem(n, count, map_n):
+    """Why a delta of ``count`` edges cannot take the map from ``map_n`` to
+    ``n`` vertices (see ``_parse_delta``), or None."""
+    grown = count + (map_n == 0)
+    if n - map_n > grown:
+        return (f"n={n} adds {n - map_n} vertices to the {map_n} of the map so far, "
+                f"but at most {grown} come with the delta's edges")
+    if n < 1:
+        return "n=0: a map of 0 vertices lacks the homebase"
+    return None
 
 
 class Environment:

@@ -329,25 +329,21 @@ class TraceReplay:
             self.edge_bad.pop(e, None)
 
     def _vertex_problems(self, n):
+        """n's problems: local injectivity, and at an explored n local
+        surjectivity and triangle preservation. One set of the neighbours'
+        images tests the first two; their texts are built only for a bad
+        vertex."""
         g, phi, nbrs = self.g, self.phi, self.map._nbrs
-        problems = []
-        images = {}
-        for m in sorted(nbrs[n]):
-            fm = phi[m]
-            if fm in images:
-                problems.append(
-                    f"local injectivity at {n}: neighbours {images[fm]} and {m} "
-                    f"both map to ground {fm}"
-                )
-            images[fm] = m
+        images = set(map(phi.__getitem__, nbrs[n]))
+        problems = [] if len(images) == len(nbrs[n]) else self._injectivity_problems(n)
         if n not in self.first:
             return problems
         fn = phi[n]
-        if len(images) != g.degree(fn) or not all(g.has_edge(fn, x) for x in images):
-            missing = sorted(set(g.neighbors(fn)) - set(images))
+        around = g._nbrs[fn].keys()
+        if images != around:
             problems.append(
                 f"local surjectivity at explored {n}: ground neighbours "
-                f"{missing} of {fn} not represented"
+                f"{sorted(around - images)} of {fn} not represented"
             )
             return problems
         # With every edge mapped and phi a bijection from n's neighbours
@@ -368,4 +364,19 @@ class TraceReplay:
                         f"{'mapped' if in_map else 'unmapped'} but ground "
                         f"{'has' if in_g else 'lacks'} edge {phi[a]}-{phi[b]}"
                     )
+        return problems
+
+    def _injectivity_problems(self, n):
+        """Each neighbour of n whose image an earlier one (by id) has."""
+        phi = self.phi
+        problems = []
+        images = {}
+        for m in sorted(self.map._nbrs[n]):
+            fm = phi[m]
+            if fm in images:
+                problems.append(
+                    f"local injectivity at {n}: neighbours {images[fm]} and {m} "
+                    f"both map to ground {fm}"
+                )
+            images[fm] = m
         return problems

@@ -147,11 +147,16 @@ class TestExploreAndCheck:
         assert '"labels" must be a JSON object' in err and "Traceback" not in err
 
 
+# JSON nested deeper than any decoder's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize("command", ["explore", "check"])
 @pytest.mark.parametrize("text,message", [
     ('{"n": ' + "1" * 5000 + ', "edges": []}', "not valid JSON: "),  # more digits than int() takes
     ("\udcff", "not valid JSON: "),  # not UTF-8 once written
     (None, "cannot read: "),  # no such file
+    pytest.param(DEEP, "not valid JSON: maximum recursion depth exceeded", id="deep nesting"),
 ])
 def test_unreadable_graph_file_is_an_error_not_a_traceback(tmp_path, capsys, command, text, message):
     g = tmp_path / "g.json"
@@ -279,6 +284,8 @@ class TestCheckInputs:
          f"line {PastFirstChunk.LINE}: second header"),
         (PastFirstChunk('{"in":0,"kind":"move","out":1}\udcff'),
          f"line {PastFirstChunk.LINE}: not a text file: 'utf-8' codec can't decode byte 0xff"),
+        pytest.param(lambda lines: lines[:2] + [DEEP] + lines[2:],
+                     "line 3: not JSON: maximum recursion depth exceeded", id="deep nesting"),
     ])
     def test_malformed_trace_is_an_error_not_a_traceback(self, tmp_path, capsys, damage, message):
         g, trace = self.explored(tmp_path, getattr(damage, "spec", "path:5"))
@@ -762,10 +769,12 @@ class TestSuite:
         ({"port_schemes": ["weird"]}, "bad generator spec 'path:4': unknown port scheme 'weird'"),
         ({"generators": ["path:0"]}, "bad generator spec 'path:0': path: n must be positive, got 0"),
         ({"out": 5}, '"out" must be a path or null'),
+        pytest.param('{"generators": ' + DEEP + "}", "maximum recursion depth exceeded while "
+                     "decoding a JSON array from a unicode string", id="deep nesting"),
     ])
     def test_malformed_config_is_rejected_before_any_run(self, tmp_path, capsys, bad, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"generators": ["path:4"], **bad}))
+        cfg.write_text(bad if isinstance(bad, str) else json.dumps({"generators": ["path:4"], **bad}))
         assert invoke("suite", "--config", str(cfg), "--out", str(tmp_path / "res")) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: bad config: {message}\n"

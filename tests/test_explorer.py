@@ -2,10 +2,13 @@
 tours, and the non-halting path on bad inputs."""
 
 import random
+from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binox import explorer
 from binox.explorer import (
     ClusterExplorer,
     ExplorationMap,
@@ -362,6 +365,35 @@ def test_no_move_between_a_phase_last_sense_and_its_end(spec, ports, root_seed, 
             assert last == "sense", f"phase {ev['phase']} ends after a {last}"
 
 
+APPROACH_SPECS = st.one_of(
+    st.builds("tree:n={},seed={}".format, st.integers(2, 40), st.integers(0, 9)),
+    st.builds("chordal:n={},rate=0.4,seed={}".format, st.integers(3, 40), st.integers(0, 9)),
+    st.sampled_from(["johnson:5,2", "johnson:6,3", "johnson:7,2"]),
+)
+
+
+def reference_approach_path(emap, start, members):
+    """The approach BFS that ``approach_path`` shortens: it dequeues every
+    vertex, scans its ports in ascending order and stops at the first member
+    it dequeues."""
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        if x in members:
+            path = []
+            while prev[x] is not None:
+                x, p = prev[x]
+                path.append(p)
+            return path[::-1]
+        for p in emap.ports(x):
+            y = emap.step(x, p)[0]
+            if y not in prev:
+                prev[y] = (x, p)
+                queue.append(y)
+    raise RuntimeError(f"cluster {sorted(members)} unreachable in map")
+
+
 class TestClusterTour:
     def build_map(self, g):
         emap = ExplorationMap()
@@ -420,6 +452,31 @@ class TestClusterTour:
                     assert step is not None and step[1] == ev["in"]
                     pos = step[0]
             assert pos == end
+
+    @settings(max_examples=200, deadline=None)
+    @given(APPROACH_SPECS, st.sampled_from(["canonical", "random:1", "random:4"]), st.data())
+    def test_approach_path_is_the_full_bfs_path(self, spec, ports, data):
+        emap = self.build_map(gen(spec, ports))
+        start = data.draw(st.integers(0, emap.n - 1))
+        members = set(data.draw(st.lists(st.integers(0, emap.n - 1), min_size=1, max_size=6)))
+        assert approach_path(emap, start, members) == reference_approach_path(emap, start, members)
+
+    @pytest.mark.parametrize("spec", ["tree:n=60,seed=2", "chordal:n=60,rate=0.4,seed=5",
+                                      "johnson:6,2"])
+    @pytest.mark.parametrize("ports", ["canonical", "random:1", "random:4"])
+    def test_every_approach_of_a_run_is_the_full_bfs_path(self, spec, ports):
+        g = gen(spec, ports)
+        calls = []
+
+        def checked(emap, start, members):
+            got = approach_path(emap, start, members)
+            calls.append(got == reference_approach_path(emap, start, members))
+            return got
+
+        with mock.patch.object(explorer, "approach_path", checked):
+            for root in (0, g.n - 1):
+                assert explore(Environment(g, root, 50 * g.n)).status == "halted"
+        assert calls and all(calls)
 
     def test_unreachable_cluster_is_an_error(self):
         emap = ExplorationMap()

@@ -1,5 +1,6 @@
 """Graph model: validation, balls, port navigation, layering, clusters."""
 
+import copy
 import json
 import os
 import random
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import binox
 from binox.families import _assign_ports
@@ -29,6 +31,7 @@ from binox.graph import (
     validate,
 )
 
+import loader_reference
 from conftest import (
     ball_signature,
     center_degree,
@@ -74,6 +77,91 @@ class TestValidate:
     def test_generators_produce_valid_graphs(self, spec):
         assert validate(gen(spec)) == []
         assert validate(gen(spec, ports="random:13")) == []
+
+
+LOADER_SPECS = st.one_of(
+    st.builds("tree:n={},seed={}".format, st.integers(2, 25), st.integers(0, 9)),
+    st.builds("chordal:n={},rate=0.4,seed={}".format, st.integers(3, 25), st.integers(0, 9)),
+    st.sampled_from(["johnson:5,2", "johnson:6,3", "complete:5", "path:2"]),
+)
+PORTS = st.sampled_from(["canonical", "random:1", "random:7"])
+DEFECTS = ["none", "reversed edge", "out of range", "negative id", "self loop", "parallel edge",
+           "reused port", "negative port", "bool", "three values", "not a list", "disconnected"]
+# the defects a graph built from int tuples can have
+INT_DEFECTS = [d for d in DEFECTS if d not in ("bool", "three values", "not a list")]
+
+
+def damage(d, defect, data):
+    """Give the graph dict ``d`` the defect ``defect`` (a name of DEFECTS)
+    at an edge ``data`` draws."""
+    n, edges = d["n"], d["edges"]
+    i = data.draw(st.integers(0, len(edges) - 1))
+    e = edges[i]
+    if type(e) is not list or len(e) != 4:  # an earlier defect's item
+        return
+    end, port = data.draw(st.integers(0, 1)), data.draw(st.integers(2, 3))
+    if defect == "reversed edge":
+        edges[i] = [e[1], e[0], e[3], e[2]]
+    elif defect == "out of range":
+        e[end] = n + data.draw(st.integers(0, 3))
+    elif defect == "negative id":
+        e[end] = -data.draw(st.integers(1, 3))
+    elif defect == "self loop":
+        e[1] = e[0]
+    elif defect == "parallel edge":
+        edges.insert(data.draw(st.integers(0, len(edges))),
+                     [e[1], e[0], data.draw(st.integers(0, 30)), data.draw(st.integers(0, 30))])
+    elif defect == "reused port":
+        # the port of another edge at the same end
+        w = e[port - 2]
+        taken = [f[2] if f[0] == w else f[3] for f in edges
+                 if f is not e and type(f) is list and len(f) == 4 and w in f[:2]]
+        if taken:
+            e[port] = data.draw(st.sampled_from(taken))
+    elif defect == "negative port":
+        e[port] = -data.draw(st.integers(1, 3))
+    elif defect == "bool":
+        e[data.draw(st.integers(0, 3))] = data.draw(st.booleans())
+    elif defect == "three values":
+        del e[data.draw(st.integers(0, 3))]
+    elif defect == "not a list":
+        edges[i] = data.draw(st.sampled_from([5, "abcd", None, {"a": 1, "b": 2, "c": 3, "d": 4}]))
+    elif defect == "disconnected":
+        d["n"] = n + 1
+
+
+def loaded(load, d):
+    """The graph ``load`` builds from a copy of ``d``, or its error text."""
+    try:
+        g = load(copy.deepcopy(d))
+    except GraphFormatError as e:
+        return str(e)
+    return g.n, g.edges, g._ports, g._nbrs, g.labels
+
+
+class TestLoaderAgainstReference:
+    """The bulk-checked loader against ``loader_reference``, which checks,
+    indexes and validates one edge at a time."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(LOADER_SPECS, PORTS, st.lists(st.sampled_from(DEFECTS), min_size=1, max_size=2),
+           st.data())
+    def test_from_json_dict_matches_the_reference(self, spec, ports, defects, data):
+        d = gen(spec, ports).to_json_dict()
+        for defect in defects:
+            damage(d, defect, data)
+        assert loaded(from_json_dict, d) == loaded(loader_reference.from_json_dict, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(LOADER_SPECS, PORTS, st.sampled_from(INT_DEFECTS), st.data())
+    def test_graph_index_and_validate_match_the_reference(self, spec, ports, defect, data):
+        # the graph built from tuples, as a caller in the program builds one
+        d = gen(spec, ports).to_json_dict()
+        damage(d, defect, data)
+        edges = [tuple(e) for e in d["edges"]]
+        g, ref = PortNumberedGraph(d["n"], edges), loader_reference._graph(d["n"], edges, None)
+        assert (g.edges, g._ports, g._nbrs) == (ref.edges, ref._ports, ref._nbrs)
+        assert validate(g) == loader_reference.validate(ref)
 
 
 class TestBall:

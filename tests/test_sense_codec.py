@@ -1,10 +1,12 @@
-"""The sense-line codec and the center-first ball order.
+"""The trace-line templates, the sense-line codec and the center-first ball
+order.
 
 A sense ball is written packed, as the base64 text of its flat edge list's
 bytes, whenever every value is below 256, and as the flat list otherwise.
-``to_jsonl`` writes a sense event directly and ``from_jsonl`` reads a line in
-exactly that form without ``json.loads``; both must agree with the plain
-JSON path byte for byte and error for error. A ball keeps its center edges
+``to_jsonl`` writes sense, move, phase_start and phase_end events through
+their templates and ``from_jsonl`` reads a line in exactly a template's form
+without ``json.loads``; both must agree with the plain JSON path byte for
+byte and error for error. A ball keeps its center edges
 before its horizontal ones, whatever order it was given in, and lists no
 (u, v) pair twice. In memory, every builder stores a ball's edges as bytes
 exactly when every value is below 256, and the agent and the trace share
@@ -42,16 +44,18 @@ def plain(ev):
     return json.dumps(ev, sort_keys=True, separators=(",", ":"))
 
 
-def real_sense_lines():
-    lines = []
+def real_traces():
+    """The trace lines of a run on each of SPECS."""
+    traces = []
     for spec in SPECS:
         env = Environment(gen(spec, "random:5"), 0, 10_000)
         explore(env)
-        lines += [ln for ln in env.trace.to_jsonl().splitlines() if '"kind":"sense"' in ln]
-    return lines
+        traces.append(env.trace.to_jsonl().splitlines())
+    return traces
 
 
-SENSE_LINES = real_sense_lines()
+TRACES = real_traces()
+SENSE_LINES = [ln for lines in TRACES for ln in lines if '"kind":"sense"' in ln]
 
 
 def comparable(trace):
@@ -74,7 +78,7 @@ def read(text):
 
 def read_plain(text):
     """``read`` with every line taking the json.loads path."""
-    with mock.patch.object(runtime, "_SENSE_LINE", re.compile(r"(?!)")):
+    with mock.patch.dict(runtime._TEMPLATES, clear=True):
         return read(text)
 
 
@@ -145,7 +149,15 @@ def test_a_ball_with_a_value_from_256_on_round_trips_as_a_list():
 def test_real_sense_lines_take_the_fast_path():
     for line in SENSE_LINES:
         m = runtime._SENSE_LINE.fullmatch(line)
-        assert m and runtime._read_sense(m) is not None
+        assert m and runtime._read_sense(m, 0) is not None
+
+
+def test_real_traces_take_the_general_path_only_at_the_header_and_the_end():
+    # every sense, move, phase_start and phase_end line reads through its template
+    for lines in TRACES:
+        with mock.patch.object(runtime, "_read_event", wraps=runtime._read_event) as general:
+            list(runtime.read_events(lines))
+        assert [c.args[0] for c in general.call_args_list] == [1, len(lines)]
 
 
 def _as_list(line):
@@ -376,6 +388,127 @@ def test_a_repeated_edge_is_rejected_packed_or_listed(flat):
     for edges in (flat, b64encode(bytes(flat)).decode()):
         with pytest.raises(ValueError, match=message):
             Ball.from_json_dict({"size": 4, "edges": edges})
+
+
+# -- move and phase lines ----------------------------------------------------
+
+TEMPLATED = ("move", "phase_start", "phase_end")
+
+
+def _number(line, rng, new):
+    """The line with one of its numbers, ``t``, written as ``new(t)``."""
+    spans = [m.span() for m in re.finditer(r"[0-9]+", line)]
+    a, b = rng.choice(spans)
+    return line[:a] + new(line[a:b]) + line[b:]
+
+
+def _space(line, rng):
+    spots = [i + 1 for i, c in enumerate(line) if c in ",:"]
+    i = rng.choice(spots)
+    return line[:i] + " " + line[i:]
+
+
+def _reordered(value):
+    if isinstance(value, dict):
+        return {k: _reordered(value[k]) for k in reversed(value)}
+    return value
+
+
+def _extra_key(line, rng):
+    ev = json.loads(line)
+    (ev["delta"] if "delta" in ev and rng.random() < 0.5 else ev)["note"] = 1
+    return json.dumps(ev, sort_keys=True, separators=(",", ":"))
+
+
+LINE_MUTATIONS = {
+    "none": lambda line, rng: line,
+    "leading zero": lambda line, rng: _number(line, rng, lambda t: "0" + t),
+    "2**40": lambda line, rng: _number(line, rng, lambda t: str(2**40)),
+    "halved": lambda line, rng: _number(line, rng, lambda t: str(int(t) // 2)),
+    "plus one": lambda line, rng: _number(line, rng, lambda t: str(int(t) + 1)),
+    "5000 digits": lambda line, rng: _number(line, rng, lambda t: "9" * 5000),
+    "negative": lambda line, rng: _number(line, rng, lambda t: "-" + t),
+    "true": lambda line, rng: _number(line, rng, lambda t: "true"),
+    "float": lambda line, rng: _number(line, rng, lambda t: t + ".0"),
+    "space": _space,
+    "keys reordered": lambda line, rng: json.dumps(_reordered(json.loads(line)),
+                                                   separators=(",", ":")),
+    "extra key": _extra_key,
+}
+
+
+# (trace, line number) of every line of each kind in TRACES
+KIND_LINES = {kind: [(t, i) for t, lines in enumerate(TRACES) for i, ln in enumerate(lines)
+                     if f'"kind":"{kind}"' in ln] for kind in TEMPLATED}
+
+
+def mutated_trace(trace, at, name, rng):
+    """A real trace's text with its line ``at`` changed by LINE_MUTATIONS[name]."""
+    lines = list(TRACES[trace])
+    lines[at] = LINE_MUTATIONS[name](lines[at], rng)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(LINE_MUTATIONS))
+@pytest.mark.parametrize("kind", TEMPLATED)
+def test_each_line_mutation_agrees_with_the_json_path(kind, name):
+    rng = random.Random(f"{kind} {name}")
+    for trace, at in rng.sample(KIND_LINES[kind], 12):
+        text = mutated_trace(trace, at, name, rng)
+        assert read(text) == read_plain(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TEMPLATED), st.data(), st.sampled_from(sorted(LINE_MUTATIONS)),
+       st.integers(0, 2**32))
+def test_line_reader_agrees_with_the_json_path(kind, data, name, seed):
+    trace, at = data.draw(st.sampled_from(KIND_LINES[kind]))
+    text = mutated_trace(trace, at, name, random.Random(seed))
+    assert read(text) == read_plain(text)
+
+
+scalars = st.one_of(
+    st.integers(0, 300), st.integers(2**40, 2**70), st.integers(-5, -1), st.booleans(), st.none(),
+    st.floats(allow_nan=False), st.text(max_size=3),
+)
+quads = st.lists(st.tuples(scalars, scalars, scalars, scalars), max_size=4)
+
+
+def with_extra(event, extra):
+    if extra is not None:
+        event["note"] = extra
+    return event
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(TEMPLATED), st.one_of(st.integers(0, 10**6), scalars),
+    st.one_of(st.integers(0, 10**6), scalars), st.one_of(quads, scalars),
+    st.one_of(st.none(), scalars), st.booleans(),
+)
+def test_templated_lines_are_the_json_encoding(kind, a, b, edges, extra, nested_extra):
+    if kind == "move":
+        ev = {"kind": "move", "out": a, "in": b}
+    elif kind == "phase_start":
+        ev = {"kind": "phase_start", "phase": a}
+    else:
+        delta = {"n": b, "edges": edges}
+        ev = {"kind": "phase_end", "phase": a, "delta": with_extra(delta, extra if nested_extra else None)}
+    ev = with_extra(ev, None if nested_extra else extra)
+    line = runtime._event_line(ev)
+    assert line == runtime._ENCODE(ev)
+    ints = [ev[k] for k in ("out", "in") if kind == "move"] + [ev.get("phase", 0)]
+    ints += [ev["delta"]["n"]] if kind == "phase_end" else []
+    canonical = (all(type(x) is int for x in ints) and "note" not in ev
+                 and "note" not in ev.get("delta", {}))
+    assert (runtime._WRITERS[kind](ev) is not None) == canonical
+
+
+def test_real_move_and_phase_lines_are_written_through_their_templates():
+    for lines in TRACES:
+        for ev in RunTrace.from_jsonl("\n".join(lines) + "\n").events:
+            if ev["kind"] in TEMPLATED:
+                assert runtime._WRITERS[ev["kind"]](ev) == runtime._ENCODE(ev)
 
 
 # -- center-first balls ------------------------------------------------------
