@@ -343,7 +343,9 @@ class PortNumberedGraph:
 
     def add_edge(self, a, pa, b, pb):
         """Insert edge a-b labelled (pa, pb), keeping every horizontal
-        count; returns False if the exact edge is already present, raises
+        count. Returns the set of common neighbours of a and b, the third
+        corner of each triangle the edge closes (empty when it closes none),
+        or False if the exact edge is already present; raises
         PortCollisionError for a self edge, a port already taken or a
         second edge between a and b. ``edges`` lists the edges (a < b) in
         insertion order."""
@@ -376,7 +378,7 @@ class PortNumberedGraph:
         self._nbrs[a][b] = (pa, pb)
         self._nbrs[b][a] = (pb, pa)
         self.edges.append((a, b, pa, pb) if a < b else (b, a, pb, pa))
-        return True
+        return common
 
     def to_json_dict(self):
         d = {

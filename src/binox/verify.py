@@ -85,14 +85,18 @@ class TraceReplay:
     the map: the explorer logs none of them) is left out of the map and
     filed once in ``refused``.
 
-    Deltas only add vertices and edges, so a check's inputs change only
-    around the dirty set D: new vertices, endpoints of new edges, vertices
-    explored or whose phi changed in the phase. Frontier phi is recomputed
-    next to the first three, edge checks at the edges touching D, vertex
-    checks (injectivity, surjectivity, triangles) at D and its neighbours.
-    Every phase reports all problems so far in the order a check of the
-    whole map gives: the refused delta edges, the edges in sorted order,
-    then the vertices ascending.
+    Deltas only add vertices and edges, so a phase re-checks only what it
+    changed. Let T be its new vertices, the ends of its added edges and the
+    vertices it explored (X), and C the vertices whose phi changed. phi is
+    recomputed at T and at the frontier neighbours of X (an explored vertex
+    keeps its first sense); the edge checks run on the added edges and the
+    edges at C; the vertex checks (injectivity, surjectivity, triangles) at
+    T, C, the neighbours of C and the third corner of each triangle an added
+    edge closes. While phi is partial nothing is checked and T and C wait
+    in ``stale``; once it is total again, their edges, they and their
+    neighbours are checked. Every phase reports all problems so far in the
+    order a check of the whole map gives: the refused delta edges, the
+    edges in sorted order, then the vertices ascending.
     """
 
     def __init__(self, events, g):
@@ -104,7 +108,7 @@ class TraceReplay:
         self.phi_fail = {}  # frontier vertex -> why its phi is undefined
         self.edge_bad = {}  # edge -> problem
         self.vertex_bad = {}  # vertex -> problems
-        self.stale = set()  # dirty vertices left unchecked while phi was partial
+        self.stale = set()  # vertices touched or with a new phi while phi was partial
         self.mismatched = {}  # phase -> its move and sense events that differ from the ground
         self.resensed = {}  # phase -> its senses of a vertex sensed before
         self.walk_problem = None  # (phase, where the walk left the map or the ground)
@@ -211,45 +215,78 @@ class TraceReplay:
 
     def apply(self, delta, newly):
         """Fold in one phase: its delta, and the vertices ``newly`` first
-        sensed in it, explored from now on, are dirty. Returns every problem
-        of the map so far."""
-        m = self.map
-        dirty = set(range(m.n, delta["n"]))
+        sensed in it, explored from now on. Returns every problem of the map
+        so far."""
+        m, first, nbrs = self.map, self.first, self.map._nbrs
+        touched = set(newly)  # newly, the new vertices, the ends of added edges
         for _ in range(m.n, delta["n"]):
-            m.add_vertex()
+            touched.add(m.add_vertex())
+        edges = set()  # the delta edges added, then the edges to check
+        corners = set()  # the third corners of the triangles they close
         for (a, b, pa, pb) in delta["edges"]:
             try:
-                why = None if m.add_edge(a, pa, b, pb) else "already in the map"
+                closed = m.add_edge(a, pa, b, pb)
+                why = "already in the map" if closed is False else None
             except PortCollisionError as e:
                 why = str(e)
             if why is None:
-                dirty.add(a)
-                dirty.add(b)
+                touched.add(a)
+                touched.add(b)
+                edges.add((a, b, pa, pb) if a < b else (b, a, pb, pa))
+                corners |= closed
             else:
                 self.refused.append(f"delta edge {a}-{b} ({pa},{pb}) refused: {why}")
-        dirty.update(newly)
-        for v in self._with_neighbours(dirty):
-            if self._update_phi(v):
-                dirty.add(v)
-        partial = self.phi_problem()
-        if partial is not None:
-            self.stale |= dirty
-            return self.refused + [partial]
-        dirty |= self.stale
-        self.stale = set()
-        nbrs = m._nbrs
-        for e in {(v, w, pv, pw) if v < w else (w, v, pw, pv)
-                  for v in dirty for w, (pv, pw) in nbrs[v].items()}:
-            self._check_edge(e)
-        for v in self._with_neighbours(dirty):
+        recompute = touched.copy()
+        for x in newly:
+            recompute.update(w for w in nbrs[x] if w not in first)
+        phi, changed = self.phi, []
+        for v in recompute:  # an explored vertex maps to its first sense
+            seen = first.get(v)
+            if seen is None:
+                if self._update_phi(v):
+                    changed.append(v)
+            elif phi.get(v) != seen[1]:
+                self.phi_fail.pop(v, None)
+                phi[v] = seen[1]
+                changed.append(v)
+        stale = self.stale
+        if self.phi_fail:
+            stale |= touched
+            stale.update(changed)
+            return self.refused + [self.phi_problem()]
+        check = touched | corners
+        check.update(changed)
+        if stale:  # caught up as if their phi changed: their edges, they, their neighbours
+            changed += stale
+            check |= stale
+            self.stale = set()
+        for v in changed:
+            check.update(nbrs[v])
+            edges.update((v, w, pv, pw) if v < w else (w, v, pw, pv)
+                         for w, (pv, pw) in nbrs[v].items())
+        ports, edge_bad = self.g._ports, self.edge_bad
+        for e in edges:
+            a, b, pa, pb = e
+            got = ports[phi[a]].get(pa)
+            if got != (phi[b], pb):
+                edge_bad[e] = (
+                    f"edge {a}-{b} ({pa},{pb}) maps to {phi[a]}->{got}, "
+                    f"expected ({phi[b]},{pb})"
+                )
+            else:
+                edge_bad.pop(e, None)
+        vertex_bad = self.vertex_bad
+        for v in check:
             found = self._vertex_problems(v)
             if found:
-                self.vertex_bad[v] = found
+                vertex_bad[v] = found
             else:
-                self.vertex_bad.pop(v, None)
-        problems = self.refused + [self.edge_bad[e] for e in sorted(self.edge_bad)]
-        for v in sorted(self.vertex_bad):
-            problems += self.vertex_bad[v]
+                vertex_bad.pop(v, None)
+        problems = self.refused[:]
+        if edge_bad or vertex_bad:
+            problems += [edge_bad[e] for e in sorted(edge_bad)]
+            for v in sorted(vertex_bad):
+                problems += vertex_bad[v]
         return problems
 
     def graph(self):
@@ -283,22 +320,13 @@ class TraceReplay:
             problems.append(f"unvisited ground vertices: {unvisited}")
         return problems
 
-    def _with_neighbours(self, vertices):
-        out = set(vertices)
-        for v in vertices:
-            out.update(self.map._nbrs[v])
-        return out
-
     def _update_phi(self, v):
-        """Recompute phi at v; True if it changed. An explored vertex maps to
-        its first sense, a frontier vertex along its smallest vertical edge
-        (explored end, port); the edge checks test path independence."""
+        """Recompute phi at the frontier vertex v; True if it changed. It
+        maps along its smallest vertical edge (explored end, port); the edge
+        checks test path independence."""
         old = self.phi.pop(v, None)
         self.phi_fail.pop(v, None)
         first = self.first
-        if v in first:
-            self.phi[v] = first[v][1]
-            return self.phi[v] != old
         incident = [(w, pw) for w, (_pv, pw) in self.map._nbrs[v].items() if w in first]
         if not incident:
             self.phi_fail[v] = f"frontier vertex {v} has no explored neighbour"
@@ -315,18 +343,6 @@ class TraceReplay:
     def phi_problem(self):
         """The problem that leaves phi partial, or None when phi is total."""
         return self.phi_fail[min(self.phi_fail)] if self.phi_fail else None
-
-    def _check_edge(self, e):
-        a, b, pa, pb = e
-        phi = self.phi
-        got = self.g.step(phi[a], pa)
-        if got != (phi[b], pb):
-            self.edge_bad[e] = (
-                f"edge {a}-{b} ({pa},{pb}) maps to {phi[a]}->{got}, "
-                f"expected ({phi[b]},{pb})"
-            )
-        else:
-            self.edge_bad.pop(e, None)
 
     def _vertex_problems(self, n):
         """n's problems: local injectivity, and at an explored n local

@@ -17,6 +17,7 @@ from binox.families import (
     parse_spec,
 )
 from binox.graph import layering, validate
+from binox.suite import DEFAULT_CHECKS, run_one
 
 from conftest import gen, to_nx
 
@@ -83,6 +84,17 @@ class TestGenerate:
         assert g.m == g.n - 1
         assert nx.is_tree(to_nx(g))
 
+    @pytest.mark.parametrize("ports", ["canonical", "random:3"])
+    def test_star_is_a_tree_that_halts_with_every_check(self, ports):
+        g = gen("star:30", ports)
+        assert g.m == g.n - 1 == g.degree(0) and nx.is_tree(to_nx(g))
+        if ports == "canonical":
+            assert g.neighbors(0) == list(range(1, 30))
+        all_checks = dict.fromkeys(DEFAULT_CHECKS, True)
+        report, _ = run_one(g, "star:30", ports, 1, 50.0, all_checks)
+        assert report.status == "halted"
+        assert report.checks == all_checks
+
     def test_single_vertex(self):
         g = gen("path:1")
         assert (g.n, g.m) == (1, 0)
@@ -112,7 +124,7 @@ class TestGenerate:
 
     def test_parse_spec_echo_round_trip(self):
         for s in ["johnson:5,2", "chordal:n=100,rate=0.4,seed=7", "cycle:6",
-                  "path:9", "complete:3", "tree:n=12,seed=2"]:
+                  "path:9", "complete:3", "star:8", "tree:n=12,seed=2"]:
             assert parse_spec(s).echo() == s
 
     def test_parse_spec_rejects_garbage(self):

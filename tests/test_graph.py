@@ -502,6 +502,23 @@ class TestAncestor:
         assert parent.count(ROOT_CLUSTER) == 1
 
 
+class TestGrow:
+    def test_add_edge_returns_the_corners_it_closes(self):
+        g = PortNumberedGraph(0, [])
+        for _ in range(4):
+            g.add_vertex()
+        assert g.add_edge(0, 0, 1, 0) == set()
+        assert g.add_edge(0, 1, 2, 0) == set()
+        assert g.add_edge(2, 1, 1, 1) == {0}
+        assert g.add_edge(3, 0, 0, 2) == set()
+        assert g.add_edge(1, 2, 3, 1) == {0}
+        assert g.add_edge(3, 2, 2, 2) == {0, 1}
+        assert g.add_edge(3, 2, 2, 2) is False  # the same edge again
+        assert g.add_edge(2, 2, 3, 2) is False
+        assert [g.horizontal_count(v) for v in range(4)] == [3] * 4
+        assert g.m == 6
+
+
 class TestJson:
     def test_round_trip(self, tmp_path):
         g = gen("chordal:n=25,rate=0.3,seed=8", ports="random:2")

@@ -3,6 +3,9 @@ map and a walk of the moves over the ground, on honest traces and on traces
 with corrupted deltas, moves and senses."""
 
 import copy
+import gc
+import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from binox.explorer import explore
 from binox.graph import Ball
 from binox.runtime import Environment, RunTrace
+from binox.suite import DEFAULT_CHECKS, evaluate_trace
 from binox.verify import TraceReplay
 
 import phase_reference
@@ -270,6 +274,118 @@ def copied(trace):
     out = RunTrace()
     out.events = copy.deepcopy(trace.events)
     return out
+
+
+def test_forged_edge_fails_the_triangle_at_the_corner_it_closes():
+    # Map vertex 2, explored in phase 2, has the neighbours 3 and 4, which
+    # the ground does not join. A forged 3-4 edge in phase 3 touches neither
+    # 2 nor its phi: 2 is checked again only as the triangle's third corner.
+    g, out = explored("chordal:n=6,rate=0.0,seed=1", "random:41", 0)
+    trace = copied(out.trace)
+    d3 = snapshots(trace)[2][1]
+    assert d3["edges"] == []
+    d3["edges"].append((3, 4, g.n, g.n))
+    failed = assert_agrees(trace, g).failed
+    assert failed[0][0] == 3
+    triangle = "triangle preservation at explored 2: pair (3,4) mapped but ground lacks"
+    assert any(p.startswith(triangle) for p in failed[0][1])
+
+
+def test_frontier_neighbour_of_a_newly_explored_vertex_gets_its_phi():
+    # Without the homebase's sense, vertex 0 stays frontier with no explored
+    # neighbour in phase 1. Phase 2 explores 1 and adds no edge at 0: 0 gets
+    # its phi only as a frontier neighbour of 1, and phi is total again.
+    g, out = explored("path:6", "canonical", 0)
+    trace = copied(out.trace)
+    del trace.events[next(i for i, ev in enumerate(trace.events) if ev["kind"] == "sense")]
+    d2 = snapshots(trace)[1][1]
+    assert d2["n"] == 3 and all(0 not in e[:2] for e in d2["edges"])
+    replay = assert_agrees(trace, g)
+    assert replay.failed == [(1, ["frontier vertex 0 has no explored neighbour"])]
+    assert replay.phi[0] == 0
+
+
+def test_vertex_problem_of_a_partial_phase_is_reported_on_catch_up():
+    # The edge that gives the new vertex 3 its only neighbour moves from
+    # phase 3 to phase 4, so phi is partial in phase 3 alone. A forged 1-2
+    # edge in phase 3 closes a triangle at 0, explored in phase 1: neither
+    # phase touches 0 or changes a phi next to it, so only the catch-up of
+    # phase 3's stale vertices and their neighbours checks 0 again.
+    g, out = explored("chordal:n=6,rate=0.0,seed=1", "canonical", 0)
+    trace = copied(out.trace)
+    d3, d4 = [d for _ph, d in snapshots(trace)][2:4]
+    assert d3["edges"] == [(1, 3, 1, 0), (1, 4, 2, 0)] and d4["edges"] == [(4, 5, 1, 0)]
+    d4["edges"].append(d3["edges"].pop(0))
+    d3["edges"].append((1, 2, g.n, g.n))
+    failed = assert_agrees(trace, g).failed
+    assert [ph for ph, _found in failed[:2]] == [3, 4]
+    assert failed[0][1] == ["frontier vertex 3 has no explored neighbour"]
+    triangle = "triangle preservation at explored 0: pair (1,2) mapped but ground lacks"
+    assert any(p.startswith(triangle) for p in failed[1][1])
+
+
+class CountedChecks(TraceReplay):
+    """A replay that lists, per phase_end, the vertices it ran
+    ``_vertex_problems`` on."""
+
+    def __init__(self, events, g):
+        self.checked = []
+        super().__init__(events, g)
+
+    def apply(self, delta, newly):
+        self.checked.append([])
+        return super().apply(delta, newly)
+
+    def _vertex_problems(self, n):
+        self.checked[-1].append(n)
+        return super()._vertex_problems(n)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_star_replay_checks_each_vertex_a_constant_number_of_times(n):
+    # Each leaf after the hub's phase is a phase of its own that adds no
+    # vertex and no edge; re-checking the hub there would cost Θ(n) a phase.
+    g = gen(f"star:{n}")
+    out = explore(Environment(g, 1, 50 * n))
+    assert out.status == "halted"
+    replay = CountedChecks(out.trace.events, g)
+    assert replay.failed == [] and replay.ended == len(replay.checked)
+    assert sum(map(len, replay.checked)) <= 3 * n
+    hub = max(range(replay.map.n), key=replay.map.degree)
+    leaf_only = [k for k, (_ph, d) in enumerate(snapshots(out.trace))
+                 if d["n"] == n and not d["edges"]]
+    assert len(leaf_only) == n - 2
+    for k in leaf_only:
+        assert hub not in replay.checked[k] and len(replay.checked[k]) == 1
+
+
+@pytest.mark.slow
+def test_star_check_time_grows_linearly():
+    """evaluate_trace of a star with every check, at n = 2000, 4000 and
+    8000: from 2000 to 8000 the log2 growth of the check's thread time is
+    at most 1.15 per doubling (run with ``-m slow``)."""
+    checks = dict.fromkeys(DEFAULT_CHECKS, True)
+    runs = []
+    for n in (2000, 4000, 8000):
+        g = gen(f"star:{n}")
+        runs.append((g, explore(Environment(g, 1, 50 * n)).trace.events))
+    # The best of seven, taken in turn so that a slow spell of the host does
+    # not fall on one size only. The objects alive before the timing are
+    # frozen, so the collector's passes scan only what the check allocates,
+    # not the traces of the other sizes and the rest of the test session.
+    seconds = [float("inf")] * len(runs)
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(7):
+            for i, (g, events) in enumerate(runs):
+                start = time.thread_time()
+                status, results, _problems = evaluate_trace(events, g, checks)
+                seconds[i] = min(seconds[i], time.thread_time() - start)
+                assert status == "halted" and all(results.values())
+    finally:
+        gc.unfreeze()
+    assert math.log2(seconds[-1] / seconds[0]) / 2 <= 1.15, seconds
 
 
 def test_coverage_walk_goes_on_where_the_map_walk_stops():
