@@ -1,7 +1,7 @@
 """Graph family generators and structural condition checkers.
 
 Families: johnson(n,k), randomly grown chordal graphs, complete graphs,
-paths, cycles, stars, random trees. Cycles (and any even grid built by hand)
+paths, cycles, stars, fans, random trees. Cycles (and any even grid built by hand)
 are the negative controls: they fail the triangle/interval conditions and
 force the non-halting path of the explorer.
 """
@@ -65,7 +65,7 @@ def parse_spec(text, port_scheme="canonical"):
         if family == "johnson":
             n, k = (int(x) for x in rest.split(","))
             return GeneratorSpec("johnson", n=n, k=k, port_scheme=port_scheme)
-        if family in ("complete", "path", "cycle", "star"):
+        if family in ("complete", "path", "cycle", "star", "fan"):
             return GeneratorSpec(family, n=int(rest), port_scheme=port_scheme)
         if family in ("chordal", "tree"):
             kv = {}
@@ -181,6 +181,8 @@ def generate(spec):
         pairs = [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)]
     elif fam == "star":  # centre 0, a hub of degree n - 1
         pairs = [(0, v) for v in range(1, n)]
+    elif fam == "fan":  # centre 0 joined to the path 1..n-1
+        pairs = [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)]
     elif fam == "tree":
         pairs = _tree_pairs(n, random.Random(f"tree:{n}:{spec.seed}"))
     elif fam == "chordal":

@@ -176,7 +176,11 @@ class Ball:
     @classmethod
     def _from_naturals(cls, size, flat):
         """``from_json_dict`` for bytes, or a list already known to hold
-        ints >= 0 only; both are read in place."""
+        ints >= 0 only; both are read in place. Bytes of at least
+        ``WIDE_EDGES`` edges in the order ``ball`` writes are accepted by
+        ``in_ball_order``; every other input takes the per-pair checks."""
+        if type(flat) is bytes and len(flat) >= 4 * WIDE_EDGES and in_ball_order(size, flat):
+            return cls._trusted(size, flat)
         if len(flat) % 4:
             raise ValueError(f"ball edges: {len(flat)} values, not four per edge")
         us, vs = flat[0::4], flat[1::4]
@@ -208,6 +212,62 @@ _BAD_BALL_EDGE = (
     "ball edges: an edge is not [u, v, portAtU, portAtV] with "
     "distinct ends below size {} and ports >= 0"
 )
+
+
+# The fewest edges of a packed ball that ``Ball._from_naturals`` checks with
+# ``in_ball_order``: below it, the per-pair checks take less time.
+WIDE_EDGES = 40
+_BYTE_VALUES = bytes(range(256))
+
+
+def in_ball_order(size, flat):
+    """Do the packed edges ``flat`` pass every check of ``from_json_dict``
+    in the order ``ball`` writes them? That is: four bytes per edge, u < v
+    and v < ``size`` on every edge, the center edges first with distinct far
+    ends, then the horizontal edges by strictly increasing (smaller, larger)
+    position of their ends among the far ends of the center edges. That
+    order lists no (u, v) pair twice. False for any other input, valid or
+    not; each check is a few operations on whole buffers, not one per edge.
+
+    Lanes: a column of bytes is spread into fixed-width lanes of one big
+    int. In a lane holding 256 + a - b (a, b bytes, 256 the guard bit) the
+    difference never borrows from the next lane, and the guard bit stays
+    set exactly when a >= b."""
+    if len(flat) & 3 or type(size) is not int or size < 0:
+        return False
+    e = len(flat) >> 2
+    us, vs = flat[0::4], flat[1::4]
+    if vs.translate(None, _BYTE_VALUES[:size]):  # a far end at or above size
+        return False
+    # u < v on every edge: no 16-bit lane of (256 + u) - v keeps its guard
+    ug = bytearray(b"\0\1") * e
+    ug[0::2] = us
+    v16 = bytearray(2 * e)
+    v16[0::2] = vs
+    if int.from_bytes(ug, "little") - int.from_bytes(v16, "little") & int.from_bytes(
+            b"\0\1" * e, "little"):
+        return False
+    c = us.count(0)  # the center edges
+    centers = vs[:c]
+    if us[:c].count(0) != c or len(set(centers)) != c:
+        return False
+    # The positions p, q of the ends of each horizontal edge among the
+    # centers, in 24-bit lanes. The guard bit 8 of (256 + p) - q tells
+    # which is the smaller; the key k = smaller << 8 | larger. In the lane
+    # of (2**16 + k) - (the next lane's k) the guard bit 16 must be clear,
+    # except in the last lane, which has no next k.
+    h = e - c
+    position = bytes.maketrans(centers, _BYTE_VALUES[:c])
+    p = bytearray(3 * h)
+    p[0::3] = us[c:].translate(position)
+    q = bytearray(3 * h)
+    q[0::3] = vs[c:].translate(position)
+    p, q = int.from_bytes(p, "little"), int.from_bytes(q, "little")
+    g8 = int.from_bytes(b"\0\1\0" * h, "little")
+    swap = (p ^ q) & (((p | g8) - q & g8) >> 8) * 255  # p ^ q where p >= q, else 0
+    k = (p ^ swap) << 8 | q ^ swap
+    g16 = g8 << 8
+    return (k | g16) - (k >> 24) & g16 == (1 << 24 * h) >> 8
 
 
 def _compact(flat):
@@ -511,15 +571,37 @@ def ball(g, v, ids=None):
         flat += (0, i, p, q)
     nbrs = g._nbrs
     d = len(near)
+    if d <= _SCAN_FACTOR:  # then no neighbour qualifies for a lookup: scan them all
+        for k in range(d):
+            na = nbrs[near[k]]
+            i = ids[k]
+            for m in range(k + 1, d):
+                pq = na.get(near[m])
+                if pq is not None:
+                    j = ids[m]
+                    flat += (i, j, pq[0], pq[1]) if i < j else (j, i, pq[1], pq[0])
+        return Ball._trusted(d + 1, flat)
+    rank = {w: m for m, w in enumerate(near)}
     for k in range(d):
         na = nbrs[near[k]]
         i = ids[k]
-        for m in range(k + 1, d):
+        if _SCAN_FACTOR * len(na) < d - k:  # look up the ranks of its neighbours
+            later = sorted(m for m in map(rank.get, na) if m is not None and m > k)
+        else:
+            later = range(k + 1, d)
+        for m in later:
             pq = na.get(near[m])
             if pq is not None:
                 j = ids[m]
                 flat += (i, j, pq[0], pq[1]) if i < j else (j, i, pq[1], pq[0])
     return Ball._trusted(d + 1, flat)
+
+
+# ``ball`` scans the later neighbours of a neighbour w of the center unless
+# they outnumber _SCAN_FACTOR times w's degree; then it looks up the rank of
+# each of w's neighbours instead. A ball of at most _SCAN_FACTOR neighbours
+# never looks up, so it skips the test: most sensed balls are that small.
+_SCAN_FACTOR = 8
 
 
 def horizontal_counts(nbrs):

@@ -225,13 +225,15 @@ def _read_event(lineno, line, first, map_n):
 
 # The templates: each kind's line exactly as _ENCODE writes an event of that
 # kind with only its fields, ints in canonical decimal (which read as
-# json.loads reads them) and, in a sense line, a packed ball (no base64
-# character needs escaping in JSON).
+# json.loads reads them) and, in a sense line, a packed ball. Its text is
+# taken up to the next quote: ``_unpack`` refuses any text but canonical
+# base64, whose characters need no escaping in JSON, so a line with an
+# escape or another character there takes the general path.
 _DIGITS = r"(?:0|[1-9][0-9]*)"
 _NAT = rf"({_DIGITS})"
 _EDGE = rf"\[{_DIGITS}(?:,{_DIGITS}){{3}}\]"
 _SENSE_LINE = re.compile(
-    r'\{"arrival":(null|0|[1-9][0-9]*),"ball":\{"edges":"([A-Za-z0-9+/=]*)",'
+    r'\{"arrival":(null|0|[1-9][0-9]*),"ball":\{"edges":"([^"]*)",'
     r'"size":(0|[1-9][0-9]*)\},"kind":"sense"\}'
 )
 _MOVE_LINE = re.compile(rf'\{{"in":{_NAT},"kind":"move","out":{_NAT}\}}')

@@ -1,7 +1,10 @@
 """The exploration algorithm: reference traces, ledger operations, cluster
 tours, and the non-halting path on bad inputs."""
 
+import gc
+import math
 import random
+import time
 from collections import deque
 from unittest import mock
 
@@ -605,3 +608,49 @@ class TestMapBalls:
         assert emap.n > len(sensed_in(ledgers))  # the cut-off map still has unexplored vertices
         for n in range(emap.n):
             assert ball_signature(emap, n) == emap.local_ball(n).signature()
+
+
+class _CountedGets(dict):
+    """An adjacency dict that counts its ``get`` calls in ``gets``."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        _CountedGets.gets += 1
+        return dict.get(self, key, default)
+
+
+@pytest.mark.parametrize("family", ["star", "fan"])
+def test_hub_balls_probe_the_adjacency_a_linear_number_of_times(family):
+    # Every sensed ball reads pairs of neighbours from the ground graph's
+    # adjacency; at the hub, testing every pair made n**2 / 2 probes.
+    for n in (200, 400, 800):
+        g = gen(f"{family}:{n}", "random:1")
+        g._nbrs = [_CountedGets(a) for a in g._nbrs]
+        _CountedGets.gets = 0
+        assert explore(Environment(g, 1, 50 * n)).status == "halted"
+        assert _CountedGets.gets <= 6 * n
+
+
+@pytest.mark.slow
+def test_star_explore_time_grows_linearly():
+    """explore from leaf 1 of star:n at n = 2000, 4000 and 8000, where the
+    hub's ball holds n - 1 neighbours: from 2000 to 8000 the log2 growth of
+    the thread time is at most 1.15 per doubling (run with ``-m slow``)."""
+    graphs = [gen(f"star:{n}", "random:1") for n in (2000, 4000, 8000)]
+    # The best of seven, taken in turn, with the live heap frozen, as in
+    # test_star_check_time_grows_linearly.
+    seconds = [float("inf")] * len(graphs)
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(7):
+            for i, g in enumerate(graphs):
+                start = time.thread_time()
+                out = explore(Environment(g, 1, 50 * g.n))
+                seconds[i] = min(seconds[i], time.thread_time() - start)
+                assert out.status == "halted"
+                del out
+    finally:
+        gc.unfreeze()
+    assert math.log2(seconds[-1] / seconds[0]) / 2 <= 1.15, seconds

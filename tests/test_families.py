@@ -95,6 +95,17 @@ class TestGenerate:
         assert report.status == "halted"
         assert report.checks == all_checks
 
+    @pytest.mark.parametrize("ports", ["canonical", "random:3"])
+    def test_fan_is_chordal_and_halts_with_every_check(self, ports):
+        g = gen("fan:30", ports)
+        expected = {(0, v) for v in range(1, 30)} | {(v, v + 1) for v in range(1, 29)}
+        assert {(u, v) for (u, v, _p, _q) in g.edges} == expected
+        assert is_chordal(g)[0] and is_weetman(g).holds
+        all_checks = dict.fromkeys(DEFAULT_CHECKS, True)
+        report, _ = run_one(g, "fan:30", ports, 1, 50.0, all_checks)
+        assert report.status == "halted"
+        assert report.checks == all_checks
+
     def test_single_vertex(self):
         g = gen("path:1")
         assert (g.n, g.m) == (1, 0)
@@ -124,7 +135,7 @@ class TestGenerate:
 
     def test_parse_spec_echo_round_trip(self):
         for s in ["johnson:5,2", "chordal:n=100,rate=0.4,seed=7", "cycle:6",
-                  "path:9", "complete:3", "star:8", "tree:n=12,seed=2"]:
+                  "path:9", "complete:3", "star:8", "fan:8", "tree:n=12,seed=2"]:
             assert parse_spec(s).echo() == s
 
     def test_parse_spec_rejects_garbage(self):

@@ -251,6 +251,29 @@ class TestBall:
             assert b.relabel(perm).edges == Ball(b.size, relabelled).edges
             assert all(u < w for (u, w, _pu, _pw) in b.relabel(perm).edges)
 
+    @pytest.mark.parametrize("spec", ["star:60", "fan:60", "chordal:n=800,rate=1.0,seed=1",
+                                      "tree:n=200,seed=3", "complete:12"])
+    def test_ball_writes_the_edges_in_the_order_of_the_pair_scan(self, spec):
+        # the reference: every pair of neighbours (k, m), k < m in port order
+        g = gen(spec, "random:5")
+        rng = random.Random(spec)
+        for v in range(g.n):
+            cps = g.ports(v)
+            ids = list(range(1, len(cps) + 1))
+            rng.shuffle(ids)
+            expected = []
+            for i, p in zip(ids, cps):
+                expected += (0, i, p, g.step(v, p)[1])
+            near = g.neighbors(v)
+            for k, m in combinations(range(len(near)), 2):
+                pq = port_pair(g, near[k], near[m])
+                if pq:
+                    i, j = ids[k], ids[m]
+                    expected += (i, j, *pq) if i < j else (j, i, pq[1], pq[0])
+            assert list(ball(g, v, ids).flat) == expected
+        if spec.startswith(("star", "fan")):  # the hub looks up its neighbours' ranks
+            assert binox.graph._SCAN_FACTOR * g.degree(1) < g.degree(0) - 1
+
     def test_edges_view_counts_the_flat_list(self):
         b = ball(gen("johnson:5,2", "random:4"), 3)
         assert len(b.edges) == len(list(b.edges)) == len(b.flat) // 4 == 6 + 9

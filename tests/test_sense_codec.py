@@ -285,6 +285,14 @@ def _insert(piece):
     return edit
 
 
+def _insert_inside(piece):
+    """``_insert`` with a character of the text on either side."""
+    def edit(text, rng):
+        i = rng.randrange(1, len(text)) if len(text) > 1 else len(text)
+        return text[:i] + piece + text[i:]
+    return edit
+
+
 def _redump_unsorted(line):
     ev = json.loads(line)
     ev = {"kind": ev["kind"], "ball": {"size": ev["ball"]["size"], "edges": ev["ball"]["edges"]},
@@ -327,6 +335,16 @@ MUTATIONS = {
         line, rng, _insert(rng.choice(["!", "-", "_", " ", "\\u00e9", "*"]))),
     "base64 digit dropped": lambda line, rng: _edit_packed(
         line, rng, lambda t, r: t[:-1] if t else t),
+    # The template takes the edges text up to the next quote, whatever it
+    # holds: JSON escapes, a non-ASCII character, padding mid-text.
+    "escaped backslash in the text": lambda line, rng: _edit_packed(line, rng, _insert("\\\\")),
+    "escaped quote in the text": lambda line, rng: _edit_packed(line, rng, _insert('\\"')),
+    "unicode escape in the text": lambda line, rng: _edit_packed(line, rng, _insert("\\u0041")),
+    "an A written as a unicode escape": lambda line, rng: _edit_packed(
+        line, rng, lambda t, r: t.replace("A", "\\u0041", 1)),
+    "non-ASCII character in the text": lambda line, rng: _edit_packed(line, rng, _insert("é")),
+    "= mid-text": lambda line, rng: _edit_packed(line, rng, _insert_inside("=")),
+    "escaped line break mid-text": lambda line, rng: _edit_packed(line, rng, _insert_inside("\\n")),
 }
 
 
@@ -349,6 +367,17 @@ def test_each_mutation_agrees_with_the_json_path(name):
     for line in SENSE_LINES[::7]:
         text = "\n".join(HEAD + [MUTATIONS[name](line, rng)]) + "\n"
         assert read(text) == read_plain(text)
+
+
+@pytest.mark.parametrize("piece", ["\\\\", "\\u0041", "é", "=", "\\n", "!"])
+def test_an_edges_text_outside_base64_fits_the_template_and_does_not_load(piece):
+    # the text's alphabet is left to the canonical decode, which refuses it
+    line = _edit_packed(SENSE_LINES[-1], random.Random(piece), _insert_inside(piece))
+    m = runtime._SENSE_LINE.fullmatch(line)
+    assert m and runtime._read_sense(m, 0) is None
+    text = "\n".join(HEAD + [line]) + "\n"
+    assert read(text) == read_plain(text)
+    assert "not the canonical base64 text" in read(text) or "not JSON" in read(text)
 
 
 def test_a_sense_line_before_the_header_is_still_a_missing_header():
