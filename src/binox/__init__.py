@@ -15,7 +15,6 @@ from .families import (
     check_interval_condition,
     check_triangle_condition,
     generate,
-    is_chordal,
     is_weetman,
     parse_spec,
 )

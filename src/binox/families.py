@@ -261,39 +261,3 @@ def is_weetman(g):
             return failure
     return ConditionReport(True)
 
-
-def is_chordal(g):
-    """Maximum cardinality search + elimination check.
-
-    Returns (True, perfect_elimination_ordering) or (False, None). The
-    ordering lists vertices in elimination order (first eliminated first).
-    """
-    n = g.n
-    if n == 0:
-        return True, []
-    weight = [0] * n
-    visited = [False] * n
-    mcs = []
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best < 0 or weight[v] > weight[best]):
-                best = v
-        visited[best] = True
-        mcs.append(best)
-        for w in g.neighbors(best):
-            if not visited[w]:
-                weight[w] += 1
-    order = list(reversed(mcs))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    for v in order:
-        later = [w for w in g.neighbors(v) if pos[w] > pos[v]]
-        if not later:
-            continue
-        p = min(later, key=lambda w: pos[w])
-        for w in later:
-            if w != p and not g.has_edge(p, w):
-                return False, None
-    return True, order

@@ -195,15 +195,7 @@ class Ball:
         else:
             it = iter(flat)
             b = cls(size, zip(it, it, it, it))
-        if type(b.flat) is bytes:
-            # The u and v bytes side by side: one 16-bit value per pair.
-            pairs = bytearray(len(us) * 2)
-            pairs[0::2] = b.flat[0::4]
-            pairs[1::2] = b.flat[1::4]
-            distinct = len(set(memoryview(pairs).cast("H")))
-        else:
-            distinct = len(set(zip(b.flat[0::4], b.flat[1::4])))
-        if distinct < len(us):
+        if len(set(zip(b.flat[0::4], b.flat[1::4]))) < len(us):
             raise ValueError(_repeated_edge(b.flat))
         return b
 
@@ -332,12 +324,9 @@ class PortNumberedGraph:
     the checker's replay (``verify.TraceReplay``) build theirs this way.
     """
 
-    def __init__(self, n, edges, labels=None):
-        self.n = int(n)
+    def __init__(self, n, edges):
+        self.n = n
         self.edges = list(map(tuple, edges))
-        if not set(map(type, chain.from_iterable(self.edges))) <= {int}:
-            self.edges = [tuple(int(x) for x in e) for e in self.edges]
-        self.labels = dict(labels) if labels else {}
         # out-port -> (neighbour, in-port at neighbour), and the reverse index,
         # of every edge whose ends are two vertex ids (validate reports any other)
         ports = self._ports = [dict() for _ in range(self.n)]
@@ -441,16 +430,13 @@ class PortNumberedGraph:
         return common
 
     def to_json_dict(self):
-        d = {
+        return {
             "n": self.n,
             "edges": [list(e) for e in sorted(
                 (u, v, pu, pv) if u < v else (v, u, pv, pu)
                 for (u, v, pu, pv) in self.edges
             )],
         }
-        if self.labels:
-            d["labels"] = {str(k): v for k, v in self.labels.items()}
-        return d
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -683,6 +669,8 @@ def cluster_decomposition(g, v0):
 
 
 def from_json_dict(d):
+    """The graph of a parsed graph file, built from its ``n`` and ``edges``
+    keys only; GraphFormatError naming the problems found."""
     problems = []
     if not isinstance(d, dict):
         raise GraphFormatError("graph file must contain a JSON object")
@@ -713,9 +701,7 @@ def from_json_dict(d):
         raise GraphFormatError(
             f'"n" is {n}, but {len(raw)} edges connect at most {len(raw) + 1} vertices'
         )
-    if "labels" in d and not isinstance(d["labels"], dict):
-        raise GraphFormatError('"labels" must be a JSON object of vertex id -> label')
-    g = PortNumberedGraph(n, raw, d.get("labels"))
+    g = PortNumberedGraph(n, raw)
     violations = validate(g)
     if violations:
         raise GraphFormatError("\n".join(violations))

@@ -119,17 +119,11 @@ class RunReport:
     def to_json_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
-
 
 def _natural(x):
     return type(x) is int and x >= 0
 
 
-# The checks that need the replay of the trace (TraceReplay).
-_REPLAYED = ("phase_invariants", "final_isomorphism", "coverage", "covering")
 _STATUS = {"halt": "halted", "budget_exhausted": "budget_exhausted",
            "error_detected": "error_detected"}
 
@@ -143,20 +137,11 @@ def evaluate_trace(events, g, checks):
     event: a terminal event's, else "incomplete". A check that does not
     apply to the run's status (e.g. coverage of a non-halting run) is
     reported as None. One replay of the events (TraceReplay) gives the
-    failing phases, coverage, the final map and its phi; with no check
-    that needs it, the events are only read.
+    failing phases, coverage, the final map and its phi.
     """
-    if any(checks.get(name) for name in _REPLAYED):
-        replay = TraceReplay(events, g)
-        header, last = replay.header, replay.last
-    else:
-        replay = None
-        events = iter(events)
-        header = last = next(events)
-        for last in events:
-            pass
-    status = _STATUS.get(last["kind"], "incomplete")
-    root = header["root"]
+    replay = TraceReplay(events, g)
+    status = _STATUS.get(replay.last["kind"], "incomplete")
+    root = replay.header["root"]
     halted = status == "halted"
     needs_map = halted and (checks.get("final_isomorphism") or checks.get("covering"))
     results = {}

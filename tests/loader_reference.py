@@ -14,8 +14,9 @@ from binox.graph import GraphFormatError, component
 
 
 def from_json_dict(d):
-    """The graph of ``d`` as a namespace with ``n``, ``edges``, ``labels``,
-    ``_ports`` and ``_nbrs``; GraphFormatError as the loader raises it."""
+    """The graph of ``d`` as a namespace with ``n``, ``edges``, ``_ports``
+    and ``_nbrs``; GraphFormatError as the loader raises it. No key but
+    ``n`` and ``edges`` is read."""
     problems = []
     if not isinstance(d, dict):
         raise GraphFormatError("graph file must contain a JSON object")
@@ -37,18 +38,16 @@ def from_json_dict(d):
         raise GraphFormatError(
             f'"n" is {n}, but {len(edges)} edges connect at most {len(edges) + 1} vertices'
         )
-    if "labels" in d and not isinstance(d["labels"], dict):
-        raise GraphFormatError('"labels" must be a JSON object of vertex id -> label')
-    g = _graph(n, edges, d.get("labels"))
+    g = _graph(n, edges)
     violations = validate(g)
     if violations:
         raise GraphFormatError("\n".join(violations))
     return g
 
 
-def _graph(n, edges, labels):
-    g = SimpleNamespace(n=n, edges=edges, labels=dict(labels) if labels else {},
-                        _ports=[{} for _ in range(n)], _nbrs=[{} for _ in range(n)])
+def _graph(n, edges):
+    g = SimpleNamespace(n=n, edges=edges, _ports=[{} for _ in range(n)],
+                        _nbrs=[{} for _ in range(n)])
     for (u, v, pu, pv) in edges:
         if 0 <= u < n and 0 <= v < n and u != v:
             g._ports[u][pu] = (v, pv)

@@ -23,7 +23,7 @@ from binox.explorer import explore
 from binox.families import _assign_ports
 from binox.graph import PortNumberedGraph, load_graph, save_graph
 from binox.runtime import TRACE_CHUNK, Environment, RunTrace
-from binox.suite import DEFAULT_CHECKS, move_budget
+from binox.suite import DEFAULT_CHECKS, move_budget, run_one
 from binox.verify import TraceReplay
 
 from conftest import gen
@@ -138,13 +138,17 @@ class TestExploreAndCheck:
         captured = capsys.readouterr()
         assert captured.err == f"error: {bad}:\n{message}\n" and captured.out == ""
 
-    @pytest.mark.parametrize("labels", [[1], None, "a"])
-    def test_labels_that_are_not_an_object_are_diagnosed(self, tmp_path, capsys, labels):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"n": 2, "edges": [[0, 1, 0, 0]], "labels": labels}))
-        assert invoke("explore", "--graph", str(bad)) == 1
-        err = capsys.readouterr().err
-        assert '"labels" must be a JSON object' in err and "Traceback" not in err
+    @pytest.mark.parametrize("labels", [{"0": "a", "1": 7}, [1], "a", None],
+                             ids=["object", "list", "string", "null"])
+    def test_labels_are_not_read(self, tmp_path, capsys, labels):
+        # the loader reads only "n" and "edges"
+        d = gen("chordal:n=12,rate=0.4,seed=1", "random:1").to_json_dict()
+        plain, labelled = tmp_path / "plain.json", tmp_path / "labelled.json"
+        plain.write_text(json.dumps(d))
+        labelled.write_text(json.dumps({**d, "labels": labels}))
+        assert load_graph(labelled).to_json() == load_graph(plain).to_json()
+        assert invoke("explore", "--graph", str(labelled)) == 0
+        assert capsys.readouterr().err == ""
 
 
 # JSON nested deeper than any decoder's recursion limit.
@@ -688,6 +692,43 @@ def test_explore_trace_file_is_the_in_memory_trace(tmp_path, capsys, make, root,
     assert trace.read_text() == out.trace.to_jsonl()
 
 
+CLUSTER_TREE_RUNS = {
+    "halted": ("chordal:n=30,rate=0.4,seed=2", "halted", 0),
+    "budget exhausted": ("cycle:7", "budget_exhausted", 1),
+    "cut before its terminal event": ("chordal:n=30,rate=0.4,seed=2", "incomplete", 1),
+}
+
+
+@pytest.mark.parametrize("run", sorted(CLUSTER_TREE_RUNS))
+def test_cluster_tree_alone_gives_the_verdict_of_all_five_checks(tmp_path, capsys, run):
+    spec, status, code = CLUSTER_TREE_RUNS[run]
+    g, trace = tmp_path / "g.json", tmp_path / "t.jsonl"
+    invoke("gen", "--spec", spec, "--ports", "random:1", "--out", str(g))
+    invoke("explore", "--graph", str(g), "--budget-factor", "10", "--trace", str(trace))
+    if status == "incomplete":
+        trace.write_text("".join(trace.read_text().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    outs = []
+    for checks in ("cluster_tree", ",".join(DEFAULT_CHECKS)):
+        assert invoke("check", "--graph", str(g), "--trace", str(trace), "--checks", checks) == code
+        outs.append(capsys.readouterr().out.splitlines())
+    alone, every = outs
+    assert alone[0] == every[0] == f"status={status}"
+    assert alone[1:] == [line for line in every if line.startswith("cluster_tree: ")
+                         or line.startswith("  clusters of ")]
+    assert alone[1] == f"cluster_tree: {'FAIL' if spec == 'cycle:7' else 'pass'}"
+
+
+@pytest.mark.parametrize("spec", ["chordal:n=30,rate=0.4,seed=2", "cycle:7"])
+def test_cluster_tree_alone_in_run_one(spec):
+    g = gen(spec, "random:1")
+    alone, _ = run_one(g, spec, "random:1", 0, 10.0, {"cluster_tree": True})
+    every, _ = run_one(g, spec, "random:1", 0, 10.0, dict.fromkeys(DEFAULT_CHECKS, True))
+    assert alone.status == every.status
+    assert alone.checks == {"cluster_tree": every.checks["cluster_tree"]}
+    assert alone.problems == [p for p in every.problems if p.startswith("clusters of ")]
+
+
 BAD_ROOTS = '"roots" must be "all" or {"sample": k, "seed": s}, k and s integers >= 0'
 
 
@@ -729,7 +770,7 @@ class TestSuite:
         cfg = self.config(tmp_path, ["chordal:n=15,rate=0.4,seed=2", "complete:5"])
         invoke("suite", "--config", str(cfg), "--out", str(tmp_path / "res"))
         payload = json.loads((tmp_path / "res" / "report.json").read_text())
-        rebuilt = summarize([RunReport.from_json_dict(r) for r in payload["reports"]])
+        rebuilt = summarize([RunReport(**r) for r in payload["reports"]])
         stored = {
             k: {kk: vv for kk, vv in row.items()} for k, row in payload["summary"].items()
         }
@@ -884,7 +925,7 @@ def test_public_surface_is_pinned():
         "MapUpdateError", "PhaseLedger", "PortCollisionError", "explore",
         # binox.families
         "ConditionReport", "GeneratorSpec", "check_interval_condition",
-        "check_triangle_condition", "generate", "is_chordal", "is_weetman", "parse_spec",
+        "check_triangle_condition", "generate", "is_weetman", "parse_spec",
         # binox.graph
         "Ball", "GraphFormatError", "PortNumberedGraph", "ball", "cluster_decomposition",
         "component", "layering", "load_graph", "save_graph", "validate",

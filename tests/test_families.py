@@ -12,7 +12,6 @@ from binox.families import (
     check_interval_condition,
     check_triangle_condition,
     generate,
-    is_chordal,
     is_weetman,
     parse_spec,
 )
@@ -100,7 +99,7 @@ class TestGenerate:
         g = gen("fan:30", ports)
         expected = {(0, v) for v in range(1, 30)} | {(v, v + 1) for v in range(1, 29)}
         assert {(u, v) for (u, v, _p, _q) in g.edges} == expected
-        assert is_chordal(g)[0] and is_weetman(g).holds
+        assert nx.is_chordal(to_nx(g)) and is_weetman(g).holds
         all_checks = dict.fromkeys(DEFAULT_CHECKS, True)
         report, _ = run_one(g, "fan:30", ports, 1, 50.0, all_checks)
         assert report.status == "halted"
@@ -244,40 +243,11 @@ class TestWeetman:
         for n in (8, 12, 16, 20):
             for seed in range(30):
                 g = gen(f"chordal:n={n},rate=0.5,seed={seed}")
-                ok, _ = is_chordal(g)
-                assert ok, f"generator broke chordality at n={n} seed={seed}"
+                assert nx.is_chordal(to_nx(g)), f"generator broke chordality at n={n} seed={seed}"
                 assert is_weetman(g).holds, f"chordal not Weetman at n={n} seed={seed}"
 
 
 class TestChordal:
-    def test_trees_are_chordal(self):
-        ok, order = is_chordal(gen("tree:n=20,seed=2"))
-        assert ok and sorted(order) == list(range(20))
-
-    def test_c4_is_not(self):
-        assert is_chordal(gen("cycle:4")) == (False, None)
-
-    def test_octahedron_is_not(self):
-        assert is_chordal(gen("johnson:4,2"))[0] is False
-
-    def test_complete_is(self):
-        assert is_chordal(gen("complete:8"))[0] is True
-
     @pytest.mark.parametrize("seed", range(12))
     def test_generated_vs_networkx(self, seed):
-        g = gen(f"chordal:n=45,rate=0.6,seed={seed}")
-        ok, order = is_chordal(g)
-        assert ok == nx.is_chordal(to_nx(g))
-        assert ok
-        # elimination ordering re-checked directly
-        pos = {v: i for i, v in enumerate(order)}
-        G = to_nx(g)
-        for v in order:
-            later = [w for w in G[v] if pos[w] > pos[v]]
-            for a, b in combinations(later, 2):
-                assert G.has_edge(a, b)
-
-    @pytest.mark.parametrize("spec", ["cycle:5", "cycle:8", "johnson:5,2"])
-    def test_non_chordal_vs_networkx(self, spec):
-        g = gen(spec)
-        assert is_chordal(g)[0] == nx.is_chordal(to_nx(g)) == False
+        assert nx.is_chordal(to_nx(gen(f"chordal:n=45,rate=0.6,seed={seed}")))

@@ -136,7 +136,7 @@ def loaded(load, d):
         g = load(copy.deepcopy(d))
     except GraphFormatError as e:
         return str(e)
-    return g.n, g.edges, g._ports, g._nbrs, g.labels
+    return g.n, g.edges, g._ports, g._nbrs
 
 
 class TestLoaderAgainstReference:
@@ -159,7 +159,7 @@ class TestLoaderAgainstReference:
         d = gen(spec, ports).to_json_dict()
         damage(d, defect, data)
         edges = [tuple(e) for e in d["edges"]]
-        g, ref = PortNumberedGraph(d["n"], edges), loader_reference._graph(d["n"], edges, None)
+        g, ref = PortNumberedGraph(d["n"], edges), loader_reference._graph(d["n"], edges)
         assert (g.edges, g._ports, g._nbrs) == (ref.edges, ref._ports, ref._nbrs)
         assert validate(g) == loader_reference.validate(ref)
 

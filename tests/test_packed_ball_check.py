@@ -1,8 +1,8 @@
 """The whole-buffer check of a packed ball (``graph.in_ball_order``).
 
 ``Ball._from_naturals`` accepts a packed ball of ``WIDE_EDGES`` or more
-edges when ``in_ball_order`` passes, and checks every other input pair by
-pair. Either way it must store the same ``flat`` or raise the same error
+edges when ``in_ball_order`` passes, and checks every other input, packed
+or a list, with the per-pair checks. Either way it must store the same ``flat`` or raise the same error
 text as the pair-by-pair reference (``ball_reference``), and every ball
 that ``ball`` builds must pass, so that no sensed ball falls back.
 """
@@ -131,6 +131,59 @@ def test_each_ball_mutation_loads_as_the_reference_loads_it(name):
 
 def test_the_sensed_balls_here_are_wide():
     assert all(type(b.flat) is bytes and len(b.flat) >= 4 * WIDE_EDGES for b in BALLS)
+
+
+# -- balls below WIDE_EDGES, packed and as lists --------------------------------
+
+SMALL_BALLS = [b for spec in ("tree:n=60,seed=1", "chordal:n=60,rate=0.4,seed=1", "complete:6")
+               for b in sensed_balls(spec, 12, spec)]
+
+
+def _lifted(flat):
+    """``flat`` as a list with 300 added to every port: too big to pack."""
+    lifted = list(flat)
+    lifted[2::4] = [p + 300 for p in lifted[2::4]]
+    lifted[3::4] = [p + 300 for p in lifted[3::4]]
+    return lifted
+
+
+def _center_last(flat, size, i, j, value):
+    """A center edge moved behind every other edge."""
+    c = 4 * (i % flat[0::4].count(0))
+    edge = flat[c:c + 4]
+    del flat[c:c + 4]
+    flat += edge
+    return size
+
+
+SMALL_MUTATIONS = {
+    "none": MUTATIONS["none"],
+    "an edge twice": _append_copy,
+    "reversed edge": _reverse,
+    "a center edge moved last": _center_last,
+}
+
+
+def test_the_small_balls_here_are_packed_and_narrow():
+    assert all(type(b.flat) is bytes and 0 < len(b.flat) < 4 * WIDE_EDGES for b in SMALL_BALLS)
+    assert any(b.flat[0::4].count(0) < len(b.flat) // 4 for b in SMALL_BALLS)  # horizontal edges
+
+
+@pytest.mark.parametrize("form", ["bytes", "list"])
+@pytest.mark.parametrize("name", sorted(SMALL_MUTATIONS))
+def test_small_ball_mutations_load_as_the_reference_loads_them(name, form):
+    for b in SMALL_BALLS:
+        base = bytearray(b.flat) if form == "bytes" else _lifted(b.flat)
+        for i in range(len(base) // 4):
+            flat = base[:]
+            size = SMALL_MUTATIONS[name](flat, b.size, i, 0, 0)
+            flat = bytes(flat) if form == "bytes" else flat
+            got = loaded(size, flat)
+            assert got == reference(size, flat)
+            if name == "an edge twice":
+                assert got.endswith(" is listed twice")
+            else:
+                assert got[1] is (bytes if form == "bytes" else list)
 
 
 # -- the boundaries of each lane check ----------------------------------------
