@@ -10,12 +10,9 @@ from .explorer import (
     explore,
 )
 from .families import (
-    ConditionReport,
     GeneratorSpec,
-    check_interval_condition,
-    check_triangle_condition,
+    condition_failure,
     generate,
-    is_weetman,
     parse_spec,
 )
 from .graph import (

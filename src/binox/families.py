@@ -1,4 +1,4 @@
-"""Graph family generators and structural condition checkers.
+"""Graph family generators and the structural condition oracle.
 
 Families: johnson(n,k), randomly grown chordal graphs, complete graphs,
 paths, cycles, stars, fans, random trees. Cycles (and any even grid built by hand)
@@ -71,6 +71,8 @@ def parse_spec(text, port_scheme="canonical"):
             kv = {}
             for part in rest.split(","):
                 key, _, val = part.partition("=")
+                if key.strip() in kv:
+                    raise ValueError(f"repeated parameter {key.strip()!r}")
                 kv[key.strip()] = val.strip()
             n = int(kv.pop("n"))
             seed = int(kv.pop("seed", 0))
@@ -192,72 +194,29 @@ def generate(spec):
     return PortNumberedGraph(n, _assign_ports(n, pairs, spec.port_scheme))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of a structural condition check.
+def condition_failure(g, v0):
+    """The first failure of the triangle or the interval condition at root
+    ``v0``, or None when both hold.
 
-    ``witness`` is present exactly when the condition fails and contains
-    enough to re-check the failure in isolation (root, offending vertices).
+    Triangle: every same-sphere edge needs a common neighbour one sphere
+    closer; a failure is the first such edge of ``g.edges``, as
+    ``{"condition": "triangle", "root": v0, "edge": [u, v]}`` with u < v.
+    Interval: every vertex's predecessors (its neighbours one sphere closer)
+    must induce a connected subgraph; a failure is the first such vertex, as
+    ``{"condition": "interval", "root": v0, "vertex": v}``. The triangle
+    condition is tested first.
     """
-
-    holds: bool
-    witness: dict | None = None
-
-
-def _pred_sets(g, dist):
+    dist = layering(g, v0)
     preds = [set() for _ in range(g.n)]
     for (u, v, _pu, _pv) in g.edges:
-        du, dv = dist[u], dist[v]
-        if du == dv + 1:
+        if dist[u] == dist[v] + 1:
             preds[u].add(v)
-        elif dv == du + 1:
+        elif dist[v] == dist[u] + 1:
             preds[v].add(u)
-    return preds
-
-
-def _triangle_failure(g, v0, dist, preds):
-    """The report of the first same-sphere edge with no common neighbour
-    one sphere closer, or None."""
     for (u, v, _pu, _pv) in g.edges:
         if dist[u] == dist[v] >= 1 and not (preds[u] & preds[v]):
-            edge = [min(u, v), max(u, v)]
-            return ConditionReport(False, {"condition": "triangle", "root": v0, "edge": edge})
-    return None
-
-
-def _interval_failure(g, v0, preds):
-    """The report of the first vertex whose predecessor set does not induce
-    a connected subgraph, or None."""
+            return {"condition": "triangle", "root": v0, "edge": [min(u, v), max(u, v)]}
     for v, pv in enumerate(preds):
-        if v != v0 and len(pv) > 1 and len(component(g, next(iter(pv)), pv)) != len(pv):
-            return ConditionReport(False, {"condition": "interval", "root": v0, "vertex": v})
+        if len(pv) > 1 and len(component(g, next(iter(pv)), pv)) != len(pv):
+            return {"condition": "interval", "root": v0, "vertex": v}
     return None
-
-
-def check_triangle_condition(g, v0):
-    """Every same-sphere edge needs a common neighbour one sphere closer."""
-    dist = layering(g, v0)
-    return _triangle_failure(g, v0, dist, _pred_sets(g, dist)) or ConditionReport(True)
-
-
-def check_interval_condition(g, v0):
-    """Every vertex's predecessor set must induce a connected subgraph."""
-    dist = layering(g, v0)
-    return _interval_failure(g, v0, _pred_sets(g, dist)) or ConditionReport(True)
-
-
-def is_weetman(g):
-    """Triangle and interval conditions for every choice of root.
-
-    The definition quantifies over all roots, so this is O(n) condition
-    sweeps, each on one layering; fine at desk scale. First failing (root,
-    witness) is reported.
-    """
-    for v0 in range(g.n):
-        dist = layering(g, v0)
-        preds = _pred_sets(g, dist)
-        failure = _triangle_failure(g, v0, dist, preds) or _interval_failure(g, v0, preds)
-        if failure:
-            return failure
-    return ConditionReport(True)
-

@@ -4,7 +4,7 @@ from unittest import mock
 import networkx as nx
 
 from binox import explorer
-from binox.families import generate, parse_spec
+from binox.families import _assign_ports, condition_failure, generate, parse_spec
 from binox.graph import PortNumberedGraph
 from binox.verify import _forced_image
 
@@ -18,6 +18,30 @@ def to_nx(g):
     G.add_nodes_from(range(g.n))
     G.add_edges_from((u, v) for (u, v, _pu, _pv) in g.edges)
     return G
+
+
+def connected_atlas(max_n):
+    """Every connected graph of the networkx atlas with 1 to ``max_n``
+    vertices, canonical ports, keyed by atlas index."""
+    out = {}
+    for i, G in enumerate(nx.graph_atlas_g()):
+        n = G.number_of_nodes()
+        if n > max_n:
+            break
+        if n and nx.is_connected(G):
+            pairs = sorted(tuple(sorted(e)) for e in G.edges())
+            out[i] = PortNumberedGraph(n, _assign_ports(n, pairs, "canonical"))
+    return out
+
+
+def weetman_failure(g):
+    """The first failing root's condition witness, or None when ``g`` is a
+    Weetman graph: the triangle and interval conditions hold at every root."""
+    for v0 in range(g.n):
+        failure = condition_failure(g, v0)
+        if failure:
+            return failure
+    return None
 
 
 def rooted_embedding(sub, big, sub_root, big_root):

@@ -18,20 +18,13 @@ import pytest
 
 import binox
 from binox.explorer import explore
-from binox.families import (
-    _assign_ports,
-    check_interval_condition,
-    check_triangle_condition,
-    generate,
-    is_weetman,
-    parse_spec,
-)
+from binox.families import _assign_ports, condition_failure, generate, parse_spec
 from binox.graph import PortNumberedGraph, load_graph, save_graph
 from binox.runtime import Environment
 from binox.suite import run_one
 from binox.verify import verify_rooted_isomorphism
 
-from conftest import rooted_embedding, to_nx
+from conftest import rooted_embedding, to_nx, weetman_failure
 from homotopy_oracles import is_simply_connected, unfold_tree_cover
 
 CHORDAL_SIZES = (10, 25, 50, 100, 200)
@@ -193,11 +186,10 @@ def test_criterion_6_condition_checkers():
     misclassified = []
     for k in range(4, 11):
         g = generate(parse_spec(f"cycle:{k}"))
-        rep = is_weetman(g)
-        if rep.holds:
+        w = weetman_failure(g)
+        if w is None:
             misclassified.append(f"cycle:{k} accepted")
             continue
-        w = rep.witness
         dist = nx.single_source_shortest_path_length(to_nx(g), w["root"])
         if w["condition"] == "triangle":
             u, v = w["edge"]
@@ -218,12 +210,12 @@ def test_criterion_6_condition_checkers():
     for n in CHORDAL_SIZES:
         for seed in CHORDAL_SEEDS:
             g = generate(parse_spec(f"chordal:n={n},rate=0.4,seed={seed}"))
-            if not is_weetman(g).holds:
+            if weetman_failure(g) is not None:
                 misclassified.append(f"chordal n={n} seed={seed} rejected")
             else:
                 accepted += 1
     for spec in JOHNSON:
-        if not is_weetman(generate(parse_spec(spec))).holds:
+        if weetman_failure(generate(parse_spec(spec))) is not None:
             misclassified.append(f"{spec} rejected")
         else:
             accepted += 1
@@ -289,8 +281,7 @@ def test_small_graphs_halt_exactly_where_both_conditions_hold():
             g = PortNumberedGraph(n, _assign_ports(n, pairs, scheme))
             for root in range(n):
                 report, _ = run_one(g, f"atlas:{pairs}", scheme, root, BUDGET_FACTOR, ALL_CHECKS)
-                conditions = (check_triangle_condition(g, root).holds
-                              and check_interval_condition(g, root).holds)
+                conditions = condition_failure(g, root) is None
                 where = (pairs, scheme, root, report.status, report.problems)
                 assert (report.status == "halted") == conditions, where
                 if conditions:

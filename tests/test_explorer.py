@@ -529,13 +529,12 @@ def interval_violation_gadget():
 
 class TestNonWeetmanInputs:
     def test_gadget_is_invalid_weetman_but_valid_graph(self):
-        from binox.families import check_interval_condition
+        from binox.families import condition_failure
         from binox.graph import validate
 
         g = interval_violation_gadget()
         assert validate(g) == []
-        rep = check_interval_condition(g, 0)
-        assert not rep.holds and rep.witness["vertex"] == 4
+        assert condition_failure(g, 0) == {"condition": "interval", "root": 0, "vertex": 4}
 
     def test_gadget_never_halts(self):
         g = interval_violation_gadget()

@@ -1,4 +1,4 @@
-"""Generators and the structural condition checkers."""
+"""Generators and the structural condition oracle."""
 
 from itertools import combinations
 from unittest import mock
@@ -7,25 +7,17 @@ import networkx as nx
 import pytest
 
 from binox import families
-from binox.families import (
-    ConditionReport,
-    check_interval_condition,
-    check_triangle_condition,
-    generate,
-    is_weetman,
-    parse_spec,
-)
+from binox.families import condition_failure, generate, parse_spec
 from binox.graph import layering, validate
 from binox.suite import DEFAULT_CHECKS, run_one
 
-from conftest import gen, to_nx
+from conftest import connected_atlas, gen, to_nx, weetman_failure
 
 
-def recheck_witness(g, report):
+def recheck_witness(g, w):
     """Replay a condition witness against the raw definitions (independent
     of the checker's internals)."""
-    assert not report.holds and report.witness is not None
-    w = report.witness
+    assert w is not None
     dist = nx.single_source_shortest_path_length(to_nx(g), w["root"])
     if w["condition"] == "triangle":
         u, v = w["edge"]
@@ -99,7 +91,7 @@ class TestGenerate:
         g = gen("fan:30", ports)
         expected = {(0, v) for v in range(1, 30)} | {(v, v + 1) for v in range(1, 29)}
         assert {(u, v) for (u, v, _p, _q) in g.edges} == expected
-        assert nx.is_chordal(to_nx(g)) and is_weetman(g).holds
+        assert nx.is_chordal(to_nx(g)) and weetman_failure(g) is None
         all_checks = dict.fromkeys(DEFAULT_CHECKS, True)
         report, _ = run_one(g, "fan:30", ports, 1, 50.0, all_checks)
         assert report.status == "halted"
@@ -141,73 +133,104 @@ class TestGenerate:
         for s in ["johnson:5", "chordal:n=2,bogus=1", "grid:3", ""]:
             with pytest.raises(ValueError):
                 parse_spec(s)
+        for s, key in [("chordal:n=5,n=6", "n"), ("tree:n=5,seed=1,seed=2", "seed"),
+                       ("chordal:n=9,rate=0.1, rate =0.1", "rate")]:
+            with pytest.raises(ValueError, match=f"repeated parameter '{key}'"):
+                parse_spec(s)
+
+
+def condition_reference(g, root):
+    """The first triangle, then interval, failure at ``root``, recomputed by
+    networkx from the definitions: the first same-sphere edge of ``g.edges``
+    with no common neighbour one sphere closer, else the first vertex whose
+    two or more closer neighbours induce a disconnected subgraph."""
+    G = to_nx(g)
+    dist = nx.single_source_shortest_path_length(G, root)
+    for (u, v, _pu, _pv) in g.edges:
+        if dist[u] == dist[v] and all(dist[x] != dist[u] - 1 for x in nx.common_neighbors(G, u, v)):
+            return {"condition": "triangle", "root": root, "edge": sorted((u, v))}
+    for v in range(g.n):
+        closer = [x for x in G[v] if dist[x] == dist[v] - 1]
+        if len(closer) >= 2 and not nx.is_connected(G.subgraph(closer)):
+            return {"condition": "interval", "root": root, "vertex": v}
+    return None
 
 
 class TestTriangleCondition:
     def test_k4_holds_everywhere(self):
         g = gen("complete:4")
         for v0 in range(4):
-            assert check_triangle_condition(g, v0).holds
+            assert condition_failure(g, v0) is None
 
     def test_c5_fails_at_the_far_edge(self):
         g = gen("cycle:5")
-        rep = check_triangle_condition(g, 0)
-        assert not rep.holds
-        u, v = rep.witness["edge"]
+        w = condition_failure(g, 0)
+        assert w["condition"] == "triangle"
+        u, v = w["edge"]
         dist = layering(g, 0)
         assert dist[u] == dist[v] == 2
-        recheck_witness(g, rep)
+        recheck_witness(g, w)
 
     def test_trees_hold_vacuously(self):
         g = gen("path:5")
         for v0 in range(5):
-            assert check_triangle_condition(g, v0).holds
+            assert condition_failure(g, v0) is None
 
 
 class TestIntervalCondition:
     def test_trees_hold(self):
         g = gen("tree:n=15,seed=3")
         for v0 in range(g.n):
-            assert check_interval_condition(g, v0).holds
+            assert condition_failure(g, v0) is None
 
     def test_c4_fails_at_the_antipode(self):
         g = gen("cycle:4")
-        rep = check_interval_condition(g, 0)
-        assert not rep.holds
-        assert rep.witness["vertex"] == 2
-        recheck_witness(g, rep)
+        w = condition_failure(g, 0)
+        assert w == {"condition": "interval", "root": 0, "vertex": 2}
+        recheck_witness(g, w)
 
     def test_j42_holds_exhaustively(self):
         g = gen("johnson:4,2")
         for v0 in range(g.n):
-            assert check_interval_condition(g, v0).holds
+            assert condition_failure(g, v0) is None
+
+
+ATLAS_6 = connected_atlas(6)
+
+
+@pytest.mark.parametrize("i", [i for i, g in ATLAS_6.items() if g.n >= 2], ids="atlas-G{}".format)
+def test_condition_failure_matches_networkx_from_every_root(i):
+    g = ATLAS_6[i]
+    for root in range(g.n):
+        assert condition_failure(g, root) == condition_reference(g, root), root
 
 
 class TestWeetman:
     def test_chordal_instances_are_weetman(self):
-        assert is_weetman(gen("chordal:n=50,rate=0.3,seed=1")).holds
+        assert weetman_failure(gen("chordal:n=50,rate=0.3,seed=1")) is None
 
     @pytest.mark.parametrize("k", range(4, 9))
     def test_cycles_rejected_with_recheckable_witness(self, k):
-        rep = is_weetman(gen(f"cycle:{k}"))
-        assert not rep.holds
-        recheck_witness(gen(f"cycle:{k}"), rep)
+        recheck_witness(gen(f"cycle:{k}"), weetman_failure(gen(f"cycle:{k}")))
 
     def test_triangle_is_weetman(self):
-        assert is_weetman(gen("cycle:3")).holds
+        assert weetman_failure(gen("cycle:3")) is None
 
     def test_complete_7(self):
-        assert is_weetman(gen("complete:7")).holds
+        assert weetman_failure(gen("complete:7")) is None
 
     @pytest.mark.parametrize("spec", ["johnson:4,2", "johnson:5,2", "johnson:6,2"])
     def test_johnson_graphs(self, spec):
-        assert is_weetman(gen(spec)).holds
+        assert weetman_failure(gen(spec)) is None
 
-    @pytest.mark.parametrize("spec", [
-        "chordal:n=30,rate=0.4,seed=1", "johnson:5,2", "tree:n=20,seed=2", "cycle:4", "cycle:5",
+    @pytest.mark.parametrize("spec,condition", [
+        pytest.param(spec, condition, id=spec) for spec, condition in [
+            ("chordal:n=30,rate=0.4,seed=1", None), ("johnson:5,2", None),
+            ("tree:n=20,seed=2", None), ("cycle:4", "interval"), ("cycle:5", "triangle"),
+        ]
     ])
-    def test_one_layering_per_root_and_the_verdict_of_both_checks(self, spec):
-        # C4 fails only the interval condition, C5 the triangle condition
+    def test_one_layering_per_root_and_the_verdict_of_both_checks(self, spec, condition):
+        # C4 fails only the interval condition, C5 only the triangle condition
         g = gen(spec)
         roots = []
         layered = families.layering
@@ -217,23 +240,17 @@ class TestWeetman:
             return layered(graph, v0)
 
         with mock.patch.object(families, "layering", counting):
-            rep = is_weetman(g)
-        expected = ConditionReport(True)
-        for v0 in range(g.n):
-            failed = [r for r in (check_triangle_condition(g, v0), check_interval_condition(g, v0))
-                      if not r.holds]
-            if failed:
-                expected = failed[0]
-                break
-        assert rep == expected
-        assert roots == list(range(g.n if rep.holds else rep.witness["root"] + 1))
+            failure = weetman_failure(g)
+        assert (failure and failure["condition"]) == condition
+        assert failure == condition_reference(g, roots[-1])
+        assert roots == list(range(g.n if failure is None else failure["root"] + 1))
 
     def test_weetman_implies_cluster_tree_for_every_root(self):
         from binox.graph import SEVERAL_PARENTS, cluster_decomposition
 
         for spec in ("chordal:n=20,rate=0.5,seed=5", "johnson:5,2", "complete:6"):
             g = gen(spec)
-            assert is_weetman(g).holds
+            assert weetman_failure(g) is None
             for v0 in range(g.n):
                 _dist, _cluster_of, parent = cluster_decomposition(g, v0)
                 assert SEVERAL_PARENTS not in parent, (spec, v0)
@@ -244,7 +261,7 @@ class TestWeetman:
             for seed in range(30):
                 g = gen(f"chordal:n={n},rate=0.5,seed={seed}")
                 assert nx.is_chordal(to_nx(g)), f"generator broke chordality at n={n} seed={seed}"
-                assert is_weetman(g).holds, f"chordal not Weetman at n={n} seed={seed}"
+                assert weetman_failure(g) is None, f"chordal not Weetman at n={n} seed={seed}"
 
 
 class TestChordal:

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import binox
-from binox.families import _assign_ports
 from binox.graph import (
     ROOT_CLUSTER,
     SEVERAL_PARENTS,
@@ -36,6 +35,7 @@ from conftest import (
     ball_signature,
     center_degree,
     center_edges,
+    connected_atlas,
     dest,
     gen,
     horizontal_edges,
@@ -391,20 +391,6 @@ class TestLayering:
             layering(gen("path:3"), 3)
         with pytest.raises(ValueError, match="connected"):
             layering(PortNumberedGraph(3, [(0, 1, 0, 0)]), 0)
-
-
-def connected_atlas(max_n):
-    """Every connected graph of the networkx atlas with 1 to ``max_n``
-    vertices, canonical ports, keyed by atlas index."""
-    out = {}
-    for i, G in enumerate(nx.graph_atlas_g()):
-        n = G.number_of_nodes()
-        if n > max_n:
-            break
-        if n and nx.is_connected(G):
-            pairs = sorted(tuple(sorted(e)) for e in G.edges())
-            out[i] = PortNumberedGraph(n, _assign_ports(n, pairs, "canonical"))
-    return out
 
 
 ATLAS_6 = connected_atlas(6)
