@@ -9,6 +9,7 @@ force the non-halting path of the explorer.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,7 +22,8 @@ class GeneratorSpec:
 
     The same spec always yields the same graph, byte for byte. ``port_scheme``
     is "canonical" (ports 0..deg-1 in ascending neighbour order) or
-    "random:SEED" (an independent seeded permutation of 0..deg-1 per vertex).
+    "random:SEED" (an independent seeded permutation of 0..deg-1 per vertex),
+    SEED a natural number in plain decimal (no sign, no leading zero).
     A spec whose values name no graph raises ValueError when it is made.
     """
 
@@ -42,8 +44,9 @@ class GeneratorSpec:
             raise ValueError(f"cycle: n must be at least 3, got {n}")
         if fam == "chordal" and not (0.0 <= self.rate <= 1.0):
             raise ValueError(f"chordal: rate must be in [0, 1], got {self.rate}")
-        if self.port_scheme != "canonical" and self.port_scheme.partition(":")[0] != "random":
-            raise ValueError(f"unknown port scheme {self.port_scheme!r}")
+        scheme = self.port_scheme
+        if scheme != "canonical" and not re.fullmatch(r"random:(0|[1-9][0-9]*)", scheme):
+            raise ValueError(f"unknown port scheme {scheme!r}")
 
     def echo(self):
         if self.family == "johnson":
@@ -74,6 +77,8 @@ def parse_spec(text, port_scheme="canonical"):
                 if key.strip() in kv:
                     raise ValueError(f"repeated parameter {key.strip()!r}")
                 kv[key.strip()] = val.strip()
+            if "n" not in kv:
+                raise ValueError("missing parameter 'n'")
             n = int(kv.pop("n"))
             seed = int(kv.pop("seed", 0))
             rate = float(kv.pop("rate", 0.0)) if family == "chordal" else 0.0

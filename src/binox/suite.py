@@ -25,13 +25,7 @@ from .homotopy import verify_simplicial_covering
 from .runtime import Environment
 from .verify import TraceReplay, verify_rooted_isomorphism
 
-DEFAULT_CHECKS = {
-    "phase_invariants": True,
-    "final_isomorphism": True,
-    "coverage": True,
-    "cluster_tree": True,
-    "covering": False,
-}
+DEFAULT_CHECKS = ("phase_invariants", "final_isomorphism", "coverage", "cluster_tree", "covering")
 
 @dataclass
 class ExperimentConfig:
@@ -43,9 +37,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def active_checks(self):
-        merged = dict(DEFAULT_CHECKS)
-        merged.update(self.checks)
-        return {k: v for k, v in merged.items() if v}
+        """Every check the config does not set to false."""
+        return {name: True for name in DEFAULT_CHECKS if self.checks.get(name, True)}
 
     @classmethod
     def from_json_dict(cls, d):
@@ -143,7 +136,6 @@ def evaluate_trace(events, g, checks):
     status = _STATUS.get(replay.last["kind"], "incomplete")
     root = replay.header["root"]
     halted = status == "halted"
-    needs_map = halted and (checks.get("final_isomorphism") or checks.get("covering"))
     results = {}
     problems = []
     if checks.get("phase_invariants"):
@@ -159,9 +151,8 @@ def evaluate_trace(events, g, checks):
         if checks.get(name):
             results[name] = None if not halted else True
     if halted:
-        final_map = replay.graph() if needs_map else None
         if checks.get("final_isomorphism"):
-            found = verify_rooted_isomorphism(final_map, g, root)
+            found = verify_rooted_isomorphism(replay.graph(), g, root)
             results["final_isomorphism"] = not found
             problems.extend(f"isomorphism: {p}" for p in found[:3])
         if checks.get("coverage"):
@@ -174,7 +165,7 @@ def evaluate_trace(events, g, checks):
                 results["covering"] = False
                 problems.extend(f"covering: {p}" for p in phi_problems[:3])
             else:
-                viol = verify_simplicial_covering(final_map, g, phi)
+                viol = verify_simplicial_covering(replay.graph(), g, phi)
                 results["covering"] = not viol
                 problems.extend(f"covering: {p}" for p in viol[:3])
     return status, results, problems

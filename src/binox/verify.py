@@ -12,6 +12,7 @@ explored vertices), port-preserving homomorphism phase by phase.
 from __future__ import annotations
 
 from .graph import PortCollisionError, PortNumberedGraph, ball
+from .runtime import TraceFormatError
 
 
 def _forced_image(sub, big, sub_root, big_root, problems):
@@ -66,7 +67,8 @@ class TraceReplay:
     """The checker's one pass over a trace's events, against the ground
     graph. The events are any iterable that starts with the header
     (``RunTrace.events``, or ``runtime.read_events`` of a file), read once;
-    ``header`` and ``last`` keep its first and last event. A move is walked
+    ``header`` and ``last`` keep its first and last event; a header root that
+    is not a vertex of the ground raises TraceFormatError. A move is walked
     over the map folded from the deltas so far (phase i moves only use
     edges in the map at the end of phase i-1) and over the ground, its in-port compared with the ground's; a sense is
     compared with the ground truth and the first sense of each map vertex
@@ -122,6 +124,9 @@ class TraceReplay:
         g, m, first, visited = self.g, self.map, self.first, self.visited
         ev = self.header = next(events)
         root = ground = ev["root"]
+        if not 0 <= root < g.n:
+            raise TraceFormatError(f"root {root} out of range for n={g.n} "
+                                   f"(trace recorded on another graph?)")
         visited.add(root)
         pos = 0  # the agent's map vertex
         arrival = None  # the in-port of the last move
@@ -290,10 +295,7 @@ class TraceReplay:
         return problems
 
     def graph(self):
-        """The map after the last phase_end, its edges sorted, or None when
-        no phase ended."""
-        if not self.ended:
-            return None
+        """The map after the last phase_end, its edges sorted."""
         self.map.edges.sort()
         return self.map
 

@@ -21,7 +21,7 @@ from binox.explorer import explore
 from binox.families import _assign_ports, condition_failure, generate, parse_spec
 from binox.graph import PortNumberedGraph, load_graph, save_graph
 from binox.runtime import Environment
-from binox.suite import run_one
+from binox.suite import DEFAULT_CHECKS, run_one
 from binox.verify import verify_rooted_isomorphism
 
 from conftest import rooted_embedding, to_nx, weetman_failure
@@ -34,13 +34,7 @@ JOHNSON = ("johnson:4,2", "johnson:5,2", "johnson:6,2")
 COMPLETE_SIZES = (10, 20, 50, 100)
 PATH_SIZES = (10, 50, 200)
 TREES = ("tree:n=12,seed=1", "tree:n=100,seed=2", "tree:n=200,seed=3")
-ALL_CHECKS = {
-    "phase_invariants": True,
-    "final_isomorphism": True,
-    "coverage": True,
-    "cluster_tree": True,
-    "covering": True,
-}
+ALL_CHECKS = dict.fromkeys(DEFAULT_CHECKS, True)
 BUDGET_FACTOR = 50.0
 
 
@@ -265,29 +259,46 @@ def test_criterion_8_determinism():
     )
 
 
-def test_small_graphs_halt_exactly_where_both_conditions_hold():
-    """The paper's dichotomy on every connected graph of 2 to 5 vertices
-    (the networkx atlas), from every root, under three port schemes: a run
-    halts exactly when the triangle and interval conditions hold at its
-    root, and every halted run passes every check."""
+def atlas_dichotomy(max_n, budget_factor):
+    """The paper's dichotomy on every connected graph of 2 to ``max_n``
+    vertices (the networkx atlas), from every root, under three port
+    schemes, each run with every check: a run halts exactly when the
+    triangle and interval conditions hold at its root, every halted run
+    passes every check, and every run keeps the phase invariants. Returns
+    the tally of graphs and of run statuses."""
     tally = Counter()
     for G in nx.graph_atlas_g():
         n = G.number_of_nodes()
-        if not (2 <= n <= 5 and nx.is_connected(G)):
+        if n > max_n:
+            break
+        if not (n >= 2 and nx.is_connected(G)):
             continue
         tally["graphs"] += 1
         pairs = sorted(tuple(sorted(e)) for e in G.edges())
         for scheme in ("canonical", "random:1", "random:2"):
             g = PortNumberedGraph(n, _assign_ports(n, pairs, scheme))
             for root in range(n):
-                report, _ = run_one(g, f"atlas:{pairs}", scheme, root, BUDGET_FACTOR, ALL_CHECKS)
+                report, _ = run_one(g, f"atlas:{pairs}", scheme, root, budget_factor, ALL_CHECKS)
                 conditions = condition_failure(g, root) is None
                 where = (pairs, scheme, root, report.status, report.problems)
                 assert (report.status == "halted") == conditions, where
+                assert report.checks["phase_invariants"], where
                 if conditions:
                     assert all(report.checks.values()), where
                 tally[report.status] += 1
-    assert tally == {"graphs": 30, "halted": 324, "budget_exhausted": 87}
+    return tally
+
+
+def test_small_graphs_halt_exactly_where_both_conditions_hold():
+    assert atlas_dichotomy(5, BUDGET_FACTOR) == {"graphs": 30, "halted": 324, "budget_exhausted": 87}
+
+
+@pytest.mark.slow
+def test_graphs_of_up_to_7_vertices_halt_exactly_where_both_conditions_hold():
+    """The dichotomy on all 995 connected graphs of 2 to 7 vertices, with a
+    small budget for the runs that never halt (run with ``-m slow``)."""
+    assert atlas_dichotomy(7, 10.0) == {"graphs": 995, "halted": 9915, "budget_exhausted": 10025,
+                                        "error_detected": 400}
 
 
 @pytest.mark.slow

@@ -48,6 +48,13 @@ class TestGen:
     def test_bad_spec_fails(self, capsys):
         assert invoke("gen", "--spec", "johnson:2,9") == 1
 
+    @pytest.mark.parametrize("spec", ["tree:seed=1", "chordal:rate=0.4"])
+    def test_spec_without_n_fails(self, capsys, spec):
+        assert invoke("gen", "--spec", spec) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == f"error: bad generator spec '{spec}': missing parameter 'n'\n"
+
     def test_repeated_spec_parameter_fails(self, capsys):
         assert invoke("gen", "--spec", "chordal:n=5,n=6") == 1
         captured = capsys.readouterr()
@@ -60,6 +67,15 @@ class TestGen:
         invoke("gen", "--spec", "complete:5", "--out", str(a))
         invoke("gen", "--spec", "complete:5", "--ports", "random:3", "--out", str(b))
         assert a.read_text() != b.read_text()
+
+    @pytest.mark.parametrize("ports", ["random", "random:", "random:abc", "random:1:2", "random:01",
+                                       "random:-1", "random:+1", "random: 1", "random:\u0661"])
+    def test_port_scheme_outside_the_grammar_fails(self, capsys, ports):
+        # exactly "canonical" or "random:SEED", SEED 0 or a decimal without a leading zero
+        assert invoke("gen", "--spec", "path:3", "--ports", ports) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad generator spec 'path:3': unknown port scheme {ports!r}\n"
 
 
 class TestExploreAndCheck:
@@ -92,6 +108,15 @@ class TestExploreAndCheck:
         assert rc == 0  # phase invariants hold; coverage is n/a
         assert "coverage: n/a" in out
         assert "phase_invariants: pass" in out
+
+    @pytest.mark.parametrize("root", [-1, 5])
+    def test_explore_root_out_of_range_is_an_error(self, tmp_path, capsys, root):
+        g = tmp_path / "g.json"
+        invoke("gen", "--spec", "path:5", "--out", str(g))
+        capsys.readouterr()
+        assert invoke("explore", "--graph", str(g), "--root", str(root)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: root {root} out of range for n=5\n" and captured.out == ""
 
     def test_check_rejects_unknown_names(self, tmp_path, capsys):
         g = tmp_path / "g.json"
@@ -178,6 +203,22 @@ def test_unreadable_graph_file_is_an_error_not_a_traceback(tmp_path, capsys, com
     assert invoke(command, "--graph", str(g), *extra) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {g}: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args,text,message", [
+    (["explore", "--graph", "{x}"], "[]", "{x}:\ngraph file must contain a JSON object"),
+    (["suite", "--config", "{x}"], "[]", "bad config: config must be a JSON object"),
+    (["check", "--graph", "{g}", "--trace", "{x}"],
+     '{"budget":1,"kind":"header","root":0,"version":5}\n[]', "{x}: line 2: expected a JSON object"),
+], ids=["graph file", "suite config", "trace line"])
+def test_json_that_is_not_an_object_is_an_error(tmp_path, capsys, args, text, message):
+    g, x = tmp_path / "g.json", tmp_path / "x.json"
+    invoke("gen", "--spec", "path:3", "--out", str(g))
+    x.write_text(text + "\n")
+    capsys.readouterr()
+    assert invoke(*(a.format(g=g, x=x) for a in args)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(x=x)}\n" and captured.out == ""
 
 
 def add_delta_edge(line, edge):
@@ -428,6 +469,16 @@ class TestCheckInputs:
         assert invoke("check", "--graph", str(small), "--trace", str(trace)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "root 6 out of range for n=3" in err
+
+    def test_blank_lines_in_a_trace_are_skipped(self, tmp_path, capsys):
+        g, trace = self.explored(tmp_path)
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(g), "--trace", str(trace)) == 0
+        plain = capsys.readouterr()
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines[:3] + ["", "  "] + lines[3:]) + "\n")
+        assert invoke("check", "--graph", str(g), "--trace", str(trace)) == 0
+        assert capsys.readouterr() == plain
 
     def test_event_without_its_fields_is_an_error(self, tmp_path, capsys):
         g, trace = self.explored(tmp_path)
@@ -793,6 +844,21 @@ class TestSuite:
         assert invoke("suite", "--config", str(path)) == 0
         assert (tmp_path / "via_config" / "report.json").exists()
 
+    @pytest.mark.parametrize("checks,expected", [
+        (None, DEFAULT_CHECKS),
+        ({"covering": False}, DEFAULT_CHECKS[:4]),
+        ({"covering": True, "coverage": False, "cluster_tree": False},
+         ("phase_invariants", "final_isomorphism", "covering")),
+    ], ids=["no checks key", "covering off", "two off"])
+    def test_suite_runs_every_check_not_switched_off(self, tmp_path, capsys, checks, expected):
+        # the set ``binox check`` runs without --checks
+        cfg = self.config(tmp_path, ["chordal:n=8,rate=0.4,seed=1"],
+                          **({} if checks is None else {"checks": checks}))
+        assert invoke("suite", "--config", str(cfg), "--out", str(tmp_path / "res")) == 0
+        reports = json.loads((tmp_path / "res" / "report.json").read_text())["reports"]
+        assert [sorted(r["checks"]) for r in reports] == [sorted(expected)] * 4
+        assert all(all(r["checks"].values()) for r in reports)
+
     @pytest.mark.parametrize("bad,message", [
         ({"checks": {"isomorphsm": True}}, "unknown checks ['isomorphsm']"),
         ({"check": {"coverage": True}}, "unknown keys ['check']"),
@@ -966,10 +1032,11 @@ UNCALLED_API = {
 }
 
 
-def test_public_api_has_a_caller_in_the_package():
-    # A public module-level function or method counts as called when an
-    # ``ast.Name`` or ``ast.Attribute`` outside its own definition and
-    # ``__init__.py`` names it.
+def uncalled_functions(private):
+    """The module-level functions and methods of ``src/binox``, private
+    (named with a leading "_", dunder methods excepted) or public, that no
+    ``ast.Name`` or ``ast.Attribute`` outside their own definition and
+    ``__init__.py`` names."""
     defs, names = [], []
     for path in sorted(Path(binox.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
@@ -978,11 +1045,21 @@ def test_public_api_has_a_caller_in_the_package():
         for node in tree.body:
             body = node.body if isinstance(node, ast.ClassDef) else [node]
             for fn in body:
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("_"):
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and fn.name.startswith("_") == private
+                        and not (fn.name.startswith("__") and fn.name.endswith("__"))):
                     qualified = f"{node.name}.{fn.name}" if fn is not node else fn.name
                     defs.append((qualified, fn.name, set(ast.walk(fn))))
         names += [(x.id if isinstance(x, ast.Name) else x.attr, x)
                   for x in ast.walk(tree) if isinstance(x, (ast.Name, ast.Attribute))]
-    uncalled = {qualified for qualified, name, own in defs
-                if not any(n == name and x not in own for n, x in names)}
-    assert uncalled == UNCALLED_API
+    return {qualified for qualified, name, own in defs
+            if not any(n == name and x not in own for n, x in names)}
+
+
+def test_public_api_has_a_caller_in_the_package():
+    assert uncalled_functions(private=False) == UNCALLED_API
+
+
+def test_private_helpers_have_a_caller_in_the_package():
+    # No allowlist: a helper whose last caller goes, goes with it.
+    assert uncalled_functions(private=True) == set()

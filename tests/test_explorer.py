@@ -28,6 +28,7 @@ from binox.explorer import (
     walk_cluster,
 )
 from binox.cli import main
+from binox.families import condition_failure
 from binox.graph import PortNumberedGraph, ball, load_graph, save_graph, validate
 from binox.runtime import Environment, ExplorationError, RunTrace, run_agent
 from binox.suite import DEFAULT_CHECKS, evaluate_trace
@@ -36,6 +37,7 @@ from binox.verify import TraceReplay, verify_rooted_isomorphism
 from conftest import (
     ball_signature,
     center_edges,
+    connected_atlas,
     gen,
     horizontal_edges,
     phase_ledgers,
@@ -529,9 +531,6 @@ def interval_violation_gadget():
 
 class TestNonWeetmanInputs:
     def test_gadget_is_invalid_weetman_but_valid_graph(self):
-        from binox.families import condition_failure
-        from binox.graph import validate
-
         g = interval_violation_gadget()
         assert validate(g) == []
         assert condition_failure(g, 0) == {"condition": "interval", "root": 0, "vertex": 4}
@@ -546,6 +545,22 @@ class TestNonWeetmanInputs:
         _, out = run(g)
         problems = verify_rooted_isomorphism(out.final_map, g, 0)
         assert any("vertex count" in p for p in problems)
+
+    def test_map_update_that_clashes_ends_the_run_as_an_error(self):
+        # atlas G198 from root 1: the interval condition fails at vertex 3,
+        # and phase 2's ledger adds a second edge at port 1 of map vertex 4
+        g = connected_atlas(6)[198]
+        assert (g.n, g.m) == (6, 11)
+        assert condition_failure(g, 1) == {"condition": "interval", "root": 1, "vertex": 3}
+        _, out = run(g, root=1)
+        assert (out.status, out.moves) == ("error_detected", 4)
+        assert out.trace.events[-1]["reason"] == (
+            "map update impossible: port clash inserting 4-6 labelled (1,0): "
+            "port 1@4 -> (5, 0), port 0@6 -> None")
+        _, results, problems = evaluate_trace(out.trace.events, g, dict.fromkeys(DEFAULT_CHECKS, True))
+        assert results == {"phase_invariants": True, "cluster_tree": True,
+                           "final_isomorphism": None, "coverage": None, "covering": None}
+        assert problems == []
 
     @pytest.mark.parametrize("k", range(4, 9))
     def test_cycles_never_halt(self, k):

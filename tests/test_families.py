@@ -137,6 +137,9 @@ class TestGenerate:
                        ("chordal:n=9,rate=0.1, rate =0.1", "rate")]:
             with pytest.raises(ValueError, match=f"repeated parameter '{key}'"):
                 parse_spec(s)
+        for s in ["tree:seed=1", "chordal:rate=0.4", "tree:"]:
+            with pytest.raises(ValueError, match=f"^bad generator spec '{s}': missing parameter 'n'$"):
+                parse_spec(s)
 
 
 def condition_reference(g, root):

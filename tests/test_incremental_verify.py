@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binox.explorer import explore
-from binox.graph import Ball
+from binox.graph import Ball, ball
 from binox.runtime import Environment, RunTrace
 from binox.suite import DEFAULT_CHECKS, evaluate_trace
 from binox.verify import TraceReplay
@@ -322,6 +322,29 @@ def test_vertex_problem_of_a_partial_phase_is_reported_on_catch_up():
     assert failed[0][1] == ["frontier vertex 3 has no explored neighbour"]
     triangle = "triangle preservation at explored 0: pair (1,2) mapped but ground lacks"
     assert any(p.startswith(triangle) for p in failed[1][1])
+
+
+def test_two_senses_of_one_ground_vertex_next_to_one_vertex_fail_injectivity():
+    # complete:4 from 0, forged: map vertex 1's port 1 (to ground 2) leads to
+    # a new vertex 4 and its port 2 (to ground 3) to map vertex 2. Phase 2
+    # walks 0 -> 2 -> 1 -> 4 and senses ground 2 at both 2 and 4, two
+    # neighbours of 1.
+    g = gen("complete:4")
+    trace = RunTrace()
+    trace.log("header", version=5, root=0, budget=100)
+    trace.log("phase_start", phase=1)
+    trace.log("sense", arrival=None, ball=ball(g, 0))
+    trace.log("phase_end", phase=1, delta={"n": 5, "edges": [
+        (0, 1, 0, 0), (0, 2, 1, 0), (0, 3, 2, 0), (1, 2, 2, 1), (1, 4, 1, 1), (2, 3, 2, 2)]})
+    trace.log("phase_start", phase=2)
+    for out, arrival, at in [(1, 0, 2), (1, 1, 1), (1, 1, 2)]:
+        trace.log("move", out=out, **{"in": arrival})
+        trace.log("sense", arrival=arrival, ball=ball(g, at))
+    trace.log("phase_end", phase=2, delta={"n": 5, "edges": []})
+    trace.log("halt")
+    replay = assert_agrees(trace, g)
+    assert replay.first[2] == replay.first[4] == (2, 2)
+    assert "local injectivity at 1: neighbours 2 and 4 both map to ground 2" in dict(replay.failed)[2]
 
 
 class CountedChecks(TraceReplay):

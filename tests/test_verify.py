@@ -8,7 +8,7 @@ import pytest
 from binox.explorer import explore
 from binox.graph import Ball, PortNumberedGraph, ball
 from binox.homotopy import verify_simplicial_covering
-from binox.runtime import Environment, RunTrace
+from binox.runtime import Environment, RunTrace, TraceFormatError
 from binox.verify import TraceReplay, verify_rooted_isomorphism
 
 import phase_reference
@@ -50,6 +50,15 @@ class TestRootedIsomorphism:
         g = gen("path:3")
         wrong = PortNumberedGraph(3, [(0, 1, 0, 1), (1, 2, 0, 0)])
         assert verify_rooted_isomorphism(wrong, g, 0)
+
+
+@pytest.mark.parametrize("root", [-1, 5])
+def test_replay_refuses_a_root_outside_the_graph(root):
+    g, out = run("path:5")
+    events = [dict(out.trace.events[0], root=root)] + out.trace.events[1:]
+    with pytest.raises(TraceFormatError) as e:
+        TraceReplay(events, g)
+    assert str(e.value) == f"root {root} out of range for n=5 (trace recorded on another graph?)"
 
 
 class TestCoverage:
