@@ -22,7 +22,6 @@ The run halts when the stack is empty.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import islice
 
 from .graph import PortCollisionError, PortNumberedGraph, ball, component
@@ -77,20 +76,21 @@ def approach_path(emap, start, members):
     goal's size, not its degree."""
     if start in members:
         return []
-    nbrs = emap._nbrs
+    nbrs, ports = emap._nbrs, emap._ports
     prev = {start: None}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
+    queue = [start]
+    for x in queue:  # the queue grows behind this loop: FIFO order
         near = nbrs[x].keys() & members
         if near:
-            path = [min(nbrs[x][y][0] for y in near)]
+            path = [min([nbrs[x][y][0] for y in near])]
             while prev[x] is not None:
                 x, p = prev[x]
                 path.append(p)
-            return path[::-1]
-        for p in emap.ports(x):
-            y = emap.step(x, p)[0]
+            path.reverse()
+            return path
+        out = ports[x]
+        for p in sorted(out):
+            y = out[p][0]
             if y not in prev:
                 prev[y] = (x, p)
                 queue.append(y)
@@ -126,6 +126,8 @@ def walk_cluster(env, emap, ledger, pos, cluster):
     for p in approach_path(emap, pos, members):
         pos = _cross(env, emap, pos, p)
     record_ball(ledger, pos, env.sense().ball)
+    if len(members) == 1:
+        return pos
     stack = [(pos, iter(emap.ports(pos)), None)]
     while len(ledger.balls) < len(members):
         if not stack:
@@ -186,45 +188,53 @@ def harvest_ledger(emap, ledger, n):
             ledger.horizontal.add(rec)
 
 
+def _root(parent, k):
+    """The root of pre-vertex k's class in the union-find ``parent``, which
+    holds k; compresses the path from k."""
+    root = k
+    while parent[root] != root:
+        root = parent[root]
+    while parent[k] != root:
+        parent[k], k = root, parent[k]
+    return root
+
+
 def apply_ledger(emap, ledger):
     """Create one frontier vertex per equivalence class of pre-vertices and
-    insert the vertical and horizontal edges. Returns the new map ids; the
-    edges actually inserted are appended to ``emap.edges``.
+    insert the vertical and horizontal edges. Returns the new map ids in
+    ascending order: the classes are numbered in ascending order of their
+    smallest pre-vertex. The edges actually inserted are appended to
+    ``emap.edges``.
 
     Duplicate insertions (same edge, same labels, e.g. one horizontal edge
     witnessed from both endpoints' triangles) are skipped; a label clash
     raises PortCollisionError and an equivalence naming an unknown
     pre-vertex MapUpdateError, which the caller turns into the error path.
     """
-    parent = {k: k for k in ledger.pre_vertices}
-
-    def find(k):
-        root = k
-        while parent[root] != root:
-            root = parent[root]
-        while parent[k] != root:
-            parent[k], k = root, parent[k]
-        return root
-
+    pre = ledger.pre_vertices
+    parent = {}  # union-find over the pre-vertices some pair names
     for a, b in ledger.equiv_pairs:
         for k in (a, b):
-            if k not in parent:
+            if k not in pre:
                 raise MapUpdateError(f"equivalence pair references unknown pre-vertex {k}")
-        ra, rb = find(a), find(b)
+            parent.setdefault(k, k)
+        ra, rb = _root(parent, a), _root(parent, b)
         if ra != rb:
             parent[ra] = rb
-    classes = {}
-    for k in ledger.pre_vertices:
-        classes.setdefault(find(k), []).append(k)
+    # In ascending order a class is met first at its smallest member, which
+    # numbers it; its root, a member too, carries the id to the others.
+    keys = sorted(pre)
     new_of = {}
     new_ids = []
-    for members in sorted(classes.values(), key=min):
-        nid = emap.add_vertex()
-        new_ids.append(nid)
-        for k in members:
-            new_of[k] = nid
-    for (n, p) in sorted(ledger.pre_vertices):
-        emap.add_edge(n, p, new_of[(n, p)], ledger.pre_vertices[(n, p)])
+    for k in keys:
+        r = _root(parent, k) if k in parent else k
+        nid = new_of.get(r)
+        if nid is None:
+            nid = new_of[r] = emap.add_vertex()
+            new_ids.append(nid)
+        new_of[k] = nid
+    for k in keys:
+        emap.add_edge(k[0], k[1], new_of[k], pre[k])
     for (n, p1, p2, r, s) in sorted(ledger.horizontal):
         emap.add_edge(new_of[(n, p1)], r, new_of[(n, p2)], s)
     return new_ids
@@ -241,12 +251,13 @@ def check_local_iso(emap, ledger, cluster):
 
 
 def discover_new_clusters(emap, new_ids):
-    """Partition this phase's new frontier vertices into connected
+    """Partition this phase's new frontier vertices, ``new_ids`` in
+    ascending order as ``apply_ledger`` returns them, into connected
     components (all edges among them are horizontal by construction);
     components are returned in ascending order of their smallest id."""
     pending = set(new_ids)
     comps = []
-    for v in sorted(new_ids):
+    for v in new_ids:
         if v in pending:
             comp = component(emap, v, pending)
             pending -= comp

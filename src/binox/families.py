@@ -15,6 +15,10 @@ from itertools import combinations
 
 from .graph import PortNumberedGraph, component, layering
 
+# A natural number in plain decimal: no sign, space, underscore or leading
+# zero, so each number has one spelling. Spec integers and port seeds follow it.
+_DECIMAL = "0|[1-9][0-9]*"
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -45,7 +49,7 @@ class GeneratorSpec:
         if fam == "chordal" and not (0.0 <= self.rate <= 1.0):
             raise ValueError(f"chordal: rate must be in [0, 1], got {self.rate}")
         scheme = self.port_scheme
-        if scheme != "canonical" and not re.fullmatch(r"random:(0|[1-9][0-9]*)", scheme):
+        if scheme != "canonical" and not re.fullmatch(f"random:(?:{_DECIMAL})", scheme):
             raise ValueError(f"unknown port scheme {scheme!r}")
 
     def echo(self):
@@ -58,29 +62,38 @@ class GeneratorSpec:
         return f"{self.family}:{self.n}"
 
 
+def _natural(name, text):
+    """The int that ``text`` spells in plain decimal (``_DECIMAL``);
+    ValueError naming the parameter ``name`` otherwise."""
+    if not re.fullmatch(_DECIMAL, text):
+        raise ValueError(f"{name} must be a natural number in plain decimal, got {text!r}")
+    return int(text)
+
+
 def parse_spec(text, port_scheme="canonical"):
     """Parse CLI-facing spec strings like ``johnson:5,2`` or
-    ``chordal:n=100,rate=0.4,seed=7``."""
+    ``chordal:n=100,rate=0.4,seed=7``. The integers ``n``, ``k`` and
+    ``seed`` are natural numbers in plain decimal."""
     family, _, rest = text.partition(":")
     family = family.strip()
-    rest = rest.strip()
     try:
         if family == "johnson":
-            n, k = (int(x) for x in rest.split(","))
-            return GeneratorSpec("johnson", n=n, k=k, port_scheme=port_scheme)
+            n, k = rest.split(",")
+            return GeneratorSpec("johnson", n=_natural("n", n), k=_natural("k", k),
+                                 port_scheme=port_scheme)
         if family in ("complete", "path", "cycle", "star", "fan"):
-            return GeneratorSpec(family, n=int(rest), port_scheme=port_scheme)
+            return GeneratorSpec(family, n=_natural("n", rest), port_scheme=port_scheme)
         if family in ("chordal", "tree"):
             kv = {}
             for part in rest.split(","):
                 key, _, val = part.partition("=")
                 if key.strip() in kv:
                     raise ValueError(f"repeated parameter {key.strip()!r}")
-                kv[key.strip()] = val.strip()
+                kv[key.strip()] = val
             if "n" not in kv:
                 raise ValueError("missing parameter 'n'")
-            n = int(kv.pop("n"))
-            seed = int(kv.pop("seed", 0))
+            n = _natural("n", kv.pop("n"))
+            seed = _natural("seed", kv.pop("seed", "0"))
             rate = float(kv.pop("rate", 0.0)) if family == "chordal" else 0.0
             if kv:
                 raise ValueError(f"unknown parameters {sorted(kv)}")

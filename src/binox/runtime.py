@@ -78,18 +78,18 @@ class RunTrace:
         self.events = []
         self._out = out
 
-    def log(self, kind, **payload):
-        ev = {"kind": kind}
-        ev.update(payload)
+    def log(self, ev):
+        """Append the event ``ev``, a dict with its ``kind`` and fields,
+        which the trace keeps as it is."""
         self.events.append(ev)
         if self._out is not None and len(self.events) >= TRACE_CHUNK:
             self.flush()
 
     def log_phase_start(self, phase):
-        self.log("phase_start", phase=phase)
+        self.log({"kind": "phase_start", "phase": phase})
 
     def log_phase_end(self, phase, delta):
-        self.log("phase_end", phase=phase, delta=delta)
+        self.log({"kind": "phase_end", "phase": phase, "delta": delta})
 
     def flush(self):
         """Write the buffered events to ``out`` and drop them; nothing
@@ -498,7 +498,7 @@ class Environment:
         self.move_count = 0
         self.budget = budget
         self.trace = RunTrace(out)
-        self.trace.log("header", version=TRACE_VERSION, root=v0, budget=budget)
+        self.trace.log({"kind": "header", "version": TRACE_VERSION, "root": v0, "budget": budget})
         self._rng = random.Random("observe:0")
 
     def sense(self):
@@ -512,13 +512,13 @@ class Environment:
         ids = list(range(1, self._graph.degree(self._position) + 1))
         self._rng.shuffle(ids)
         fresh = ball(self._graph, self._position, ids)
-        self.trace.log("sense", arrival=self._arrival, ball=fresh)
+        self.trace.log({"kind": "sense", "arrival": self._arrival, "ball": fresh})
         return Observation(fresh, self._arrival)
 
     def move(self, out_port):
         """Cross the edge behind ``out_port``; returns the in-port over there."""
         if self.move_count >= self.budget:
-            self.trace.log("budget_exhausted")
+            self.trace.log({"kind": "budget_exhausted"})
             raise BudgetExhaustedError(f"budget of {self.budget} moves exhausted")
         step = self._graph.step(self._position, out_port)
         if step is None:
@@ -529,7 +529,7 @@ class Environment:
         self._position, in_port = step
         self._arrival = in_port
         self.move_count += 1
-        self.trace.log("move", out=out_port, **{"in": in_port})
+        self.trace.log({"kind": "move", "out": out_port, "in": in_port})
         return in_port
 
     def declare_error(self, reason):
@@ -559,10 +559,10 @@ def run_agent(algorithm, env):
     except BudgetExhaustedError:
         outcome = RunOutcome("budget_exhausted", env.move_count, algorithm.partial_result(), env.trace)
     except ExplorationError as e:
-        env.trace.log("error_detected", reason=str(e))
+        env.trace.log({"kind": "error_detected", "reason": str(e)})
         outcome = RunOutcome("error_detected", env.move_count, algorithm.partial_result(), env.trace)
     else:
-        env.trace.log("halt")
+        env.trace.log({"kind": "halt"})
         outcome = RunOutcome("halted", env.move_count, payload, env.trace)
     env.trace.flush()
     return outcome

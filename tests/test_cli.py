@@ -731,12 +731,18 @@ def atlas_g184():
     return PortNumberedGraph(6, _assign_ports(6, pairs, "canonical"))
 
 
-@pytest.mark.parametrize("make,root,status,events", [
-    (lambda: gen("cycle:7"), 0, "budget_exhausted", 1406),
-    (atlas_g184, 4, "error_detected", 18),
-    (lambda: gen("tree:n=1500,seed=1"), 0, "halted", 7496),
+# The last column is the trace's sha256: runs that end on the budget and
+# error paths, which GOLDEN_TRACES does not pin.
+@pytest.mark.parametrize("make,root,status,events,digest", [
+    (lambda: gen("cycle:7"), 0, "budget_exhausted", 1406,
+     "aa6352067252c2ceb7d56eefa2b136ab8f3e80cd1b1d97f82641c9f489f16f7e"),
+    (atlas_g184, 4, "error_detected", 18,
+     "8247cad6e2c0d96b52b445cff1c6b80f7adad0e14ee41b0b4bf045b8f32dbe85"),
+    (lambda: gen("tree:n=1500,seed=1"), 0, "halted", 7496,
+     "c180335afd52a2453c340de07aed4a2786162e147cba9c3725a9e54d0810bfe9"),
 ], ids=["cycle:7", "atlas G184", "tree:n=1500"])
-def test_explore_trace_file_is_the_in_memory_trace(tmp_path, capsys, make, root, status, events):
+def test_explore_trace_file_is_the_in_memory_trace(tmp_path, capsys, make, root, status, events,
+                                                    digest):
     # explore writes its trace as the run goes on, TRACE_CHUNK events at a
     # time; however the run ends, the file is the whole trace
     g = make()
@@ -747,6 +753,7 @@ def test_explore_trace_file_is_the_in_memory_trace(tmp_path, capsys, make, root,
     out = explore(Environment(g, root, move_budget(50.0, g.n)))
     assert (out.status, len(out.trace.events)) == (status, events)
     assert trace.read_text() == out.trace.to_jsonl()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
 
 CLUSTER_TREE_RUNS = {

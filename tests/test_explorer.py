@@ -2,6 +2,7 @@
 tours, and the non-halting path on bad inputs."""
 
 import gc
+import itertools
 import math
 import random
 import time
@@ -16,6 +17,7 @@ from binox.explorer import (
     ClusterExplorer,
     ExplorationMap,
     ExplorerInvariantError,
+    MapUpdateError,
     PhaseLedger,
     PortCollisionError,
     apply_ledger,
@@ -233,6 +235,38 @@ class TestLedgerOperations:
             for n in range(4):
                 emap.add_vertex()
             assert apply_ledger(emap, ledger) == [4]
+
+    def test_new_ids_follow_each_class_smallest_member(self):
+        # pre-vertex -> far port; classes {(0,0),(3,0),(4,0)}, {(1,0),(5,0)},
+        # {(2,0)} and {(2,1),(6,0)}, whose union roots depend on the pairs'
+        # order and orientation
+        far = {(6, 0): 1, (5, 0): 1, (4, 0): 2, (3, 0): 1, (2, 1): 0, (2, 0): 0, (1, 0): 0,
+               (0, 0): 0}
+        pairs = [((0, 0), (3, 0)), ((3, 0), (4, 0)), ((1, 0), (5, 0)), ((2, 1), (6, 0))]
+        new_of = {(0, 0): 7, (3, 0): 7, (4, 0): 7, (1, 0): 8, (5, 0): 8, (2, 0): 9,
+                  (2, 1): 10, (6, 0): 10}
+        for order in itertools.permutations(pairs):
+            for flips in itertools.product((False, True), repeat=len(pairs)):
+                ledger = PhaseLedger()
+                ledger.pre_vertices = dict(far)
+                ledger.equiv_pairs = [(b, a) if f else (a, b) for (a, b), f in zip(order, flips)]
+                emap = ExplorationMap()
+                for _ in range(7):
+                    emap.add_vertex()
+                assert apply_ledger(emap, ledger) == [7, 8, 9, 10]
+                assert {k: emap.step(*k)[0] for k in far} == new_of
+
+    @pytest.mark.parametrize("pair", [((0, 0), (1, 5)), ((1, 5), (0, 0))])
+    def test_equivalence_naming_an_unknown_pre_vertex_raises(self, pair):
+        ledger = PhaseLedger()
+        ledger.pre_vertices = {(0, 0): 0, (1, 0): 1}
+        ledger.equiv_pairs = [((0, 0), (1, 0)), pair]
+        emap = ExplorationMap()
+        emap.add_vertex()
+        emap.add_vertex()
+        with pytest.raises(MapUpdateError, match=r"unknown pre-vertex \(1, 5\)"):
+            apply_ledger(emap, ledger)
+        assert (emap.n, emap.m) == (2, 0)
 
     def test_port_collision_raises(self):
         emap = ExplorationMap()
@@ -668,3 +702,39 @@ def test_star_explore_time_grows_linearly():
     finally:
         gc.unfreeze()
     assert math.log2(seconds[-1] / seconds[0]) / 2 <= 1.15, seconds
+
+
+@pytest.mark.slow
+def test_cycle_phase_cost_does_not_grow_with_the_map():
+    """explore and evaluate_trace of cycle:7 from root 0 at budgets of 2000,
+    4000 and 8000 moves: one phase per move, and the map a path that grows
+    by one vertex a phase. A phase must cost what it changes, not the map's
+    size: each doubling of the budget grows each thread time by at most 1.15
+    in log2 (run with ``-m slow``). A set operation that walks the map, such
+    as a key-view difference with the map's keys on its right, breaks it."""
+    g = gen("cycle:7")
+    checks = dict.fromkeys(DEFAULT_CHECKS, True)
+    budgets = (2000, 4000, 8000)
+    traces = [explore(Environment(g, 0, b)).trace.events for b in budgets]
+    # The best of nine, taken in turn with the live heap frozen, as in
+    # test_star_explore_time_grows_linearly.
+    explore_s = [float("inf")] * len(budgets)
+    check_s = [float("inf")] * len(budgets)
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(9):
+            for i, (budget, events) in enumerate(zip(budgets, traces)):
+                start = time.thread_time()
+                out = explore(Environment(g, 0, budget))
+                explore_s[i] = min(explore_s[i], time.thread_time() - start)
+                assert (out.status, out.moves) == ("budget_exhausted", budget)
+                del out
+                start = time.thread_time()
+                status, _results, _problems = evaluate_trace(events, g, checks)
+                check_s[i] = min(check_s[i], time.thread_time() - start)
+                assert status == "budget_exhausted"
+    finally:
+        gc.unfreeze()
+    for seconds in (explore_s, check_s):
+        assert all(math.log2(b / a) <= 1.15 for a, b in zip(seconds, seconds[1:])), (explore_s, check_s)

@@ -1,5 +1,6 @@
 """Generators and the structural condition oracle."""
 
+import json
 from itertools import combinations
 from unittest import mock
 
@@ -7,6 +8,7 @@ import networkx as nx
 import pytest
 
 from binox import families
+from binox.cli import main
 from binox.families import condition_failure, generate, parse_spec
 from binox.graph import layering, validate
 from binox.suite import DEFAULT_CHECKS, run_one
@@ -140,6 +142,28 @@ class TestGenerate:
         for s in ["tree:seed=1", "chordal:rate=0.4", "tree:"]:
             with pytest.raises(ValueError, match=f"^bad generator spec '{s}': missing parameter 'n'$"):
                 parse_spec(s)
+
+    @pytest.mark.parametrize("spec,name,value", [
+        ("complete:4_0", "n", "4_0"), ("complete:+4", "n", "+4"), ("complete: 4", "n", " 4"),
+        ("chordal:n=1_0,rate=0.4", "n", "1_0"), ("tree:n=08,seed=1", "n", "08"),
+        ("tree:n=8,seed=-3", "seed", "-3"), ("johnson:5,02", "k", "02"),
+        ("path:\u0664", "n", "\u0664"),
+    ])
+    def test_spec_integers_are_plain_decimal(self, tmp_path, capsys, spec, name, value):
+        # one spelling per number, as for port seeds: `gen` and a suite
+        # config refuse the others
+        message = (f"bad generator spec {spec!r}: {name} must be a natural number in plain "
+                   f"decimal, got {value!r}")
+        with pytest.raises(ValueError) as e:
+            parse_spec(spec)
+        assert str(e.value) == message
+        assert main(["gen", "--spec", spec]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generators": [spec]}))
+        assert main(["suite", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 1
+        assert capsys.readouterr() == ("", f"error: bad config: {message}\n")
+        assert not (tmp_path / "res").exists()
 
 
 def condition_reference(g, root):

@@ -331,17 +331,17 @@ def test_two_senses_of_one_ground_vertex_next_to_one_vertex_fail_injectivity():
     # neighbours of 1.
     g = gen("complete:4")
     trace = RunTrace()
-    trace.log("header", version=5, root=0, budget=100)
-    trace.log("phase_start", phase=1)
-    trace.log("sense", arrival=None, ball=ball(g, 0))
-    trace.log("phase_end", phase=1, delta={"n": 5, "edges": [
-        (0, 1, 0, 0), (0, 2, 1, 0), (0, 3, 2, 0), (1, 2, 2, 1), (1, 4, 1, 1), (2, 3, 2, 2)]})
-    trace.log("phase_start", phase=2)
+    trace.log({"kind": "header", "version": 5, "root": 0, "budget": 100})
+    trace.log({"kind": "phase_start", "phase": 1})
+    trace.log({"kind": "sense", "arrival": None, "ball": ball(g, 0)})
+    trace.log({"kind": "phase_end", "phase": 1, "delta": {"n": 5, "edges": [
+        (0, 1, 0, 0), (0, 2, 1, 0), (0, 3, 2, 0), (1, 2, 2, 1), (1, 4, 1, 1), (2, 3, 2, 2)]}})
+    trace.log({"kind": "phase_start", "phase": 2})
     for out, arrival, at in [(1, 0, 2), (1, 1, 1), (1, 1, 2)]:
-        trace.log("move", out=out, **{"in": arrival})
-        trace.log("sense", arrival=arrival, ball=ball(g, at))
-    trace.log("phase_end", phase=2, delta={"n": 5, "edges": []})
-    trace.log("halt")
+        trace.log({"kind": "move", "out": out, "in": arrival})
+        trace.log({"kind": "sense", "arrival": arrival, "ball": ball(g, at)})
+    trace.log({"kind": "phase_end", "phase": 2, "delta": {"n": 5, "edges": []}})
+    trace.log({"kind": "halt"})
     replay = assert_agrees(trace, g)
     assert replay.first[2] == replay.first[4] == (2, 2)
     assert "local injectivity at 1: neighbours 2 and 4 both map to ground 2" in dict(replay.failed)[2]

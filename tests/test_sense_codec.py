@@ -99,7 +99,7 @@ values = st.one_of(
 def test_sense_line_is_the_json_encoding(edges, arrival, size):
     trace = RunTrace()
     b = Ball(size, edges)
-    trace.log("sense", arrival=arrival, ball=b)
+    trace.log({"kind": "sense", "arrival": arrival, "ball": b})
     line = trace.to_jsonl()
     assert line == plain(trace.events[0]) + "\n"
     packed = b.to_json_dict()["edges"]
@@ -113,10 +113,10 @@ def test_sense_line_is_the_json_encoding(edges, arrival, size):
 def test_other_sense_events_are_written_the_plain_way():
     b = Ball(3, [(0, 1, 0, 0), (0, 2, 1, 0)])
     trace = RunTrace()
-    trace.log("sense", arrival=True, ball=b)
-    trace.log("sense", arrival=0, ball=b, note="x")
-    trace.log("sense", arrival=2**40, ball=b)
-    trace.log("sense", arrival=0, ball=Ball(3, [(0, 1, 0, 256), (0, 2, 1, 0)]))
+    trace.log({"kind": "sense", "arrival": True, "ball": b})
+    trace.log({"kind": "sense", "arrival": 0, "ball": b, "note": "x"})
+    trace.log({"kind": "sense", "arrival": 2**40, "ball": b})
+    trace.log({"kind": "sense", "arrival": 0, "ball": Ball(3, [(0, 1, 0, 256), (0, 2, 1, 0)])})
     assert trace.to_jsonl() == "".join(plain(ev) + "\n" for ev in trace.events)
 
 
@@ -134,9 +134,9 @@ def test_a_ball_with_a_value_from_256_on_round_trips_as_a_list():
     for size, edges in ((257, [(0, v, v - 1, 0) for v in range(1, 257)]),
                         (2, [(0, 1, 256, 0)])):
         trace = RunTrace()
-        trace.log("header", version=TRACE_VERSION, root=0, budget=1)
-        trace.log("phase_start", phase=1)
-        trace.log("sense", arrival=None, ball=Ball(size, edges))
+        trace.log({"kind": "header", "version": TRACE_VERSION, "root": 0, "budget": 1})
+        trace.log({"kind": "phase_start", "phase": 1})
+        trace.log({"kind": "sense", "arrival": None, "ball": Ball(size, edges)})
         text = trace.to_jsonl()
         assert type(json.loads(text.splitlines()[2])["ball"]["edges"]) is list
         assert RunTrace.from_jsonl(text).to_jsonl() == text
