@@ -135,7 +135,7 @@ class Ball:
         if len(set(image)) != size:
             return False
         horizontal = len(flat) // 4 - d
-        if horizontal != g.horizontal_count(v):
+        if horizontal != g._counts()[v]:
             return False
         if horizontal:
             adj = [g._nbrs[x] for x in image]
@@ -369,14 +369,11 @@ class PortNumberedGraph:
         got = self._ports[v].get(p)
         return got is not None and got[1] == q
 
-    def horizontal_count(self, v):
-        """The number of edges among v's neighbours."""
-        return self._counts()[v]
-
     def _counts(self):
-        """Every vertex's horizontal count: the first call lists the
-        triangles, since the checks ask again for the same vertices; a
-        growing map keeps the table up to date."""
+        """Every vertex's horizontal count (the number of edges among its
+        neighbours), indexed by vertex: the first call lists the triangles,
+        since the checks ask again for the same vertices; a growing map
+        keeps the table up to date."""
         if self._horizontal_counts is None:
             self._horizontal_counts = horizontal_counts(self._nbrs)
         return self._horizontal_counts
@@ -387,8 +384,9 @@ class PortNumberedGraph:
         self._ports.append({})
         self._nbrs.append({})
         counts.append(0)
-        self.n += 1
-        return self.n - 1
+        n = self.n
+        self.n = n + 1
+        return n
 
     def add_edge(self, a, pa, b, pb):
         """Insert edge a-b labelled (pa, pb), keeping every horizontal
@@ -400,8 +398,9 @@ class PortNumberedGraph:
         insertion order."""
         if a == b:
             raise PortCollisionError(f"self edge at map vertex {a}")
-        eda = self._ports[a].get(pa)
-        edb = self._ports[b].get(pb)
+        at_a, at_b = self._ports[a], self._ports[b]
+        eda = at_a.get(pa)
+        edb = at_b.get(pb)
         if eda == (b, pb) and edb == (a, pa):
             return False
         if eda is not None or edb is not None:
@@ -409,23 +408,25 @@ class PortNumberedGraph:
                 f"port clash inserting {a}-{b} labelled ({pa},{pb}): "
                 f"port {pa}@{a} -> {eda}, port {pb}@{b} -> {edb}"
             )
-        if b in self._nbrs[a]:
+        nbrs_a, nbrs_b = self._nbrs[a], self._nbrs[b]
+        if b in nbrs_a:
             raise PortCollisionError(
                 f"second edge between map vertices {a} and {b} "
-                f"(existing labels {self._nbrs[a][b]}, new ({pa},{pb}))"
+                f"(existing labels {nbrs_a[b]}, new ({pa},{pb}))"
             )
         # The edge closes one triangle with each common neighbour: one more
         # edge among the neighbours of each, and as many at a and at b.
-        common = self._nbrs[a].keys() & self._nbrs[b].keys()
-        counts = self._counts()
-        counts[a] += len(common)
-        counts[b] += len(common)
-        for w in common:
-            counts[w] += 1
-        self._ports[a][pa] = (b, pb)
-        self._ports[b][pb] = (a, pa)
-        self._nbrs[a][b] = (pa, pb)
-        self._nbrs[b][a] = (pb, pa)
+        common = nbrs_a.keys() & nbrs_b.keys()
+        if common:
+            counts = self._counts()
+            counts[a] += len(common)
+            counts[b] += len(common)
+            for w in common:
+                counts[w] += 1
+        at_a[pa] = (b, pb)
+        at_b[pb] = (a, pa)
+        nbrs_a[b] = (pa, pb)
+        nbrs_b[a] = (pb, pa)
         self.edges.append((a, b, pa, pb) if a < b else (b, a, pb, pa))
         return common
 

@@ -31,29 +31,31 @@ def verify_simplicial_covering(h, g, phi):
                 f"edge {u}-{v} ports ({pu},{pv}) maps to {phi[u]}->{got}, expected ({phi[v]},{pv})"
             )
     homomorphic = not problems
+    h_nbrs, g_nbrs = h._nbrs, g._nbrs
+    h_counts, g_counts = h._counts(), g._counts()
     for u in range(h.n):
-        images = {}
-        injective = True
-        for w in h.neighbors(u):
-            fw = phi[w]
-            if fw in images:
-                problems.append(
-                    f"local injectivity at {u}: neighbours {images[fw]} and {w} both map to {fw}"
-                )
-                injective = False
-            images[fw] = w
-        if h.degree(u) != g.degree(phi[u]):
-            problems.append(
-                f"degree at {u}: {h.degree(u)} vs {g.degree(phi[u])} at phi({u})={phi[u]}"
-            )
+        fu, around = phi[u], h_nbrs[u]
+        degree = len(around)
+        injective = len({phi[w] for w in around}) == degree
+        if not injective:  # name each neighbour whose image an earlier one has
+            images = {}
+            for w in h.neighbors(u):
+                fw = phi[w]
+                if fw in images:
+                    problems.append(
+                        f"local injectivity at {u}: neighbours {images[fw]} and {w} both map to {fw}"
+                    )
+                images[fw] = w
+        if degree != len(g_nbrs[fu]):
+            problems.append(f"degree at {u}: {degree} vs {len(g_nbrs[fu])} at phi({u})={fu}")
             continue
         # A port-preserving homomorphism, injective at u with equal degree,
         # maps u's ball into phi(u)'s: the balls are equal iff they have as
         # many horizontal edges.
         if homomorphic and injective:
-            same = h.horizontal_count(u) == g.horizontal_count(phi[u])
+            same = h_counts[u] == g_counts[fu]
         else:
-            same = ball(h, u).matches(g, phi[u])
+            same = ball(h, u).matches(g, fu)
         if not same:
-            problems.append(f"ball at {u} not isomorphic to ball at phi({u})={phi[u]}")
+            problems.append(f"ball at {u} not isomorphic to ball at phi({u})={fu}")
     return problems

@@ -23,14 +23,16 @@ def _forced_image(sub, big, sub_root, big_root, problems):
     keeps every port and far port, or reports a concrete mismatch to
     ``problems``. Returns the image (sub vertex -> big vertex) reached.
     """
+    sub_ports, big_ports = sub._ports, big._ports
     image = {sub_root: big_root}
     stack = [sub_root]
     while stack:
         n = stack.pop()
         u = image[n]
-        for p in sub.ports(n):
-            m, q = sub.step(n, p)
-            got = big.step(u, p)
+        at, big_at = sub_ports[n], big_ports[u]
+        for p in sorted(at):
+            m, q = at[p]
+            got = big_at.get(p)
             if got is None or got[1] != q:
                 problems.append(f"edge at {n} port {p} (far {q}) has no counterpart at {u}")
                 continue
@@ -56,10 +58,8 @@ def verify_rooted_isomorphism(pg, g, v0):
         problems.append(f"vertex count: map has {pg.n}, graph has {g.n}")
     image = _forced_image(pg, g, 0, v0, problems)
     for n, u in image.items():
-        if pg.degree(n) != g.degree(u):
+        if len(pg._nbrs[n]) != len(g._nbrs[u]):
             problems.append(f"port set at map vertex {n}: {pg.ports(n)} vs {g.ports(u)} at {u}")
-    if not problems and len(image) != g.n:
-        problems.append(f"ground vertices unreached: {g.n - len(image)}")
     return problems
 
 
@@ -122,6 +122,7 @@ class TraceReplay:
 
     def _replay(self, events):
         g, m, first, visited = self.g, self.map, self.first, self.visited
+        ground_ports, map_ports = g._ports, m._ports  # the map's list grows in place
         ev = self.header = next(events)
         root = ground = ev["root"]
         if not 0 <= root < g.n:
@@ -141,9 +142,9 @@ class TraceReplay:
                     continue
                 out = ev["out"]
                 moves += 1
-                step = g.step(ground, out)
+                step = ground_ports[ground].get(out)
                 if walking:
-                    e = m.step(pos, out) if pos < m.n else None
+                    e = map_ports[pos].get(out) if pos < len(map_ports) else None
                     if e is None or step is None:
                         walking = False
                         self.walk_problem = (phase, (
@@ -167,12 +168,13 @@ class TraceReplay:
             elif kind == "sense":
                 if not walking:
                     continue
-                found = []
-                if ev["arrival"] != arrival:
-                    found.append(f"arrival port {ev['arrival']}, but the last move came in on {arrival}")
-                if not ev["ball"].matches(g, ground):
-                    found.append("the ball is not the ground ball")
-                if found:
+                same_ball = ev["ball"].matches(g, ground)
+                if not same_ball or ev["arrival"] != arrival:
+                    found = []
+                    if ev["arrival"] != arrival:
+                        found.append(f"arrival port {ev['arrival']}, but the last move came in on {arrival}")
+                    if not same_ball:
+                        found.append("the ball is not the ground ball")
                     self.mismatched.setdefault(phase, []).extend(
                         f"sense at map vertex {pos} (ground {ground}): {p}" for p in found)
                 seen = first.get(pos)
@@ -207,6 +209,8 @@ class TraceReplay:
         """The replay's problems in ``phase``: its moves and senses that
         differ from the ground, where the walk stopped, its vertices sensed
         again."""
+        if not (self.mismatched or self.resensed or self.walk_problem):
+            return []
         walk = self.walk_problem
         stopped = [walk[1]] if walk and walk[0] == phase else []
         return self.mismatched.get(phase, []) + stopped + self.resensed.get(phase, [])
@@ -226,7 +230,7 @@ class TraceReplay:
         touched = set(newly)  # newly, the new vertices, the ends of added edges
         for _ in range(m.n, delta["n"]):
             touched.add(m.add_vertex())
-        edges = set()  # the delta edges added, then the edges to check
+        added = []  # the delta edges added; no two alike, so a set only once others join
         corners = set()  # the third corners of the triangles they close
         for (a, b, pa, pb) in delta["edges"]:
             try:
@@ -237,38 +241,44 @@ class TraceReplay:
             if why is None:
                 touched.add(a)
                 touched.add(b)
-                edges.add((a, b, pa, pb) if a < b else (b, a, pb, pa))
-                corners |= closed
+                added.append((a, b, pa, pb) if a < b else (b, a, pb, pa))
+                if closed:
+                    corners |= closed
             else:
                 self.refused.append(f"delta edge {a}-{b} ({pa},{pb}) refused: {why}")
-        recompute = touched.copy()
-        for x in newly:
-            recompute.update(w for w in nbrs[x] if w not in first)
-        phi, changed = self.phi, []
-        for v in recompute:  # an explored vertex maps to its first sense
+        phi, phi_fail, changed = self.phi, self.phi_fail, []
+        for v in touched:  # an explored vertex maps to its first sense
             seen = first.get(v)
             if seen is None:
                 if self._update_phi(v):
                     changed.append(v)
             elif phi.get(v) != seen[1]:
-                self.phi_fail.pop(v, None)
+                phi_fail.pop(v, None)
                 phi[v] = seen[1]
                 changed.append(v)
+        for x in newly:  # and a frontier vertex along its smallest vertical edge
+            for w in nbrs[x]:
+                if w not in first and w not in touched and self._update_phi(w):
+                    changed.append(w)
         stale = self.stale
-        if self.phi_fail:
+        if phi_fail:
             stale |= touched
             stale.update(changed)
             return self.refused + [self.phi_problem()]
-        check = touched | corners
+        check = touched  # now the vertices to check
+        check |= corners
         check.update(changed)
         if stale:  # caught up as if their phi changed: their edges, they, their neighbours
             changed += stale
             check |= stale
             self.stale = set()
-        for v in changed:
-            check.update(nbrs[v])
-            edges.update((v, w, pv, pw) if v < w else (w, v, pw, pv)
-                         for w, (pv, pw) in nbrs[v].items())
+        edges = added
+        if changed:
+            edges = set(added)
+            for v in changed:
+                check.update(nbrs[v])
+                edges.update((v, w, pv, pw) if v < w else (w, v, pw, pv)
+                             for w, (pv, pw) in nbrs[v].items())
         ports, edge_bad = self.g._ports, self.edge_bad
         for e in edges:
             a, b, pa, pb = e
@@ -278,14 +288,14 @@ class TraceReplay:
                     f"edge {a}-{b} ({pa},{pb}) maps to {phi[a]}->{got}, "
                     f"expected ({phi[b]},{pb})"
                 )
-            else:
+            elif edge_bad:
                 edge_bad.pop(e, None)
         vertex_bad = self.vertex_bad
         for v in check:
             found = self._vertex_problems(v)
             if found:
                 vertex_bad[v] = found
-            else:
+            elif vertex_bad:
                 vertex_bad.pop(v, None)
         problems = self.refused[:]
         if edge_bad or vertex_bad:
@@ -328,14 +338,17 @@ class TraceReplay:
         checks test path independence."""
         old = self.phi.pop(v, None)
         self.phi_fail.pop(v, None)
-        first = self.first
-        incident = [(w, pw) for w, (_pv, pw) in self.map._nbrs[v].items() if w in first]
-        if not incident:
+        first, at = self.first, self.map._nbrs[v]
+        end = None  # the smallest explored neighbour: one edge per neighbour
+        for w in at:
+            if w in first and (end is None or w < end):
+                end = w
+        if end is None:
             self.phi_fail[v] = f"frontier vertex {v} has no explored neighbour"
             return old is not None
-        m, p = min(incident)
-        u = first[m][1]
-        step = self.g.step(u, p)
+        p = at[end][1]
+        u = first[end][1]
+        step = self.g._ports[u].get(p)
         if step is None:
             self.phi_fail[v] = f"frontier vertex {v}: ground has no port {p} at {u}"
             return old is not None
@@ -368,7 +381,7 @@ class TraceReplay:
         # onto fn's, each map pair (a, b) maps to a ground edge: the pairs
         # agree iff both sides have as many edges among the neighbours.
         if not self.edge_bad and not problems and (
-            self.map.horizontal_count(n) == g.horizontal_count(fn)
+            self.map._counts()[n] == g._counts()[fn]
         ):
             return problems
         mlist = sorted(nbrs[n])

@@ -183,7 +183,7 @@ def is_contractible(g, loop, max_loop_length=None, max_steps=1_000_000):
 
 
 def is_triangle_free(g):
-    return not any(map(g.horizontal_count, range(g.n)))
+    return not any(g._counts())
 
 
 def fundamental_cycles(g, root=0):

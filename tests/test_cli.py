@@ -23,7 +23,7 @@ from binox.explorer import explore
 from binox.families import _assign_ports
 from binox.graph import PortNumberedGraph, load_graph, save_graph
 from binox.runtime import TRACE_CHUNK, Environment, RunTrace
-from binox.suite import DEFAULT_CHECKS, move_budget, run_one
+from binox.suite import DEFAULT_CHECKS, ExperimentConfig, move_budget, run_one, run_suite
 from binox.verify import TraceReplay
 
 from conftest import gen
@@ -754,6 +754,28 @@ def test_explore_trace_file_is_the_in_memory_trace(tmp_path, capsys, make, root,
     assert (out.status, len(out.trace.events)) == (status, events)
     assert trace.read_text() == out.trace.to_jsonl()
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the report.json that run_suite writes for a small config shaped
+# like the benchmark's corpus: halted runs on four families and budget runs on
+# a cycle control, under two port schemes, every check on. A report of a
+# fixed config must stay byte for byte the same.
+SUITE_REPORT_CONFIG = {
+    "generators": ["chordal:n=25,rate=0.4,seed=1", "chordal:n=25,rate=0.4,seed=2", "johnson:4,2",
+                   "complete:10", "tree:n=30,seed=1", "cycle:6"],
+    "roots": {"sample": 2, "seed": 1},
+    "port_schemes": ["canonical", "random:1"],
+    "budget_factor": 50,
+    "checks": {name: True for name in DEFAULT_CHECKS},
+}
+SUITE_REPORT = "1d92e824fccc81a5ffd486e0317a99d339a693fd9bacbfcd9d9c7e7e099e841b"
+
+
+def test_suite_report_is_byte_identical_to_the_pinned_one(tmp_path):
+    reports, _ = run_suite(ExperimentConfig.from_json_dict(SUITE_REPORT_CONFIG), out_dir=tmp_path)
+    assert len(reports) == 24
+    assert {r.status for r in reports} == {"halted", "budget_exhausted"}
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == SUITE_REPORT
 
 
 CLUSTER_TREE_RUNS = {

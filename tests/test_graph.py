@@ -524,7 +524,7 @@ class TestGrow:
         assert g.add_edge(3, 2, 2, 2) == {0, 1}
         assert g.add_edge(3, 2, 2, 2) is False  # the same edge again
         assert g.add_edge(2, 2, 3, 2) is False
-        assert [g.horizontal_count(v) for v in range(4)] == [3] * 4
+        assert g._counts() == [3] * 4
         assert g.m == 6
 
 

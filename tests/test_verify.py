@@ -52,6 +52,81 @@ class TestRootedIsomorphism:
         assert verify_rooted_isomorphism(wrong, g, 0)
 
 
+_STAR = [(0, 1, 0, 0), (0, 2, 1, 0), (0, 3, 2, 0)]
+
+
+def _ring(n):
+    """The n-cycle whose vertex j leaves on port 0 to j + 1, arriving on port 1."""
+    return PortNumberedGraph(n, [(j, (j + 1) % n, 0, 1) for j in range(n)])
+
+
+# (map, ground, phi) -> the exact problems of verify_rooted_isomorphism
+# (map root 0, ground root 0) and of verify_simplicial_covering, in order.
+FINAL_CHECK_CASES = {
+    "three neighbours, two share an image": (
+        PortNumberedGraph(4, _STAR), PortNumberedGraph(4, _STAR + [(1, 2, 1, 1)]), [0, 1, 1, 3],
+        ["port set at map vertex 1: [0] vs [0, 1] at 1",
+         "port set at map vertex 2: [0] vs [0, 1] at 2"],
+        ["edge 0-2 ports (1,0) maps to 0->(2, 0), expected (1,0)",
+         "local injectivity at 0: neighbours 1 and 2 both map to 1",
+         "ball at 0 not isomorphic to ball at phi(0)=0",
+         "degree at 1: 1 vs 2 at phi(1)=1",
+         "degree at 2: 1 vs 2 at phi(2)=1"],
+    ),
+    "degree mismatch": (
+        PortNumberedGraph(2, [(0, 1, 0, 0)]), PortNumberedGraph(3, [(0, 1, 0, 0), (1, 2, 1, 0)]),
+        [0, 1],
+        ["vertex count: map has 2, graph has 3",
+         "port set at map vertex 1: [0] vs [0, 1] at 1"],
+        ["degree at 1: 1 vs 2 at phi(1)=1"],
+    ),
+    "port mismatch": (
+        PortNumberedGraph(2, [(0, 1, 0, 1)]), PortNumberedGraph(2, [(0, 1, 0, 0)]), [0, 1],
+        ["edge at 0 port 0 (far 1) has no counterpart at 0",
+         "not connected from its root: reached 1/2"],
+        ["edge 0-1 ports (0,1) maps to 0->(1, 0), expected (1,1)",
+         "ball at 0 not isomorphic to ball at phi(0)=0",
+         "ball at 1 not isomorphic to ball at phi(1)=1"],
+    ),
+    "missed triangle": (
+        _ring(6), _ring(3), [j % 3 for j in range(6)],
+        ["vertex count: map has 6, graph has 3",
+         "two vertices share an image (a proper cover, not an embedding)"],
+        [f"ball at {j} not isomorphic to ball at phi({j})={j % 3}" for j in range(6)],
+    ),
+    "triangle unfolded": (
+        _ring(3), _ring(6), [0, 1, 2],
+        ["vertex count: map has 3, graph has 6",
+         "vertex 1 reached as both 1 and 4",
+         "vertex 2 reached as both 5 and 2"],
+        ["edge 2-0 ports (0,1) maps to 2->(3, 1), expected (0,1)",
+         "ball at 0 not isomorphic to ball at phi(0)=0",
+         "ball at 1 not isomorphic to ball at phi(1)=1",
+         "ball at 2 not isomorphic to ball at phi(2)=2"],
+    ),
+    "not connected from its root": (
+        PortNumberedGraph(4, [(0, 1, 0, 0), (2, 3, 1, 0)]),
+        PortNumberedGraph(4, [(0, 1, 0, 0), (1, 2, 1, 0), (2, 3, 1, 0)]), [0, 1, 2, 3],
+        ["not connected from its root: reached 2/4",
+         "port set at map vertex 1: [0] vs [0, 1] at 1"],
+        ["degree at 1: 1 vs 2 at phi(1)=1",
+         "degree at 2: 1 vs 2 at phi(2)=2"],
+    ),
+    "phi out of range": (
+        PortNumberedGraph(2, [(0, 1, 0, 0)]), PortNumberedGraph(2, [(0, 1, 0, 0)]), [0, 2],
+        [],
+        ["phi(1)=2 out of range"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FINAL_CHECK_CASES)
+def test_final_checks_report_exact_problems(case):
+    h, g, phi, isomorphism, covering = FINAL_CHECK_CASES[case]
+    assert verify_rooted_isomorphism(h, g, 0) == isomorphism
+    assert verify_simplicial_covering(h, g, phi) == covering
+
+
 @pytest.mark.parametrize("root", [-1, 5])
 def test_replay_refuses_a_root_outside_the_graph(root):
     g, out = run("path:5")
