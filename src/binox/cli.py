@@ -98,7 +98,12 @@ def _cmd_check(args):
     # line has been read, so a malformed line anywhere gives no verdict.
     try:
         with open(args.trace, encoding="utf-8", errors="surrogateescape") as f:
-            status, results, problems = evaluate_trace(read_events(f), g, checks)
+            events = read_events(f)
+            try:
+                status, results, problems = evaluate_trace(events, g, checks)
+            except TraceFormatError as e:  # the replay refuses the header's root
+                events.throw(e)  # raised again with the header's line
+                raise
     except (OSError, TraceFormatError) as e:
         return _error(f"{args.trace}: {e}")
     print(f"status={status}")

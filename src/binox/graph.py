@@ -60,7 +60,7 @@ class Ball:
         center edges first); for builders whose output needs no second pass."""
         b = cls.__new__(cls)
         b.size = size
-        b.flat = _compact(flat)
+        b.flat = flat if type(flat) is bytes else _compact(flat)
         return b
 
     @property
@@ -164,7 +164,7 @@ class Ball:
         """
         size, edges = d["size"], d["edges"]
         if type(edges) is str:
-            return cls._from_naturals(size, _unpack(edges))
+            return cls.from_packed(size, edges)
         if len(edges) % 4:
             raise ValueError(f"ball edges: {len(edges)} values, not four per edge")
         if not set(map(type, edges)) <= {int}:
@@ -172,6 +172,22 @@ class Ball:
         if edges and min(edges) < 0:
             raise ValueError(_BAD_BALL_EDGE.format(size))
         return cls._from_naturals(size, edges)
+
+    @classmethod
+    def from_packed(cls, size, text):
+        """``from_json_dict`` of a ball whose ``edges`` is packed, without
+        the dict: the bytes of ``text`` checked by ``_from_naturals``.
+        ValueError unless ``text`` is canonical base64 (bad padding,
+        non-zero trailing bits, a character outside the alphabet and a line
+        break are refused): only the canonical text of some bytes encodes
+        back to itself."""
+        try:
+            packed = a2b_base64(text)
+        except ValueError:  # binascii.Error, or a character outside ASCII
+            packed = None
+        if packed is None or b2a_base64(packed, newline=False) != text.encode():
+            raise ValueError("ball edges: not the canonical base64 text of a byte string")
+        return cls._from_naturals(size, packed)
 
     @classmethod
     def _from_naturals(cls, size, flat):
@@ -192,10 +208,12 @@ class Ball:
             raise ValueError(_BAD_BALL_EDGE.format(size))
         if normal and not any(us[:us.count(0)]):
             b = cls._trusted(size, flat)
+            pairs = zip(us, vs)  # b.flat holds flat's values in flat's order
         else:
             it = iter(flat)
             b = cls(size, zip(it, it, it, it))
-        if len(set(zip(b.flat[0::4], b.flat[1::4]))) < len(us):
+            pairs = zip(b.flat[0::4], b.flat[1::4])
+        if len(set(pairs)) < len(us):
             raise ValueError(_repeated_edge(b.flat))
         return b
 
@@ -268,20 +286,6 @@ def _compact(flat):
         return bytes(flat)
     except ValueError:
         return flat
-
-
-def _unpack(text):
-    """The bytes of a canonical base64 ``text``; ValueError for any other
-    text (bad padding, non-zero trailing bits, a character outside the
-    alphabet, a line break). Only the canonical text of some bytes encodes
-    back to itself."""
-    try:
-        packed = a2b_base64(text)
-    except ValueError:  # binascii.Error, or a character outside ASCII
-        packed = None
-    if packed is None or b2a_base64(packed, newline=False) != text.encode():
-        raise ValueError("ball edges: not the canonical base64 text of a byte string")
-    return packed
 
 
 def _repeated_edge(flat):

@@ -135,49 +135,91 @@ def _event_line(ev):
 
 def read_events(lines):
     """The events of a trace's lines (an iterable of text lines, each read
-    once), parsed ``TRACE_CHUNK`` lines at a time, so a consumer has used
-    the events of the chunks before a bad line when it raises
-    TraceFormatError. It does unless the first event is a header of this
-    TRACE_VERSION, every line is UTF-8 text and a JSON object with the
-    fields of its kind (EVENT_FIELDS, NESTED_FIELDS) and valid values, and
-    the events come in order (_EventOrder).
+    once): the header as soon as it is read, then the other events
+    ``TRACE_CHUNK`` lines at a time, so a consumer has used the events of
+    the chunks before a bad line when it raises TraceFormatError. It does
+    unless the first event is a header of this TRACE_VERSION, every line is
+    UTF-8 text and a JSON object with the fields of its kind (EVENT_FIELDS,
+    NESTED_FIELDS) and valid values, and the events come in order
+    (_EventOrder). A consumer that refuses the header (a root that is not a
+    vertex of its graph) may ``throw`` its TraceFormatError into the
+    generator, which raises it again naming the header's line.
 
     A sense, move, phase_start or phase_end line in the writer's exact form
-    is read by its kind's template (``_TEMPLATES``, picked by the line's
-    leading key) without ``json.loads``, with the same result. A line that
-    misses its template, or whose template reader returns None (a number of
-    more digits than ``int()`` takes, a ball or a delta that does not
-    load), takes the general path (``_read_event``), which gives the same
-    event or the same TraceFormatError."""
-    map_n = 0
+    is read by its kind's template, picked by the first letter of the
+    line's leading key, without ``json.loads``, with the same result. A
+    line that misses its template, or whose template reader returns None (a
+    number of more digits than ``int()`` takes, a ball or a delta that does
+    not load), takes the general path (``_read_event``), which gives the
+    same event or the same TraceFormatError. The events of a chunk's move
+    lines are kept by line (``moves``), so a repeated move line is read
+    once per chunk; each event handed on is a fresh dict. A move or sense
+    event inside an open phase, before any terminal event, skips
+    ``_EventOrder.advance``, which takes such an event unconditionally."""
+    lines = enumerate(lines, 1)
+    for lineno, line in lines:
+        line = line.strip()
+        if line:
+            break
+    else:
+        raise TraceFormatError("empty trace: missing header")
+    if not line.isascii():
+        _check_text(lineno, line)
+    header = _read_event(lineno, line, True, 0)
     order = _EventOrder()
+    order.advance("header", header)
+    try:
+        yield header
+    except TraceFormatError as e:
+        raise TraceFormatError(f"line {lineno}: {e}") from None
+    # looked up per call, so a pattern patched in (as tests do) takes effect
+    sense_line, move_line = _SENSE_LINE.fullmatch, _MOVE_LINE.fullmatch
+    phase_start_line, phase_end_line = _PHASE_START_LINE.fullmatch, _PHASE_END_LINE.fullmatch
+    map_n = 0
+    in_phase = False  # a phase is open and no terminal event has come
     chunk = []
-    first = True
-    for lineno, line in enumerate(lines, 1):
+    moves = {}  # move line -> its event, for the lines of this chunk
+    for lineno, line in lines:
         line = line.strip()
         if not line:
             continue
         if not line.isascii():
             _check_text(lineno, line)
-        ev = None
-        if not first:
-            template = _TEMPLATES.get(line[2:line.find('"', 2)])
-            m = template and template[0].fullmatch(line)
-            ev = m and template[1](m, map_n)
+        key = line[2:3]  # the first letter of the leading key
+        if key == "i":
+            ev = moves.get(line)
+            if ev is None:
+                m = move_line(line)
+                ev = m and _read_move(m)
+                if ev:
+                    moves[line] = ev
+            ev = ev and ev.copy()
+        elif key == "a":
+            m = sense_line(line)
+            ev = m and _read_sense(m)
+        elif key == "d":
+            m = phase_end_line(line)
+            ev = m and _read_phase_end(m, map_n)
+        elif key == "k":
+            m = phase_start_line(line)
+            ev = m and _read_phase_start(m)
+        else:
+            ev = None
         if not ev:
-            ev = _read_event(lineno, line, first, map_n)
-        if ev["kind"] == "phase_end":
-            map_n = ev["delta"]["n"]
-        misplaced = order.advance(ev["kind"], ev)
-        if misplaced:
-            raise TraceFormatError(f"line {lineno}: {misplaced}")
-        first = False
+            ev = _read_event(lineno, line, False, map_n)
+        kind = ev["kind"]
+        if not in_phase or kind != "move" and kind != "sense":
+            if kind == "phase_end":
+                map_n = ev["delta"]["n"]
+            misplaced = order.advance(kind, ev)
+            if misplaced:
+                raise TraceFormatError(f"line {lineno}: {misplaced}")
+            in_phase = order.open is not None and order.ended is None
         chunk.append(ev)
         if len(chunk) == TRACE_CHUNK:
             yield from chunk
             chunk = []
-    if first:
-        raise TraceFormatError("empty trace: missing header")
+            moves.clear()
     yield from chunk
 
 
@@ -226,9 +268,9 @@ def _read_event(lineno, line, first, map_n):
 # The templates: each kind's line exactly as _ENCODE writes an event of that
 # kind with only its fields, ints in canonical decimal (which read as
 # json.loads reads them) and, in a sense line, a packed ball. Its text is
-# taken up to the next quote: ``_unpack`` refuses any text but canonical
-# base64, whose characters need no escaping in JSON, so a line with an
-# escape or another character there takes the general path.
+# taken up to the next quote: ``Ball.from_packed`` refuses any text but
+# canonical base64, whose characters need no escaping in JSON, so a line
+# with an escape or another character there takes the general path.
 _DIGITS = r"(?:0|[1-9][0-9]*)"
 _NAT = rf"({_DIGITS})"
 _EDGE = rf"\[{_DIGITS}(?:,{_DIGITS}){{3}}\]"
@@ -291,21 +333,21 @@ _WRITERS = {"sense": _write_sense, "move": _write_move, "phase_start": _write_ph
             "phase_end": _write_phase_end}
 
 
-def _read_sense(m, map_n):
+def _read_sense(m):
     """The sense event of a ``_SENSE_LINE`` match, or None when its ball
     does not load (the text is not canonical base64, or the structure is
     wrong); such a line takes the general path, which gives the same
     error."""
     arrival, edges, size = m.groups()
     try:
-        b = Ball.from_json_dict({"size": int(size), "edges": edges})
+        b = Ball.from_packed(int(size), edges)
         arrival = None if arrival == "null" else int(arrival)
     except ValueError:
         return None
     return {"arrival": arrival, "ball": b, "kind": "sense"}
 
 
-def _read_move(m, map_n):
+def _read_move(m):
     in_port, out = m.groups()
     try:
         return {"in": int(in_port), "kind": "move", "out": int(out)}
@@ -313,7 +355,7 @@ def _read_move(m, map_n):
         return None
 
 
-def _read_phase_start(m, map_n):
+def _read_phase_start(m):
     try:
         return {"kind": "phase_start", "phase": int(m[1])}
     except ValueError:
@@ -336,16 +378,6 @@ def _read_phase_end(m, map_n):
     it = iter(flat)
     return {"delta": {"n": n, "edges": list(zip(it, it, it, it))}, "kind": "phase_end",
             "phase": phase}
-
-
-# The template of each kind that has one, by the first key of its line:
-# (pattern, reader of a match and the map's vertex count so far).
-_TEMPLATES = {
-    "arrival": (_SENSE_LINE, _read_sense),
-    "in": (_MOVE_LINE, _read_move),
-    "kind": (_PHASE_START_LINE, _read_phase_start),
-    "delta": (_PHASE_END_LINE, _read_phase_end),
-}
 
 
 def _check_header(ev):

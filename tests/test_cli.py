@@ -470,6 +470,26 @@ class TestCheckInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "root 6 out of range for n=3" in err
 
+    @pytest.mark.parametrize("blank", [0, 2])
+    @pytest.mark.parametrize("size", [5, TRACE_CHUNK + 10])
+    def test_the_root_refusal_names_the_header_line(self, tmp_path, capsys, blank, size):
+        # the header is the first line that is not blank; the refusal names
+        # it, before the reader has read a chunk or after it has read several
+        spec = "path:5" if size == 5 else f"tree:n={size},seed=1"
+        _g, trace = self.explored(tmp_path, spec)
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["root"] = 40
+        trace.write_text("\n" * blank + "\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        small = tmp_path / "small.json"
+        invoke("gen", "--spec", "path:3", "--out", str(small))
+        capsys.readouterr()
+        assert invoke("check", "--graph", str(small), "--trace", str(trace)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {trace}: line {blank + 1}: root 40 out of range for n=3 "
+                                "(trace recorded on another graph?)\n")
+        assert captured.out == ""
+
     def test_blank_lines_in_a_trace_are_skipped(self, tmp_path, capsys):
         g, trace = self.explored(tmp_path)
         capsys.readouterr()

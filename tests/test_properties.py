@@ -120,3 +120,37 @@ def test_sensed_ball_is_the_relabelled_ground_ball(spec, port_seed):
             expected = raw.relabel([0] + tail)
             got = env.sense().ball
             assert (got.size, got.flat) == (expected.size, expected.flat)
+
+
+family_specs = st.one_of(
+    st.builds("complete:{}".format, st.integers(2, 8)),
+    st.builds("path:{}".format, st.integers(1, 12)),
+    st.builds("cycle:{}".format, st.integers(3, 8)),
+    st.builds("star:{}".format, st.integers(2, 12)),
+    st.builds("fan:{}".format, st.integers(3, 12)),
+    st.sampled_from(["johnson:4,2", "johnson:5,2", "johnson:5,3", "johnson:6,2"]),
+    st.builds("tree:n={},seed={}".format, st.integers(1, 30), st.integers(0, 100)),
+    st.builds("chordal:n={},rate={},seed={}".format, st.integers(2, 30),
+              st.sampled_from([0.0, 0.4, 0.8]), st.integers(0, 100)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_specs, st.sampled_from(["canonical", "random:1", "random:33"]), st.data(),
+       st.integers(0, 10_000), st.integers(0, 10_000))
+def test_the_explorer_is_blind_to_the_sensor_shuffle(spec, ports, data, s, t):
+    """The local ids a sense hands out come from the sensor's shuffle; the
+    explorer's status, moves and phase deltas must not depend on them."""
+    from binox.explorer import explore
+
+    g = generate(parse_spec(spec, port_scheme=ports))
+    root = data.draw(st.integers(0, g.n - 1))
+
+    def run(seed):
+        env = Environment(g, root, 10 * g.n)
+        env._rng = random.Random(f"observe:{seed}")
+        out = explore(env)
+        deltas = [ev["delta"] for ev in out.trace.events if ev["kind"] == "phase_end"]
+        return out.status, out.moves, deltas
+
+    assert run(s) == run(t)

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from binox import explorer, runtime
 from binox.explorer import explore
 from binox.graph import Ball, PortNumberedGraph, ball
-from binox.runtime import TRACE_VERSION, Environment, RunTrace, TraceFormatError
+from binox.runtime import TRACE_CHUNK, TRACE_VERSION, Environment, RunTrace, TraceFormatError
 
 from conftest import gen
 
@@ -76,9 +76,22 @@ def read(text):
         return f"TraceFormatError: {e}"
 
 
+# A pattern that matches no line.
+NEVER = re.compile(r"(?!)")
+
+
+def plain_path():
+    """Every line past the header takes the json.loads path: each template
+    pattern of ``runtime`` is swapped for NEVER."""
+    patterns = {name: NEVER for name, value in vars(runtime).items()
+                if isinstance(value, re.Pattern)}
+    assert len(patterns) == 4
+    return mock.patch.multiple(runtime, **patterns)
+
+
 def read_plain(text):
     """``read`` with every line taking the json.loads path."""
-    with mock.patch.dict(runtime._TEMPLATES, clear=True):
+    with plain_path():
         return read(text)
 
 
@@ -149,7 +162,7 @@ def test_a_ball_with_a_value_from_256_on_round_trips_as_a_list():
 def test_real_sense_lines_take_the_fast_path():
     for line in SENSE_LINES:
         m = runtime._SENSE_LINE.fullmatch(line)
-        assert m and runtime._read_sense(m, 0) is not None
+        assert m and runtime._read_sense(m) is not None
 
 
 def test_real_traces_take_the_general_path_only_at_the_header_and_the_end():
@@ -157,7 +170,12 @@ def test_real_traces_take_the_general_path_only_at_the_header_and_the_end():
     for lines in TRACES:
         with mock.patch.object(runtime, "_read_event", wraps=runtime._read_event) as general:
             list(runtime.read_events(lines))
-        assert [c.args[0] for c in general.call_args_list] == [1, len(lines)]
+            assert [c.args[0] for c in general.call_args_list] == [1, len(lines)]
+            general.reset_mock()
+            with plain_path():
+                list(runtime.read_events(lines))
+        # read_plain's every line, the repeated move lines included
+        assert [c.args[0] for c in general.call_args_list] == list(range(1, len(lines) + 1))
 
 
 def _as_list(line):
@@ -374,7 +392,7 @@ def test_an_edges_text_outside_base64_fits_the_template_and_does_not_load(piece)
     # the text's alphabet is left to the canonical decode, which refuses it
     line = _edit_packed(SENSE_LINES[-1], random.Random(piece), _insert_inside(piece))
     m = runtime._SENSE_LINE.fullmatch(line)
-    assert m and runtime._read_sense(m, 0) is None
+    assert m and runtime._read_sense(m) is None
     text = "\n".join(HEAD + [line]) + "\n"
     assert read(text) == read_plain(text)
     assert "not the canonical base64 text" in read(text) or "not JSON" in read(text)
@@ -494,6 +512,95 @@ def test_line_reader_agrees_with_the_json_path(kind, data, name, seed):
     trace, at = data.draw(st.sampled_from(KIND_LINES[kind]))
     text = mutated_trace(trace, at, name, random.Random(seed))
     assert read(text) == read_plain(text)
+
+
+# -- the move memo and the in-phase fast path --------------------------------
+#
+# The reader keeps each move line's event for the rest of its chunk, and
+# takes a move or sense event inside an open phase without the order check.
+# A repeated line must still be refused wherever the order forbids it.
+
+
+def _without_phase_start(lines, line, rng):
+    """A later phase_start dropped and ``line`` put in its place: it comes
+    between two phases."""
+    at = rng.choice([i for i, ln in enumerate(lines) if '"kind":"phase_start"' in ln
+                     and i > lines.index(line)])
+    return lines[:at] + [line] + lines[at + 1:]
+
+
+def _after_halt(lines, line, rng):
+    return lines + [line]
+
+
+def _after_budget_exhausted(lines, line, rng):
+    """The run cut inside a later phase, which stays open, and ended there."""
+    at = rng.choice([i for i, ln in enumerate(lines) if '"kind":"move"' in ln
+                     and i > lines.index(line)])
+    return lines[:at] + ['{"kind":"budget_exhausted"}', line]
+
+
+def _before_the_header(lines, line, rng):
+    return [line] + lines
+
+
+ORDER_MUTATIONS = {
+    "after a dropped phase_start": (_without_phase_start, "event outside a phase"),
+    "after the halt": (_after_halt, "event after the terminal halt event"),
+    "after budget_exhausted in an open phase": (
+        _after_budget_exhausted, "event after the terminal budget_exhausted event"),
+    "before the header": (_before_the_header, "missing header: first event is"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_MUTATIONS))
+@pytest.mark.parametrize("kind", ["move", "sense"])
+def test_a_repeated_line_out_of_order_is_refused_as_the_json_path_refuses_it(kind, name):
+    mutate, message = ORDER_MUTATIONS[name]
+    rng = random.Random(f"{kind} {name}")
+    for lines in TRACES:
+        # a line of the first phase that has a later phase to go wrong in
+        candidates = [ln for ln in lines[:lines.index('{"kind":"phase_start","phase":2}')]
+                      if f'"kind":"{kind}"' in ln] if len(lines) > 30 else []
+        for line in rng.sample(candidates, min(3, len(candidates))):
+            text = "\n".join(mutate(list(lines), line, rng)) + "\n"
+            got = read(text)
+            assert got == read_plain(text)
+            assert got.startswith("TraceFormatError") and message in got
+
+
+STAR = Environment(gen("star:3000", "random:5"), 0, 100_000)
+explore(STAR)
+STAR_TEXT = STAR.trace.to_jsonl()
+
+
+def test_a_trace_with_more_move_lines_than_a_chunk_reads_as_the_json_path_reads_it():
+    lines = STAR_TEXT.splitlines()
+    moves = [ln for ln in lines if '"kind":"move"' in ln]
+    assert len(set(moves)) > TRACE_CHUNK
+    assert read(STAR_TEXT) == read_plain(STAR_TEXT)
+
+
+def test_a_repeated_move_line_gives_a_fresh_event_each_time():
+    # a consumer may change an event
+    repeated = 0
+    for lines in TRACES:
+        moves = [ln for ln in lines if '"kind":"move"' in ln]
+        repeated += len(moves) - len(set(moves))
+        events = list(runtime.read_events(lines))
+        assert len({id(ev) for ev in events}) == len(events)
+    assert repeated
+
+
+def test_the_move_memo_holds_at_most_one_chunk_of_lines():
+    # read_events keeps the memo in its local ``moves``
+    lines = STAR_TEXT.splitlines()
+    reader = runtime.read_events(lines)
+    largest = 0
+    for _ev in reader:
+        largest = max(largest, len(reader.gi_frame.f_locals.get("moves", ())))
+    assert 0 < largest <= TRACE_CHUNK
+    assert largest < len({ln for ln in lines if '"kind":"move"' in ln})
 
 
 scalars = st.one_of(
